@@ -7,9 +7,11 @@ along parameter paths, explicit gauge transformations) that downstream
 geometric quantities rely on.
 
 Normalization convention: right vectors have unit 2-norm with their
-largest-magnitude component real positive; left vectors are rescaled so
-that <Phi_n|Psi_n> = 1 exactly. Eigenvalues are sorted by (Re E, Im E)
-ascending.
+largest-magnitude component real positive; the left vectors are the dual
+basis ``left = inv(VR)^dag`` of the right-vector matrix VR, so that
+<Phi_m|Psi_n> = delta_mn by construction. Eigenvalues are sorted by
+(Re E, Im E) ascending. ``biortho_eig`` and ``build_W`` accept a single
+matrix or a stack ``(..., N, N)`` and decompose a stack in one call.
 """
 
 from __future__ import annotations
@@ -83,23 +85,35 @@ class HamiltonianFamily:
 class BiorthoEigensystem:
     """Eigenvalues with paired right/left eigenvectors, biorthonormalized.
 
-    ``right[:, n]`` is Psi_n with H Psi_n = E_n Psi_n; ``left[:, n]`` is
-    Phi_n with H^dag Phi_n = E_n^* Phi_n and <Phi_m|Psi_n> = delta_mn.
+    ``right[..., :, n]`` is Psi_n with H Psi_n = E_n Psi_n; ``left[..., :, n]``
+    is Phi_n with H^dag Phi_n = E_n^* Phi_n and <Phi_m|Psi_n> = delta_mn.
+    For a stack of matrices the leading axes index the stack, ``unbroken``
+    is a boolean array over them, and ``eig[i]`` picks one element.
     """
 
     energies: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    unbroken: bool
+    unbroken: bool | np.ndarray
     tol_real: float = 1e-9
 
     @property
     def dim(self) -> int:
-        return self.energies.shape[0]
+        return self.energies.shape[-1]
 
     def overlap_matrix(self) -> np.ndarray:
         """<Phi_m|Psi_n>; identity for a valid eigensystem."""
-        return self.left.conj().T @ self.right
+        return _dagger(self.left) @ self.right
+
+    def __getitem__(self, i) -> "BiorthoEigensystem":
+        unbroken = self.unbroken[i]
+        return BiorthoEigensystem(
+            energies=self.energies[i],
+            right=self.right[i],
+            left=self.left[i],
+            unbroken=bool(unbroken) if np.ndim(unbroken) == 0 else unbroken,
+            tol_real=self.tol_real,
+        )
 
 
 @dataclass(frozen=True)
@@ -110,18 +124,8 @@ class MetricOperator:
     source: str = "from_eigensystem"  # or "user_supplied"
 
 
-def _cluster_indices(values: np.ndarray, tol: float):
-    """Group indices of sorted complex values whose neighbours lie within tol."""
-    groups = []
-    current = [0]
-    for i in range(1, len(values)):
-        if abs(values[i] - values[i - 1]) <= tol:
-            current.append(i)
-        else:
-            groups.append(current)
-            current = [i]
-    groups.append(current)
-    return groups
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def biortho_eig(
@@ -129,11 +133,14 @@ def biortho_eig(
     tol_degenerate: float | None = None,
     tol_real: float = 1e-9,
 ) -> BiorthoEigensystem:
-    """Biorthogonal eigendecomposition of a square complex matrix.
+    """Biorthogonal eigendecomposition of a square matrix or a stack of them.
+
+    One ``numpy.linalg.eig`` call covers the whole stack; every check
+    below applies to each element.
 
     Parameters
     ----------
-    h : array_like, shape (N, N)
+    h : array_like, shape (..., N, N)
     tol_degenerate : float, optional
         Eigenvalue-distance threshold below which coalescing eigenvectors
         are treated as defective. Defaults to ``1e-8 * spectral_radius``.
@@ -146,63 +153,63 @@ def biortho_eig(
         On NaN/Inf entries.
     DefectiveMatrix
         When nearly-equal eigenvalues come with a singular eigenvector
-        overlap (an exceptional point).
+        overlap (an exceptional point), or a left vector blows up.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h.view(float))):
+    if not np.isfinite(h).all():
         raise NonFinite("matrix contains NaN or Inf entries")
+    batch, n = h.shape[:-2], h.shape[-1]
+    h = h.reshape(-1, n, n)
+    rows, cols = np.arange(h.shape[0])[:, None], np.arange(n)
 
-    w, vl, vr = scipy.linalg.eig(h, left=True, right=True)
+    w, vr = np.linalg.eig(h)
     order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    vr = vr[:, order]
-    vl = vl[:, order]
+    w = w[rows, order]
+    vr = vr[rows, :, order].swapaxes(-1, -2)
 
-    radius = float(np.max(np.abs(w))) if w.size else 0.0
     # Scale on the matrix norm, not the spectral radius: at an exceptional
     # point all eigenvalues can sit near zero while the matrix does not.
-    norm_scale = float(np.linalg.norm(h)) / np.sqrt(h.shape[0])
-    scale = max(radius, norm_scale) or 1.0
-    if tol_degenerate is None:
-        tol_degenerate = 1e-8 * scale
+    norm_scale = np.linalg.norm(h.reshape(h.shape[0], -1), axis=-1) / np.sqrt(n)
+    scale = np.maximum(np.abs(w).max(axis=-1), norm_scale)
+    tol = 1e-8 * scale if tol_degenerate is None else np.full_like(scale, tol_degenerate)
 
-    # Exceptional-point detection: eigenvalue clusters whose right vectors
-    # span less than the cluster size.
-    for group in _cluster_indices(w, tol_degenerate):
-        if len(group) < 2:
-            continue
-        s = scipy.linalg.svdvals(vr[:, group])
-        if s[-1] <= 1e-8 * s[0]:
-            raise DefectiveMatrix(
-                f"eigenvalues near {w[group[0]]:.6g} have coalescing eigenvectors"
-            )
-        # Degenerate but diagonalizable: LAPACK's left/right pairing is not
-        # biorthogonal within the cluster, so re-pair explicitly.
-        sub = vl[:, group].conj().T @ vr[:, group]
-        vl[:, group] = vl[:, group] @ np.linalg.inv(sub).conj().T
+    # Exceptional-point detection: clusters of sorted eigenvalues (neighbours
+    # within tol) whose right vectors span less than the cluster size.
+    close = np.abs(w[:, 1:] - w[:, :-1]) <= tol[:, None]
+    for i in np.flatnonzero(close.any(axis=-1)):
+        for group in np.split(np.arange(n), np.flatnonzero(~close[i]) + 1):
+            if len(group) < 2:
+                continue
+            s = scipy.linalg.svdvals(vr[i][:, group])
+            if s[-1] <= 1e-8 * s[0]:
+                raise DefectiveMatrix(
+                    f"eigenvalues near {w[i, group[0]]:.6g} have coalescing eigenvectors"
+                )
 
-    # Phase/norm fix on right vectors.
-    norms = np.linalg.norm(vr, axis=0)
-    if np.any(norms == 0):
-        raise DefectiveMatrix("zero right eigenvector returned by solver")
-    vr = vr / norms
-    lead = np.argmax(np.abs(vr), axis=0)
-    phases = vr[lead, np.arange(vr.shape[1])]
-    vr = vr * (np.abs(phases) / phases)
+    # Unit norm, largest-magnitude component real positive.
+    phases = vr[rows, np.abs(vr).argmax(axis=-2), cols]
+    vr = vr * (np.abs(phases) / (phases * np.linalg.norm(vr, axis=-2)))[:, None, :]
 
-    # Rescale left vectors for <Phi_n|Psi_n> = 1.
-    diag = np.einsum("in,in->n", vl.conj(), vr)
-    if np.any(np.abs(diag) < 1e-13 * np.linalg.norm(vl, axis=0) * 1.0):
+    # The dual basis inv(VR)^dag is biorthonormal by construction:
+    # <Phi_m|Psi_n> = delta_mn, degenerate clusters included.
+    try:
+        vl = _dagger(np.linalg.inv(vr))
+    except np.linalg.LinAlgError as exc:
+        raise DefectiveMatrix("right eigenvector matrix is singular") from exc
+    # |Phi_n| = 1/|<phi_n|Psi_n>| for the unit left eigenvector phi_n; the
+    # negated test also refuses NaN from a zero right vector.
+    if not (np.linalg.norm(vl, axis=-2) <= 1e13).all():
         raise DefectiveMatrix("left/right eigenvector overlap numerically singular")
-    vl = vl / diag.conj()
 
-    im_max = float(np.max(np.abs(w.imag))) if w.size else 0.0
-    unbroken = im_max <= tol_real * scale
-
+    unbroken = np.abs(w.imag).max(axis=-1) <= tol_real * scale
     return BiorthoEigensystem(
-        energies=w, right=vr, left=vl, unbroken=unbroken, tol_real=tol_real
+        energies=w.reshape(batch + (n,)),
+        right=vr.reshape(batch + (n, n)),
+        left=vl.reshape(batch + (n, n)),
+        unbroken=bool(unbroken[0]) if not batch else unbroken.reshape(batch),
+        tol_real=tol_real,
     )
 
 
@@ -210,14 +217,17 @@ def build_W(eig: BiorthoEigensystem) -> MetricOperator:
     """Inner-product metric W = sum_n |Phi_n><Phi_n| from the left vectors.
 
     With this W the right vectors are orthonormal in the W inner product:
-    <Psi_m|W|Psi_n> = delta_mn.
+    <Psi_m|W|Psi_n> = delta_mn. Stacked eigensystems give stacked W.
     """
-    w = eig.left @ eig.left.conj().T
-    w = 0.5 * (w + w.conj().T)
+    w = eig.left @ _dagger(eig.left)
+    w = 0.5 * (w + _dagger(w))
     evals = np.linalg.eigvalsh(w)
-    if evals[0] <= 0:
+    # eigvalsh resolves eigenvalues only to ~N eps |W|: below that, W is
+    # numerically singular whatever the sign of the computed value.
+    ratio = float(np.min(evals[..., 0] / evals[..., -1]))
+    if ratio <= w.shape[-1] * np.finfo(float).eps:
         raise NotPositiveDefinite(
-            f"smallest eigenvalue of W is {evals[0]:.3e}; eigensystem is broken"
+            f"smallest/largest eigenvalue of W is {ratio:.3e}; eigensystem is broken"
         )
     return MetricOperator(matrix=w, source="from_eigensystem")
 
@@ -226,14 +236,19 @@ def gauge_fix(prev: BiorthoEigensystem, cur: BiorthoEigensystem) -> BiorthoEigen
     """Align ``cur`` with ``prev``: reorder by maximal overlap, remove phases.
 
     After the fix, <Phi_n^prev|Psi_n^cur> is real positive for every n and
-    <Phi_n|Psi_n> = 1 is preserved. Raises AmbiguousMatching when the
-    greedy overlap assignment is not a permutation (a degeneracy was
-    crossed between the two parameter points).
+    <Phi_n|Psi_n> = 1 is preserved. States are matched by the permutation
+    maximizing the summed |overlap|; AmbiguousMatching is raised when a
+    matched overlap vanishes (a degeneracy was crossed between the two
+    parameter points).
     """
     overlaps = prev.left.conj().T @ cur.right  # M[n, m] = <Phi_n^prev | Psi_m^cur>
     assign = np.argmax(np.abs(overlaps), axis=1)
     if len(set(assign.tolist())) != prev.dim:
-        raise AmbiguousMatching("overlap matching is not a permutation")
+        # Row-wise maxima collide (near-tied overlaps). Imported here: the
+        # scipy.optimize import costs ~0.2 s and ~20 MB at start-up.
+        from scipy.optimize import linear_sum_assignment
+
+        _, assign = linear_sum_assignment(np.abs(overlaps), maximize=True)
 
     energies = cur.energies[assign]
     right = cur.right[:, assign]

@@ -63,6 +63,8 @@ def _parse_point(text: str) -> np.ndarray:
     try:
         return np.array([float(x) for x in text.split(",")], dtype=float)
     except ValueError:
+        print(f"invalid point {text!r}: expected comma-separated numbers",
+              file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 

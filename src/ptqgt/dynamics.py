@@ -4,6 +4,9 @@ The evolution equation i d psi/dt = [H(t) + i K(t)] psi with the gauge
 field K(t) = -1/2 W^{-1} dW/dt preserves the time-dependent W inner
 product exactly; the integrator here is a fixed-step classical RK4 whose
 conservation is verified a posteriori rather than enforced structurally.
+K is computed per RK4 step, with no cache: one stacked eigensolve gives
+K at the step's midpoint and end, and the end value is reused as the
+next step's start value.
 """
 
 from __future__ import annotations
@@ -69,36 +72,27 @@ class EvolutionResult:
     geometric_phase: float = 0.0
 
 
-def _metric_at(family: HamiltonianFamily, lam) -> np.ndarray:
-    """W(lam); direct inversion route for small matrices, else the full
-    biorthogonal construction. Both give sum_n |Phi_n><Phi_n| with
-    unit-norm right vectors, and W is insensitive to eigenvector phases."""
-    h = family(lam)
-    if h.shape[0] <= 8:
-        _, vr = np.linalg.eig(h)
-        vr = vr / np.linalg.norm(vr, axis=0)
-        try:
-            m = np.linalg.inv(vr)
-        except np.linalg.LinAlgError as exc:
-            raise MetricSingular("eigenvector matrix singular along path") from exc
-        w = m.conj().T @ m
-        return 0.5 * (w + w.conj().T)
-    return build_W(biortho_eig(h)).matrix
-
-
 def k_field(
-    family: HamiltonianFamily, path: PathSpec, t: float, dt_probe: float
+    family: HamiltonianFamily, path: PathSpec, t, dt_probe: float
 ) -> np.ndarray:
-    """Gauge field K(t) = -1/2 W^{-1}(t) dW/dt by central differencing."""
+    """Gauge field K(t) = -1/2 W^{-1}(t) dW/dt by central differencing.
+
+    ``t`` may be an array of times; K then has shape ``t.shape + (N, N)``.
+    The metrics at every time and its two probes come from one stacked
+    eigensolve.
+    """
     if dt_probe <= 0:
         raise ValueError("dt_probe must be positive")
-    w0 = _metric_at(family, path.at(t))
-    wp = _metric_at(family, path.at(min(t + dt_probe, path.duration)))
-    wm = _metric_at(family, path.at(max(t - dt_probe, 0.0)))
-    span = min(t + dt_probe, path.duration) - max(t - dt_probe, 0.0)
-    dw = (wp - wm) / span
+    t = np.asarray(t, dtype=float)
+    t_plus = np.minimum(t + dt_probe, path.duration)
+    t_minus = np.maximum(t - dt_probe, 0.0)
+    times = np.stack([t, t_plus, t_minus])
+    n = family.dim_hilbert
+    hs = np.stack([family(path.at(s)) for s in times.ravel()])
+    w = build_W(biortho_eig(hs.reshape(times.shape + (n, n)))).matrix
+    dw = (w[1] - w[2]) / (t_plus - t_minus)[..., None, None]
     try:
-        return -0.5 * np.linalg.solve(w0, dw)
+        return -0.5 * np.linalg.solve(w[0], dw)
     except np.linalg.LinAlgError as exc:
         raise MetricSingular("metric W is numerically singular") from exc
 
@@ -124,19 +118,8 @@ def evolve(
     dt = path.duration / n_steps
     dt_probe = dt / 10.0
 
-    k_cache: dict[float, np.ndarray] = {}
-
-    def generator(t):
-        lam = path.at(t)
-        h = family(lam)
-        key = round(t, 12)
-        k = k_cache.get(key)
-        if k is None:
-            k = k_field(family, path, t, dt_probe)
-            k_cache[key] = k
-            if len(k_cache) > 8:  # stage times recur across adjacent steps
-                k_cache.pop(next(iter(k_cache)))
-        return -1j * h + k
+    def generator(t, k):
+        return -1j * family(path.at(t)) + k
 
     times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, psi.shape[0]), dtype=complex)
@@ -150,11 +133,10 @@ def evolve(
         nonlocal eig_anchor
         times[i] = t
         states[i] = psi
-        if track_level is None:
-            w = _metric_at(family, path.at(t))
-            w_norms[i] = float(np.vdot(psi, w @ psi).real)
-            return
         eig_t = biortho_eig(family(path.at(t)))
+        if track_level is None:
+            w_norms[i] = float(np.vdot(psi, build_W(eig_t).matrix @ psi).real)
+            return
         # Anchor the gauge at t = 0 (not chained): a chained fix is the
         # parallel-transport gauge and would absorb the geometric phase.
         if eig_anchor is None:
@@ -163,23 +145,27 @@ def evolve(
             eig_t = gauge_fix(eig_anchor, eig_t)
         w = build_W(eig_t).matrix
         w_norms[i] = float(np.vdot(psi, w @ psi).real)
-        if track_level is not None:
-            ov = np.vdot(eig_t.left[:, track_level], psi)
-            if np.abs(ov) < 0.99 * np.sqrt(max(w_norms[i], 0.0)):
-                raise NotAdiabatic(
-                    f"instantaneous overlap {np.abs(ov):.4f} dropped below 0.99 at t={t:.4g}"
-                )
-            alphas[i] = np.angle(ov)
-            energies[i] = float(eig_t.energies[track_level].real)
+        ov = np.vdot(eig_t.left[:, track_level], psi)
+        if np.abs(ov) < 0.99 * np.sqrt(max(w_norms[i], 0.0)):
+            raise NotAdiabatic(
+                f"instantaneous overlap {np.abs(ov):.4f} dropped below 0.99 at t={t:.4g}"
+            )
+        alphas[i] = np.angle(ov)
+        energies[i] = float(eig_t.energies[track_level].real)
 
     record(0, 0.0, psi)
+    # K at the step's end is the next step's K at its start.
+    k_start = k_field(family, path, 0.0, dt_probe)
     for i in range(n_steps):
         t = i * dt
-        k1 = generator(t) @ psi
-        k2 = generator(t + 0.5 * dt) @ (psi + 0.5 * dt * k1)
-        k3 = generator(t + 0.5 * dt) @ (psi + 0.5 * dt * k2)
-        k4 = generator(t + dt) @ (psi + dt * k3)
+        k_mid, k_end = k_field(family, path, [t + 0.5 * dt, t + dt], dt_probe)
+        g_mid = generator(t + 0.5 * dt, k_mid)
+        k1 = generator(t, k_start) @ psi
+        k2 = g_mid @ (psi + 0.5 * dt * k1)
+        k3 = g_mid @ (psi + 0.5 * dt * k2)
+        k4 = generator(t + dt, k_end) @ (psi + dt * k3)
         psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k_start = k_end
         record(i + 1, (i + 1) * dt, psi)
 
     drift = float(np.max(np.abs(w_norms - w_norms[0])))

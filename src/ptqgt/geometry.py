@@ -127,8 +127,11 @@ def param_derivatives(
     from ``family.derivative`` when available, otherwise from central
     differences of ``family.evaluate``.
 
+    All 2d+1 stencil points are decomposed in one stacked eigensolve.
     Propagates DefectiveMatrix / AmbiguousMatching from the eigensolver
-    when ``lam`` sits too close to a critical point for the chosen step.
+    when ``lam`` sits too close to a critical point for the chosen step,
+    and raises Degenerate when a stencil point lies on the other side of
+    the PT-breaking boundary than ``lam``.
     """
     lam = np.asarray(lam, dtype=float)
     if step is None:
@@ -136,38 +139,42 @@ def param_derivatives(
     if step <= 0:
         raise ValueError("step must be positive")
 
-    eig0 = biortho_eig(family(lam))
-    w0 = build_W(eig0).matrix
-    d, n = family.dim_param, family.dim_hilbert
-
-    dpsi = np.empty((d, n, n), dtype=complex)
-    dphi = np.empty((d, n, n), dtype=complex)
-    dw = np.empty((d, n, n), dtype=complex)
-    dh = np.empty((d, n, n), dtype=complex)
-    for mu in range(d):
-        e = np.zeros(d)
-        e[mu] = step
-        eig_p = gauge_fix(eig0, biortho_eig(family(lam + e)))
-        eig_m = gauge_fix(eig0, biortho_eig(family(lam - e)))
-        dpsi[mu] = (eig_p.right - eig_m.right) / (2.0 * step)
-        dphi[mu] = (eig_p.left - eig_m.left) / (2.0 * step)
-        dw[mu] = (build_W(eig_p).matrix - build_W(eig_m).matrix) / (2.0 * step)
-        dh[mu] = family.deriv(lam, mu, step=step)
+    d = family.dim_param
+    # Stencil: centre, then lam + step e_mu, then lam - step e_mu.
+    points = lam + step * np.concatenate([np.zeros((1, d)), np.eye(d), -np.eye(d)])
+    eigs = biortho_eig(np.stack([family(p) for p in points]))
+    if np.any(eigs.unbroken != eigs.unbroken[0]):
+        raise Degenerate("difference stencil straddles a PT-breaking (exceptional) point")
+    eig0 = eigs[0]
+    ws = build_W(eigs).matrix
+    fixed = [gauge_fix(eig0, eigs[i]) for i in range(1, 2 * d + 1)]
+    right = np.stack([e.right for e in fixed])
+    left = np.stack([e.left for e in fixed])
 
     return DerivativeBundle(
-        point=lam, step=step, eig=eig0, w=w0, dpsi=dpsi, dphi=dphi, dw=dw, dh=dh
+        point=lam,
+        step=step,
+        eig=eig0,
+        w=ws[0],
+        dpsi=(right[:d] - right[d:]) / (2.0 * step),
+        dphi=(left[:d] - left[d:]) / (2.0 * step),
+        dw=(ws[1:d + 1] - ws[d + 1:]) / (2.0 * step),
+        dh=np.stack([family.deriv(lam, mu, step=step) for mu in range(d)]),
     )
 
 
-def _check_gap(eig: BiorthoEigensystem, n: int, tol: float | None = None):
-    e = eig.energies
-    scale = max(float(np.max(np.abs(e))), 1e-300)
-    if tol is None:
-        tol = 1e-8 * scale
-    others = np.delete(np.arange(e.shape[0]), n)
-    gap = float(np.min(np.abs(e[others] - e[n]))) if others.size else np.inf
-    if gap < tol:
-        raise Degenerate(f"level {n} gap {gap:.3e} below tolerance {tol:.3e}")
+def _check_gap(eig: BiorthoEigensystem, n: int):
+    """Raise Degenerate at the first stack element whose level ``n`` is
+    closer to another level than 1e-8 times that element's spectral radius."""
+    if eig.dim < 2:
+        return
+    e = eig.energies.reshape(-1, eig.dim)
+    tol = 1e-8 * np.maximum(np.abs(e).max(axis=-1), 1e-300)
+    gap = np.abs(np.delete(e, n, axis=-1) - e[:, n:n + 1]).min(axis=-1)
+    bad = np.flatnonzero(gap < tol)
+    if bad.size:
+        i = bad[0]
+        raise Degenerate(f"level {n} gap {gap[i]:.3e} below tolerance {tol[i]:.3e}")
 
 
 def _qgt_from_states(psi, phi, dpsi_n, dphi_n) -> np.ndarray:
@@ -227,27 +234,27 @@ def metric_tensor(q: GeomTensor) -> np.ndarray:
     return np.ascontiguousarray(q.q.real)
 
 
-def _metric_perturbative_level(
-    eig: BiorthoEigensystem, dh: Sequence[np.ndarray], n: int, tol: float | None = None
-) -> np.ndarray:
-    """Sum-over-states metric for level ``n``; no eigenvector differencing."""
-    _check_gap(eig, n, tol)
-    d = len(dh)
+def _sos_metric(eig: BiorthoEigensystem, dh, levels) -> np.ndarray:
+    """Sum-over-states metric summed over the levels selected by ``levels``.
+
+    g_{mu nu} = sum_{n in levels} sum_{m != n} 1/2 Re[A_mu[n,m] A_nu[m,n]
+    + A_mu[m,n] A_nu[n,m]] / |E_n - E_m|^2 with A_mu = Phi^dag d_mu H Psi.
+    ``eig`` may be a stack (..., N); ``dh`` is (d, N, N) or (..., d, N, N)
+    and ``levels`` a boolean mask (..., N). Returns (..., d, d). Callers
+    check the gaps of the selected levels first; no eigenvector
+    differencing is involved.
+    """
     e = eig.energies
-    psi, phi = eig.right, eig.left
-    # amp[mu][m, l] = <Phi_m | d_mu H | Psi_l>
-    amp = np.stack([phi.conj().T @ np.asarray(dh[mu]) @ psi for mu in range(d)])
-    others = np.delete(np.arange(e.shape[0]), n)
-    denom = 2.0 * np.abs(e[n] - e[others]) ** 2
-    g = np.empty((d, d), dtype=float)
-    for mu in range(d):
-        for nu in range(d):
-            num = (
-                amp[mu, n, others] * amp[nu, others, n]
-                + amp[mu, others, n] * amp[nu, n, others]
-            )
-            g[mu, nu] = float(np.sum((num / denom).real))
-    return g
+    phi_dag = np.swapaxes(eig.left.conj(), -1, -2)
+    amp = phi_dag[..., None, :, :] @ dh @ eig.right[..., None, :, :]
+    off_diagonal = ~np.eye(eig.dim, dtype=bool)
+    pairs = levels[..., :, None] & off_diagonal
+    gap2 = np.abs(e[..., :, None] - e[..., None, :]) ** 2
+    weight = np.divide(0.5, gap2, out=np.zeros_like(gap2), where=pairs)
+    # x[mu, nu] = sum_{n,m} weight[n,m] A_mu[n,m] A_nu[m,n]; the second
+    # term of the formula is x with mu and nu exchanged.
+    x = np.einsum("...nm,...anm,...bmn->...ab", weight, amp, amp)
+    return (x + np.swapaxes(x, -1, -2)).real
 
 
 def metric_perturbative(eig: BiorthoEigensystem, dh: Sequence[np.ndarray]) -> np.ndarray:
@@ -258,7 +265,8 @@ def metric_perturbative(eig: BiorthoEigensystem, dh: Sequence[np.ndarray]) -> np
     level in the (Re E, Im E) ordering. Raises Degenerate on a vanishing
     denominator -- that singularity is the critical-point signal.
     """
-    return _metric_perturbative_level(eig, dh, n=0)
+    _check_gap(eig, 0)
+    return _sos_metric(eig, np.asarray(dh), np.arange(eig.dim) == 0)
 
 
 def connection_at(
@@ -283,17 +291,12 @@ def berry_phase_loop(family: HamiltonianFamily, loop: LoopSpec) -> float:
     """
     if not loop.closed:
         raise OpenLoop("first and last loop vertices differ")
-    verts = loop.vertices[:-1]
-    eigs = []
-    for v in verts:
-        e = biortho_eig(family(v))
-        _check_gap(e, loop.level)
-        eigs.append(e)
-    prod = 1.0 + 0.0j
-    m = len(eigs)
-    for i in range(m):
-        j = (i + 1) % m
-        prod *= np.vdot(eigs[i].left[:, loop.level], eigs[j].right[:, loop.level])
+    n = loop.level
+    eigs = biortho_eig(np.stack([family(v) for v in loop.vertices[:-1]]))
+    _check_gap(eigs, n)
+    links = np.einsum("ij,ij->i", eigs.left[:, :, n].conj(),
+                      np.roll(eigs.right[:, :, n], -1, axis=0))
+    prod = np.prod(links)
     if prod == 0:
         raise Degenerate("vanishing overlap along the loop")
     gamma = -float(np.angle(prod))

@@ -133,11 +133,10 @@ def write_csv(result: ScanResult, path: str) -> None:
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    _write_gnuplot(result, path)
+    _write_gnuplot(path)
 
 
-def _write_gnuplot(result: ScanResult, csv_path: str) -> None:
-    n_h = result.config.h_range[2]
+def _write_gnuplot(csv_path: str) -> None:
     script = f"""# gnuplot companion for {csv_path}
 set datafile separator ','
 set xlabel 'h'

@@ -16,7 +16,13 @@ from numpy.polynomial.legendre import leggauss
 
 from . import geometry
 from .biortho import BiorthoEigensystem, HamiltonianFamily, biortho_eig
-from .errors import CaseUnsupported, Degenerate, GaplessPoint, QuadratureUnconverged
+from .errors import (
+    CaseUnsupported,
+    DefectiveMatrix,
+    Degenerate,
+    GaplessPoint,
+    QuadratureUnconverged,
+)
 
 __all__ = [
     "XYParams",
@@ -242,51 +248,33 @@ def _gl_nodes(n_quad: int):
 
 
 def _intensity_perturbative(p: XYParams, f: FieldPoint, n_quad: int) -> np.ndarray:
-    """Vectorized sum-over-states route; one stacked eigensolve per call.
-
-    For the 4x4 blocks the left vectors come from inverting the right
-    eigenvector matrix, which is exact biorthogonality at this size.
-    """
+    """Sum-over-states route; one stacked eigensolve over all nodes."""
     ks, wts = _gl_nodes(n_quad)
-    blocks = np.stack([dk_matrix(p, f, k) for k in ks])
-    evals, vr = np.linalg.eig(blocks)
-    order = np.lexsort((evals.imag, evals.real))
-    evals = np.take_along_axis(evals, order, axis=1)
-    vr = np.take_along_axis(vr, order[:, None, :], axis=2)
     try:
-        vr_inv = np.linalg.inv(vr)  # rows are <phi_n|
-    except np.linalg.LinAlgError as exc:
-        raise Degenerate("eigenvector matrix singular at a quadrature node") from exc
+        eig = biortho_eig(np.stack([dk_matrix(p, f, k) for k in ks]))
+    except DefectiveMatrix as exc:
+        raise Degenerate(f"defective block at a quadrature node: {exc}") from exc
 
-    amp_h = vr_inv @ _DH @ vr  # [node, m, l] = <phi_m| dH/dh |psi_l>
-    amp_e = vr_inv @ _DETA @ vr
-    amps = (amp_h, amp_e)
-
-    total = np.zeros((2, 2))
-    e_scale = max(float(np.max(np.abs(evals.real))), 1e-300)
-    for i in range(n_quad):
-        e = evals[i].real
-        if np.any(np.abs(evals[i].imag) > 1e-9 * e_scale):
+    e = eig.energies.real
+    e_scale = max(float(np.max(np.abs(e))), 1e-300)
+    occupied = e < 0
+    gaps = np.abs(e[:, :, None] - e[:, None, :]) + np.diag(np.full(4, np.inf))
+    complex_spectrum = np.any(np.abs(eig.energies.imag) > 1e-9 * e_scale, axis=1)
+    gapless = np.any(np.abs(e) < 1e-10 * e_scale, axis=1)
+    crossing = np.any(occupied[:, :, None] & (gaps < 1e-10 * e_scale), axis=(1, 2))
+    bad = np.flatnonzero(complex_spectrum | gapless | crossing)
+    if bad.size:  # refuse at the first offending node, in node order
+        i = bad[0]
+        if complex_spectrum[i]:
             raise Degenerate(f"complex block spectrum at k = {ks[i]:.6f}")
-        if np.any(np.abs(e) < 1e-10 * e_scale):
+        if gapless[i]:
             raise GaplessPoint(f"gap closes at quadrature node k = {ks[i]:.6f}")
-        occ = np.flatnonzero(e < 0)
-        for n in occ:
-            others = np.delete(np.arange(4), n)
-            gaps = e[n] - e[others]
-            if np.any(np.abs(gaps) < 1e-10 * e_scale):
-                raise Degenerate(f"level crossing at quadrature node k = {ks[i]:.6f}")
-            denom = 2.0 * gaps**2
-            for mu in range(2):
-                for nu in range(2):
-                    num = (
-                        amps[mu][i, n, others] * amps[nu][i, others, n]
-                        + amps[mu][i, others, n] * amps[nu][i, n, others]
-                    )
-                    # factor 2: the intensity integrand is twice the
-                    # per-mode metric in the 1/2-prefactor convention
-                    total[mu, nu] += wts[i] * 2.0 * float(np.sum((num / denom).real))
-    return total / (4.0 * np.pi)
+        raise Degenerate(f"level crossing at quadrature node k = {ks[i]:.6f}")
+
+    g = geometry._sos_metric(eig, np.stack([_DH, _DETA]), occupied)
+    # factor 2: the intensity integrand is twice the per-mode metric in
+    # the 1/2-prefactor convention
+    return np.einsum("i,iab->ab", 2.0 * wts, g) / (4.0 * np.pi)
 
 
 def _intensity_fd(p: XYParams, f: FieldPoint, n_quad: int, step: float) -> np.ndarray:

@@ -6,17 +6,24 @@ from ptqgt import (
     DefectiveMatrix,
     FieldPoint,
     HamiltonianFamily,
+    LoopSpec,
     NonFinite,
     NotPositiveDefinite,
+    PathSpec,
     XYParams,
     ZeroScale,
+    berry_phase_loop,
     biortho_eig,
     build_W,
     dispersion,
     dk_matrix,
     gauge_fix,
     gauge_transform,
+    k_field,
+    metric_intensity,
+    qgt,
 )
+from ptqgt.families import pt_two_level_family
 
 ANISO = XYParams(J=1.0, Js=0.5, Gamma=1.0 / 3.0, Gammas=1.0 / 6.0)
 
@@ -43,6 +50,70 @@ def test_nonfinite_rejected():
         biortho_eig(np.array([[np.nan, 0], [0, 1]], dtype=complex))
     with pytest.raises(ValueError):
         biortho_eig(np.zeros((2, 3)))
+
+
+def test_stack_matches_per_matrix_calls():
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 4, 8):
+        hs = rng.normal(size=(3, 5, n, n)) + 1j * rng.normal(size=(3, 5, n, n))
+        stacked = biortho_eig(hs)
+        w_stacked = build_W(stacked).matrix
+        assert stacked.energies.shape == (3, 5, n)
+        assert stacked.unbroken.shape == (3, 5)
+        for i in range(3):
+            for j in range(5):
+                single = biortho_eig(hs[i, j])
+                picked = stacked[i, j]
+                for a, b in ((single.energies, picked.energies),
+                             (single.right, picked.right),
+                             (single.left, picked.left),
+                             (build_W(single).matrix, w_stacked[i, j])):
+                    assert np.max(np.abs(a - b)) <= 1e-14
+                assert picked.unbroken is single.unbroken
+
+
+def test_jordan_block_inside_stack_defective():
+    rng = np.random.default_rng(9)
+    stack = np.stack([random_matrix(rng, 2),
+                      np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex),
+                      random_matrix(rng, 2)])
+    with pytest.raises(DefectiveMatrix):
+        biortho_eig(stack)
+
+
+def test_unbroken_reported_per_element():
+    stack = np.stack([np.diag([1.0, 2.0]), np.diag([1.0 + 1j, 2.0]),
+                      np.diag([-3.0, 0.5])]).astype(complex)
+    eig = biortho_eig(stack)
+    assert eig.unbroken.tolist() == [True, False, True]
+    assert eig[0].unbroken is True and eig[1].unbroken is False
+
+
+def test_one_eigensolve_per_call(monkeypatch):
+    shapes = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    fam = pt_two_level_family()
+    ang = np.linspace(0.0, 2.0 * np.pi, 33)
+    loop = LoopSpec(np.stack([0.15 + 0.05 * np.cos(ang), 0.85 + 0.05 * np.sin(ang)], axis=1), 0)
+    loop.vertices[-1] = loop.vertices[0]
+    path = PathSpec(curve=lambda t: np.array([0.15, 0.85 + 0.01 * t]), duration=1.0)
+    calls = {
+        "metric_intensity": (lambda: metric_intensity(ANISO, FieldPoint(h=0.5, eta=0.3),
+                                                      n_quad=65), (65, 4, 4)),
+        "qgt": (lambda: qgt(fam, [0.15, 0.85]), (5, 2, 2)),
+        "berry_phase_loop": (lambda: berry_phase_loop(fam, loop), (32, 2, 2)),
+        "k_field": (lambda: k_field(fam, path, [0.2, 0.4], 1e-3), (6, 2, 2)),
+    }
+    for name, (call, stack) in calls.items():
+        shapes.clear()
+        call()
+        assert shapes == [stack], name
 
 
 def test_dk_block_real_spectrum_matches_dispersion():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ptqgt import verify
 from ptqgt.cli import (
     EXIT_DEGENERATE,
     EXIT_NUMERICAL,
@@ -61,6 +62,13 @@ def test_qgt_report_spin_half(capsys):
 def test_qgt_wrong_dimension_exits_1(capsys):
     code, _, err = run(["qgt", "spin_half", "--lam", "0,1"], capsys)
     assert code == EXIT_USAGE
+
+
+def test_qgt_invalid_point_exits_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["qgt", "spin_half", "--lam", "0.1,abc"])
+    assert exc.value.code == EXIT_USAGE
+    assert "invalid point" in capsys.readouterr().err
 
 
 def test_qgt_at_exceptional_point_exits_2(capsys):
@@ -160,3 +168,33 @@ def test_verify_subset_runs(capsys):
     assert code in (EXIT_OK, EXIT_NUMERICAL)
     assert "PASS" in out or "FAIL" in out
     assert code == EXIT_OK  # the suite is expected green at any seed
+
+
+def test_run_suite_dispatch(monkeypatch):
+    calls = []
+
+    def fast(seed):
+        calls.append(("fast", seed))
+        return verify.CheckResult("fast", 0.0, 1.0)
+
+    def full_only():
+        calls.append(("full_only",))
+        return verify.CheckResult("full_only", 0.0, 1.0)
+
+    monkeypatch.setattr(verify, "FAST_CHECKS", (fast,))
+    monkeypatch.setattr(verify, "_FULL_ONLY_CHECKS", (full_only,))
+    assert [r.name for r in verify.run_suite("fast", seed=3)] == ["fast"]
+    assert [r.name for r in verify.run_suite("full", seed=5)] == ["fast", "full_only"]
+    assert calls == [("fast", 3), ("fast", 5), ("full_only",)]
+    with pytest.raises(ValueError):
+        verify.run_suite("everything")
+
+    def buggy(seed=None):
+        if seed is not None:
+            raise TypeError("bug inside a check")
+        return verify.CheckResult("buggy", 0.0, 1.0)
+
+    # a TypeError inside a check propagates; the check is not re-run unseeded
+    monkeypatch.setattr(verify, "FAST_CHECKS", (buggy,))
+    with pytest.raises(TypeError):
+        verify.run_suite("fast")

@@ -12,7 +12,6 @@ from ptqgt import (
     evolve,
     k_field,
 )
-from ptqgt.dynamics import _metric_at
 from ptqgt.families import pt_two_level_family, spin_half_family
 
 
@@ -84,7 +83,7 @@ def test_k_field_w_hermiticity():
     path = circle_path([0.3, 1.0], 0.1, 10.0)
     t = 2.7
     k = k_field(fam, path, t, 1e-4)
-    w = _metric_at(fam, path.at(t))
+    w = build_W(biortho_eig(fam(path.at(t)))).matrix
     x = w @ k
     assert np.max(np.abs(x - x.conj().T)) < 1e-8
     assert np.max(np.abs(k)) > 1e-4  # non-trivial on this path
@@ -113,7 +112,7 @@ def test_pairwise_w_inner_product_conserved():
     res1 = evolve(fam, path, eig0.right[:, 1], n_steps=2000)
     overlaps = []
     for i in (0, 500, 1000, 2000):
-        w = _metric_at(fam, path.at(res0.times[i]))
+        w = build_W(biortho_eig(fam(path.at(res0.times[i])))).matrix
         overlaps.append(np.vdot(res0.states[i], w @ res1.states[i]))
     spread = max(abs(o - overlaps[0]) for o in overlaps)
     assert abs(overlaps[0]) < 1e-6  # starts W-orthogonal

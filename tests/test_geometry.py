@@ -23,7 +23,7 @@ from ptqgt import (
     qgt,
     variance_metric,
 )
-from ptqgt.families import pt_two_level_family, spin_half_family
+from ptqgt.families import load_bundled_model, pt_two_level_family, spin_half_family
 from ptqgt.verify import ANISO, standard_qgt_oracle
 
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -95,6 +95,17 @@ def test_qgt_degenerate_gap_raises():
     )
     with pytest.raises(Degenerate):
         qgt(fam, np.array([-0.5]), n=1)
+
+
+def test_qgt_refuses_stencil_across_exceptional_point():
+    # (a, s) sits on the unbroken side of the EP circle s^2 = a^2 + 0.09,
+    # with s^2 - a^2 - 0.09 = 7e-8; the stencil point s - step is broken,
+    # so differencing across the EP would return a wrong Q
+    fam = load_bundled_model("pt_two_level")
+    lam = np.array([0.00220252, 0.3000082])
+    assert biortho_eig(fam(lam)).unbroken
+    with pytest.raises(Degenerate):
+        qgt(fam, lam, n=0)
 
 
 def test_metric_perturbative_matches_fd_on_dk():
