@@ -4,10 +4,11 @@ Everything here is derived from one object: the complex Hermitian tensor
 ``Q_{n,mu nu}`` attached to level n at a parameter point. Its imaginary
 part is the (real antisymmetric) Berry curvature, its real part the
 (real symmetric, possibly pseudo-Riemannian) metric tensor. Berry phases
-come from a gauge-invariant overlap-product estimator; the metric also
-has a perturbative (sum-over-states) route and a variance form built
-from the generator operators O_mu, which serve as independent
-cross-checks of the finite-difference route.
+come from a gauge-invariant overlap-product estimator. Q also has a
+perturbative (sum-over-states) route, which the curvature flux and the
+perturbative metric use, and the metric a variance form built from the
+generator operators O_mu; both serve as independent cross-checks of the
+finite-difference route.
 """
 
 from __future__ import annotations
@@ -234,39 +235,43 @@ def metric_tensor(q: GeomTensor) -> np.ndarray:
     return np.ascontiguousarray(q.q.real)
 
 
-def _sos_metric(eig: BiorthoEigensystem, dh, levels) -> np.ndarray:
-    """Sum-over-states metric summed over the levels selected by ``levels``.
+def _sos_qgt(eig: BiorthoEigensystem, dh, levels) -> np.ndarray:
+    """Sum-over-states Q summed over the levels selected by ``levels``.
 
-    g_{mu nu} = sum_{n in levels} sum_{m != n} 1/2 Re[A_mu[n,m] A_nu[m,n]
-    + A_mu[m,n] A_nu[n,m]] / |E_n - E_m|^2 with A_mu = Phi^dag d_mu H Psi.
-    ``eig`` may be a stack (..., N); ``dh`` is (d, N, N) or (..., d, N, N)
-    and ``levels`` a boolean mask (..., N). Returns (..., d, d). Callers
-    check the gaps of the selected levels first; no eigenvector
-    differencing is involved.
+    Q_{mu nu} = sum_{n in levels} sum_{m != n} 1/2 [A_mu[n,m] A_nu[m,n]
+    / (E_n - E_m)^2 + conj(A_mu[m,n] A_nu[n,m] / (E_n - E_m)^2)] with
+    A_mu = Phi^dag d_mu H Psi. The squared difference, not |E_n - E_m|^2,
+    keeps the formula right when the spectrum is complex. ``eig`` may be a
+    stack (..., N); ``dh`` is (d, N, N) or (..., d, N, N) and ``levels`` a
+    boolean mask (..., N). Returns the complex (..., d, d). Callers check
+    the gaps of the selected levels first; no eigenvector differencing is
+    involved.
     """
     e = eig.energies
     phi_dag = np.swapaxes(eig.left.conj(), -1, -2)
     amp = phi_dag[..., None, :, :] @ dh @ eig.right[..., None, :, :]
     off_diagonal = ~np.eye(eig.dim, dtype=bool)
     pairs = levels[..., :, None] & off_diagonal
-    gap2 = np.abs(e[..., :, None] - e[..., None, :]) ** 2
+    gap2 = (e[..., :, None] - e[..., None, :]) ** 2
     weight = np.divide(0.5, gap2, out=np.zeros_like(gap2), where=pairs)
     # x[mu, nu] = sum_{n,m} weight[n,m] A_mu[n,m] A_nu[m,n]; the second
-    # term of the formula is x with mu and nu exchanged.
+    # term of the formula is conj(x) with mu and nu exchanged.
     x = np.einsum("...nm,...anm,...bmn->...ab", weight, amp, amp)
-    return (x + np.swapaxes(x, -1, -2)).real
+    return x + np.swapaxes(x, -1, -2).conj()
 
 
 def metric_perturbative(eig: BiorthoEigensystem, dh: Sequence[np.ndarray]) -> np.ndarray:
-    """Ground-state metric from the sum-over-states formula.
+    """Ground-state metric Re Q from the sum-over-states formula.
 
     ``dh[mu]`` is the analytic (or independently differenced) matrix
     derivative of H along direction mu. The ground state is the lowest
-    level in the (Re E, Im E) ordering. Raises Degenerate on a vanishing
-    denominator -- that singularity is the critical-point signal.
+    level in the (Re E, Im E) ordering. Valid in both PT phases: the
+    energy denominators are (E_n - E_m)^2, complex in the broken phase.
+    Raises Degenerate on a vanishing denominator -- that singularity is
+    the critical-point signal.
     """
     _check_gap(eig, 0)
-    return _sos_metric(eig, np.asarray(dh), np.arange(eig.dim) == 0)
+    return _sos_qgt(eig, np.asarray(dh), np.arange(eig.dim) == 0).real
 
 
 def connection_at(
@@ -321,7 +326,17 @@ def curvature_flux(
     picks up both index orders, hence the factor 2 on Omega_{mu nu}.
     Satisfies flux + boundary Berry phase -> 0 (Stokes) as the grids
     refine.
+
+    Omega = Im Q comes from the sum-over-states kernel, one stacked
+    eigensolve per grid row; no eigenvectors are differenced. ``step`` is
+    used only by families without an analytic derivative, as the
+    central-difference step of ``family.deriv`` (default
+    ``default_step`` at each grid point). Raises Degenerate when the grid
+    points do not all lie in the same PT phase (the rectangle crosses an
+    exceptional line) or when level ``n`` closes its gap at a grid point.
     """
+    if step is not None and step <= 0:
+        raise ValueError("step must be positive")
     lam_min = np.asarray(lam_min, dtype=float)
     lam_max = np.asarray(lam_max, dtype=float)
     mu, nu = plane
@@ -330,15 +345,25 @@ def curvature_flux(
     xc = 0.5 * (xs[:-1] + xs[1:])
     yc = 0.5 * (ys[:-1] + ys[1:])
     da = (xs[1] - xs[0]) * (ys[1] - ys[0])
+    levels = np.arange(family.dim_hilbert) == n
+    row = np.tile(lam_min, (resolution, 1))
+    row[:, nu] = yc
     total = 0.0
-    base = lam_min.copy()
+    unbroken = None
+    # One stack per row keeps peak memory flat: a single stack over a
+    # 128^2 grid raises the peak by ~20 MB.
     for x in xc:
-        for y in yc:
-            pt = base.copy()
-            pt[mu] = x
-            pt[nu] = y
-            omega = qgt(family, pt, n, step).q.imag
-            total += 2.0 * omega[mu, nu] * da
+        row[:, mu] = x
+        eig = biortho_eig(np.stack([family(p) for p in row]))
+        if unbroken is None:
+            unbroken = eig.unbroken[0]
+        if np.any(eig.unbroken != unbroken):
+            raise Degenerate("flux grid crosses a PT-breaking (exceptional) line")
+        _check_gap(eig, n)
+        steps = [default_step(p) for p in row] if step is None else [step] * resolution
+        dh = np.stack([[family.deriv(p, a, step=h) for a in (mu, nu)]
+                       for p, h in zip(row, steps)])
+        total += 2.0 * float(np.sum(_sos_qgt(eig, dh, levels)[:, 0, 1].imag)) * da
     return total
 
 

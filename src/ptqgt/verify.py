@@ -2,7 +2,7 @@
 
 Every check exercises one of the structural identities the package is
 built on (Hermiticity of Q, gauge invariance, perturbative vs
-finite-difference metric, variance form, generator decomposition,
+finite-difference metric and Q, variance form, generator decomposition,
 fidelity expansion, Hermitian-limit reduction, Stokes consistency,
 adiabatic convergence) and reports a residual against a pinned
 tolerance. Tests and the ``ptqgt verify`` command both run these.
@@ -158,6 +158,37 @@ def check_perturbative_vs_fd(seed=42, trials=20) -> CheckResult:
         scale = max(np.linalg.norm(g_pert), 1e-300)
         worst = max(worst, float(np.max(np.abs(g_pert - g_fd))) / scale)
     return CheckResult("perturbative_vs_fd_metric", worst, 1e-6)
+
+
+def _random_pt_points(rng, count):
+    """pt_two_level points in both PT phases, clear of the EP circle
+    s^2 = a^2 + 0.09 where the difference route loses its digits."""
+    pts = []
+    while len(pts) < count:
+        a, s = rng.uniform(-0.5, 0.5), rng.uniform(0.0, 1.0)
+        if abs(s * s - a * a - 0.09) > 0.05:
+            pts.append(np.array([a, s]))
+    return pts
+
+
+def check_sos_vs_fd_qgt(seed=42, trials=20) -> CheckResult:
+    """Complex sum-over-states Q (metric and curvature) vs Q from
+    differencing, on D_k blocks and on pt_two_level in both phases."""
+    rng = np.random.default_rng(seed + 8)
+    cases = [(dk_family(params, k), lam) for params, lam, k in _random_dk_cases(rng, trials)]
+    pt = pt_two_level_family()
+    cases += [(pt, lam) for lam in _random_pt_points(rng, trials // 2)]
+    worst = 0.0
+    for fam, lam in cases:
+        eig = biortho_eig(fam(lam))
+        dh = np.stack([fam.deriv(lam, mu) for mu in range(2)])
+        q_sos = geometry._sos_qgt(eig, dh, np.arange(fam.dim_hilbert) == 0)
+        q_fd = geometry.qgt(fam, lam, n=0).q
+        scale = max(np.linalg.norm(q_sos), 1e-300)
+        worst = max(worst,
+                    float(np.max(np.abs(q_sos.real - q_fd.real))) / scale,
+                    float(np.max(np.abs(q_sos.imag - q_fd.imag))) / scale)
+    return CheckResult("sos_vs_fd_qgt", worst, 1e-6)
 
 
 def check_variance_vs_metric(seed=42, trials=20) -> CheckResult:
@@ -330,6 +361,7 @@ FAST_CHECKS = (
     check_q_structure,
     check_gauge_invariance,
     check_perturbative_vs_fd,
+    check_sos_vs_fd_qgt,
     check_variance_vs_metric,
     check_ob_identity,
     check_fidelity_expansion,

@@ -271,7 +271,7 @@ def _intensity_perturbative(p: XYParams, f: FieldPoint, n_quad: int) -> np.ndarr
             raise GaplessPoint(f"gap closes at quadrature node k = {ks[i]:.6f}")
         raise Degenerate(f"level crossing at quadrature node k = {ks[i]:.6f}")
 
-    g = geometry._sos_metric(eig, np.stack([_DH, _DETA]), occupied)
+    g = geometry._sos_qgt(eig, np.stack([_DH, _DETA]), occupied).real
     # factor 2: the intensity integrand is twice the per-mode metric in
     # the 1/2-prefactor convention
     return np.einsum("i,iab->ab", 2.0 * wts, g) / (4.0 * np.pi)

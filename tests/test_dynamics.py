@@ -164,11 +164,13 @@ def test_step_too_large_raised():
 
 def test_not_adiabatic_raised_near_exceptional_circle():
     fam = pt_two_level_family()
-    # the loop starts right next to the exceptional circle s^2 = a^2 + 0.09
-    # where the levels nearly coalesce; finite-speed transport cannot
-    # follow the tracked eigenstate there
-    path = circle_path([0.3, 0.6], 0.25, 0.3)
+    # the loop starts on the unbroken side of the exceptional circle
+    # s^2 = a^2 + 0.09 (s^2 - a^2 - 0.09 = 0.03 at the start) and runs into
+    # it, where the levels coalesce; finite-speed transport cannot follow
+    # the tracked eigenstate there
+    path = circle_path([0.3, 0.65], 0.25, 0.3)
     eig0 = biortho_eig(fam(path.at(0.0)))
+    assert eig0.unbroken
     with pytest.raises(NotAdiabatic):
         evolve(fam, path, eig0.right[:, 0], n_steps=2000, track_level=0,
                drift_tol=np.inf)

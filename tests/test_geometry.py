@@ -16,6 +16,7 @@ from ptqgt import (
     dk_family,
     fidelity,
     gauge_transform,
+    geometry,
     metric_perturbative,
     metric_tensor,
     o_operators,
@@ -116,6 +117,40 @@ def test_metric_perturbative_matches_fd_on_dk():
     g_pert = metric_perturbative(eig, dh)
     g_fd = qgt(fam, lam, n=0).q.real
     assert np.max(np.abs(g_pert - g_fd)) < 1e-6 * np.linalg.norm(g_pert)
+
+
+def test_metric_perturbative_matches_fd_in_broken_phase():
+    # complex energies: the SOS denominators are (E_n - E_m)^2, not |.|^2
+    fam = pt_two_level_family()
+    lam = np.array([0.4, 0.2])
+    eig = biortho_eig(fam(lam))
+    assert not eig.unbroken
+    g_pert = metric_perturbative(eig, [fam.deriv(lam, mu) for mu in range(2)])
+    g_fd = qgt(fam, lam, n=0).q.real
+    assert np.max(np.abs(g_pert - g_fd)) < 1e-6 * np.linalg.norm(g_pert)
+
+
+@pytest.mark.parametrize(
+    "fam, lam, n",
+    [
+        (spin_half_family(), [0.3, -0.5, 0.8], 0),
+        (spin_half_family(), [1.0, 0.2, -0.4], 1),
+        (pt_two_level_family(), [0.1, 0.8], 0),  # unbroken
+        (pt_two_level_family(), [0.4, 0.2], 0),  # broken
+        (pt_two_level_family(), [0.3, -0.2], 0),  # broken
+        (dk_family(ANISO, 0.8), [0.4, 0.2], 0),
+    ],
+    ids=["spin_half-n0", "spin_half-n1", "pt-unbroken", "pt-broken", "pt-broken-2", "dk"],
+)
+def test_sos_qgt_matches_fd_qgt(fam, lam, n):
+    lam = np.asarray(lam, dtype=float)
+    eig = biortho_eig(fam(lam))
+    dh = np.stack([fam.deriv(lam, mu) for mu in range(fam.dim_param)])
+    q_sos = geometry._sos_qgt(eig, dh, np.arange(fam.dim_hilbert) == n)
+    q_fd = qgt(fam, lam, n=n).q
+    scale = np.linalg.norm(q_sos)
+    assert np.max(np.abs(q_sos.real - q_fd.real)) < 1e-6 * scale
+    assert np.max(np.abs(q_sos.imag - q_fd.imag)) < 1e-6 * scale
 
 
 # ------------------------------------------------------------ connection
@@ -232,6 +267,56 @@ def test_stokes_small_rectangle_pt_model():
     flux = curvature_flux(fam, lo, hi, resolution=24)
     assert abs(flux) > 1e-5  # the check must not be vacuous
     assert abs(flux + gamma) < 1e-5
+
+
+def test_stokes_spin_half_off_default_plane():
+    # rectangle in the (lam_2, lam_3) plane at lam_1 = 0.6
+    fam = spin_half_family()
+    lo = np.array([0.6, 0.1, 0.2])
+    hi = np.array([0.6, 0.5, 0.7])
+    ys = np.linspace(lo[1], hi[1], 64, endpoint=False)
+    zs = np.linspace(lo[2], hi[2], 64, endpoint=False)
+    dy, dz = ys[1] - ys[0], zs[1] - zs[0]
+    boundary = np.concatenate(
+        [
+            np.stack([ys, np.full_like(ys, lo[2])], axis=1),
+            np.stack([np.full_like(zs, hi[1]), zs], axis=1),
+            np.stack([ys[::-1] + dy, np.full_like(ys, hi[2])], axis=1),
+            np.stack([np.full_like(zs, lo[1]), zs[::-1] + dz], axis=1),
+            np.array([[lo[1], lo[2]]]),
+        ]
+    )
+    verts = np.column_stack([np.full(len(boundary), lo[0]), boundary])
+    gamma = berry_phase_loop(fam, LoopSpec(vertices=verts, level=0))
+    flux = curvature_flux(fam, lo, hi, plane=(1, 2), resolution=24)
+    assert abs(flux) > 1e-2  # the check must not be vacuous
+    assert abs(flux + gamma) < 1e-5
+
+
+@pytest.mark.parametrize("resolution", [8, 16, 32])
+def test_curvature_flux_refuses_grid_across_exceptional_line(resolution):
+    # the rectangle crosses the EP circle s^2 = a^2 + 0.09
+    fam = pt_two_level_family()
+    with pytest.raises(Degenerate):
+        curvature_flux(fam, [0.05, 0.2], [0.25, 0.5], resolution=resolution)
+
+
+def test_curvature_flux_one_eigensolve_per_row(monkeypatch):
+    shapes = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eig(a)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("curvature_flux must not difference eigenvectors")
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    monkeypatch.setattr(geometry, "gauge_fix", forbidden)
+    monkeypatch.setattr(geometry, "param_derivatives", forbidden)
+    curvature_flux(pt_two_level_family(), [0.05, 0.8], [0.15, 0.9], resolution=6)
+    assert shapes == [(6, 2, 2)] * 6
 
 
 # -------------------------------------------------------------- fidelity
