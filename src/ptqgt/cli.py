@@ -68,6 +68,16 @@ def _parse_point(text: str) -> np.ndarray:
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 # ---------------------------------------------------------------- scan
 
 
@@ -300,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", required=True)
     p.add_argument("--radius", type=float, default=0.05)
     p.add_argument("--tau", type=float, default=100.0)
-    p.add_argument("--steps", type=int, default=6000)
+    p.add_argument("--steps", type=_positive_int, default=6000)
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--out", help="trajectory CSV path")
     p.set_defaults(func=cmd_evolve)

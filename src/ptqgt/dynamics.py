@@ -4,9 +4,13 @@ The evolution equation i d psi/dt = [H(t) + i K(t)] psi with the gauge
 field K(t) = -1/2 W^{-1} dW/dt preserves the time-dependent W inner
 product exactly; the integrator here is a fixed-step classical RK4 whose
 conservation is verified a posteriori rather than enforced structurally.
-K is computed per RK4 step, with no cache: one stacked eigensolve gives
-K at the step's midpoint and end, and the end value is reused as the
-next step's start value.
+The path is known before the loop starts, so ``evolve`` precomputes its
+eigensystems in chunks of steps: one stacked eigensolve gives K at every
+half-step and step end of a chunk (the end value is reused as the next
+step's start value), another gives the records' eigensystems, and the
+RK4 loop between them only multiplies matrices. A chunk whose stacked
+work fails is replayed one step at a time, so errors keep their time
+order.
 """
 
 from __future__ import annotations
@@ -16,8 +20,14 @@ from typing import Callable
 
 import numpy as np
 
-from .biortho import HamiltonianFamily, biortho_eig, build_W, gauge_fix
-from .errors import MetricSingular, NotAdiabatic, StepTooLarge
+from .biortho import (
+    BiorthoEigensystem,
+    HamiltonianFamily,
+    biortho_eig,
+    build_W,
+    gauge_fix,
+)
+from .errors import AmbiguousMatching, MetricSingular, NotAdiabatic, StepTooLarge
 from .geometry import LoopSpec, berry_phase_loop
 
 __all__ = [
@@ -27,6 +37,12 @@ __all__ = [
     "evolve",
     "adiabatic_phase",
 ]
+
+# RK4 steps whose eigensystems are stacked together. A hundred or so
+# steps amortize the per-call overhead; longer chunks gain little speed
+# but grow the transient stacks (for 2x2 families ~0.5 MB at 128 steps,
+# ~1 MB at 256), which then rival the evolution result itself.
+_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -72,6 +88,31 @@ class EvolutionResult:
     geometric_phase: float = 0.0
 
 
+def _evaluate(family: HamiltonianFamily, path: PathSpec, t: np.ndarray) -> np.ndarray:
+    """H at every time of the array ``t``, shape ``t.shape + (N, N)``."""
+    n = family.dim_hilbert
+    hs = np.empty((t.size, n, n), dtype=complex)
+    for i, s in enumerate(t.ravel()):
+        hs[i] = family(path.at(s))
+    return hs.reshape(t.shape + (n, n))
+
+
+def _k_field(
+    family: HamiltonianFamily, path: PathSpec, t: np.ndarray, h: np.ndarray,
+    dt_probe: float,
+) -> np.ndarray:
+    """K at the times ``t`` given ``h``, the H already evaluated there."""
+    t_plus = np.minimum(t + dt_probe, path.duration)
+    t_minus = np.maximum(t - dt_probe, 0.0)
+    probes = _evaluate(family, path, np.stack([t_plus, t_minus]))
+    w = build_W(biortho_eig(np.concatenate([h[None], probes]))).matrix
+    dw = (w[1] - w[2]) / (t_plus - t_minus)[..., None, None]
+    try:
+        return -0.5 * np.linalg.solve(w[0], dw)
+    except np.linalg.LinAlgError as exc:
+        raise MetricSingular("metric W is numerically singular") from exc
+
+
 def k_field(
     family: HamiltonianFamily, path: PathSpec, t, dt_probe: float
 ) -> np.ndarray:
@@ -84,17 +125,33 @@ def k_field(
     if dt_probe <= 0:
         raise ValueError("dt_probe must be positive")
     t = np.asarray(t, dtype=float)
-    t_plus = np.minimum(t + dt_probe, path.duration)
-    t_minus = np.maximum(t - dt_probe, 0.0)
-    times = np.stack([t, t_plus, t_minus])
-    n = family.dim_hilbert
-    hs = np.stack([family(path.at(s)) for s in times.ravel()])
-    w = build_W(biortho_eig(hs.reshape(times.shape + (n, n)))).matrix
-    dw = (w[1] - w[2]) / (t_plus - t_minus)[..., None, None]
-    try:
-        return -0.5 * np.linalg.solve(w[0], dw)
-    except np.linalg.LinAlgError as exc:
-        raise MetricSingular("metric W is numerically singular") from exc
+    return _k_field(family, path, t, _evaluate(family, path, t), dt_probe)
+
+
+def _gauge_fix_to(anchor: BiorthoEigensystem, eig: BiorthoEigensystem) -> BiorthoEigensystem:
+    """``gauge_fix(anchor, eig[j])`` for every element j of the stack ``eig``.
+
+    One batched overlap and row-wise argmax; ``gauge_fix`` itself runs
+    only for elements whose argmax is not a permutation.
+    """
+    overlaps = anchor.left.conj().T @ eig.right  # M[j, n, m] = <Phi_n^anchor | Psi_m^j>
+    assign = np.abs(overlaps).argmax(axis=-1)
+    # The row maximum bounds every matched overlap, so this also refuses
+    # each element that gauge_fix would refuse.
+    matched = np.take_along_axis(overlaps, assign[..., None], axis=-1)[..., 0]
+    if np.any(np.abs(matched) < 1e-12):
+        raise AmbiguousMatching("matched overlap is numerically zero")
+    s = (matched.conj() / np.abs(matched))[..., None, :]
+    columns = assign[..., None, :]
+    energies = np.take_along_axis(eig.energies, assign, axis=-1)
+    right = np.take_along_axis(eig.right, columns, axis=-1) * s
+    left = np.take_along_axis(eig.left, columns, axis=-1) * s
+    collided = (np.sort(assign, axis=-1) != np.arange(eig.dim)).any(axis=-1)
+    for j in np.flatnonzero(collided):
+        fixed = gauge_fix(anchor, eig[j])
+        energies[j], right[j], left[j] = fixed.energies, fixed.right, fixed.left
+    return BiorthoEigensystem(energies=energies, right=right, left=left,
+                              unbroken=eig.unbroken, tol_real=eig.tol_real)
 
 
 def evolve(
@@ -113,60 +170,100 @@ def evolve(
     below 0.99) and the total / dynamical / geometric phases are
     extracted. Raises StepTooLarge when the W-norm drifts beyond
     ``drift_tol``.
+
+    The path is walked in chunks of steps. For each chunk H is evaluated
+    once at every time the chunk needs; K at every half-step and step end
+    and the eigensystems at every record time come from one stacked
+    eigensolve each, and the records are gauge-fixed against the t = 0
+    anchor in one batch. The RK4 loop itself only multiplies matrices.
+    When a chunk's stacked work raises, the chunk is replayed one step at
+    a time from its start state, so the first failure in time order wins:
+    a NotAdiabatic is never pre-empted by a DefectiveMatrix or NonFinite
+    further down the path.
     """
+    if n_steps < 1:
+        raise ValueError("n_steps must be positive")
     psi = np.asarray(psi0, dtype=complex).copy()
     dt = path.duration / n_steps
     dt_probe = dt / 10.0
 
-    def generator(t, k):
-        return -1j * family(path.at(t)) + k
-
-    times = np.empty(n_steps + 1)
+    times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, psi.shape[0]), dtype=complex)
     w_norms = np.empty(n_steps + 1)
-
-    eig_anchor = None
     alphas = np.empty(n_steps + 1)
     energies = np.empty(n_steps + 1)
 
-    def record(i, t, psi):
-        nonlocal eig_anchor
-        times[i] = t
+    def record(i, psi, w, left):
+        """Store psi at times[i]; check and phase it against ``left``."""
         states[i] = psi
-        eig_t = biortho_eig(family(path.at(t)))
-        if track_level is None:
-            w_norms[i] = float(np.vdot(psi, build_W(eig_t).matrix @ psi).real)
-            return
-        # Anchor the gauge at t = 0 (not chained): a chained fix is the
-        # parallel-transport gauge and would absorb the geometric phase.
-        if eig_anchor is None:
-            eig_anchor = eig_t
-        else:
-            eig_t = gauge_fix(eig_anchor, eig_t)
-        w = build_W(eig_t).matrix
         w_norms[i] = float(np.vdot(psi, w @ psi).real)
-        ov = np.vdot(eig_t.left[:, track_level], psi)
+        if left is None:
+            return
+        ov = np.vdot(left, psi)
         if np.abs(ov) < 0.99 * np.sqrt(max(w_norms[i], 0.0)):
             raise NotAdiabatic(
-                f"instantaneous overlap {np.abs(ov):.4f} dropped below 0.99 at t={t:.4g}"
+                f"instantaneous overlap {np.abs(ov):.4f} dropped below 0.99 at t={times[i]:.4g}"
             )
         alphas[i] = np.angle(ov)
-        energies[i] = float(eig_t.energies[track_level].real)
 
-    record(0, 0.0, psi)
-    # K at the step's end is the next step's K at its start.
-    k_start = k_field(family, path, 0.0, dt_probe)
-    for i in range(n_steps):
-        t = i * dt
-        k_mid, k_end = k_field(family, path, [t + 0.5 * dt, t + dt], dt_probe)
-        g_mid = generator(t + 0.5 * dt, k_mid)
-        k1 = generator(t, k_start) @ psi
-        k2 = g_mid @ (psi + 0.5 * dt * k1)
-        k3 = g_mid @ (psi + 0.5 * dt * k2)
-        k4 = generator(t + dt, k_end) @ (psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        k_start = k_end
-        record(i + 1, (i + 1) * dt, psi)
+    h_start = family(path.at(0.0))
+    # Anchor the gauge at t = 0 (not chained): a chained fix is the
+    # parallel-transport gauge and would absorb the geometric phase.
+    anchor = biortho_eig(h_start)
+    if track_level is not None:
+        energies[0] = anchor.energies[track_level].real
+    record(0, psi, build_W(anchor).matrix,
+           None if track_level is None else anchor.left[:, track_level])
+    # K at a step's end is the next step's K at its start.
+    k_start = _k_field(family, path, np.asarray(0.0), h_start, dt_probe)
+
+    def chunk_work(a, b):
+        """Stacked eigensystem work for steps a..b-1; writes no state."""
+        t = np.arange(a, b) * dt
+        t_gen = np.stack([t + 0.5 * dt, t + dt], axis=-1)  # K and generator times
+        h_gen = _evaluate(family, path, t_gen)
+        k_gen = _k_field(family, path, t_gen, h_gen, dt_probe)
+        h_rec = _evaluate(family, path, times[a + 1 : b + 1])
+        eig = biortho_eig(h_rec)
+        left = level = None
+        if track_level is not None:
+            eig = _gauge_fix_to(anchor, eig)
+            left, level = eig.left[..., track_level], eig.energies[..., track_level].real
+        g_start = -1j * np.concatenate([h_start[None], h_rec[:-1]]) + np.concatenate(
+            [k_start[None], k_gen[:-1, 1]]
+        )
+        return (g_start, -1j * h_gen + k_gen, build_W(eig).matrix, left, level,
+                h_rec[-1], k_gen[-1, 1])
+
+    def advance(a, b, work):
+        """RK4 steps a..b-1 on the generators and records from chunk_work."""
+        nonlocal psi, h_start, k_start
+        g_start, g, w, left, level, h_start, k_start = work
+        if level is not None:
+            energies[a + 1 : b + 1] = level
+        for j in range(b - a):
+            k1 = g_start[j] @ psi
+            k2 = g[j, 0] @ (psi + 0.5 * dt * k1)
+            k3 = g[j, 0] @ (psi + 0.5 * dt * k2)
+            k4 = g[j, 1] @ (psi + dt * k3)
+            psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            record(a + j + 1, psi, w[j], None if left is None else left[j])
+
+    for a in range(0, n_steps, _CHUNK):
+        b = min(a + _CHUNK, n_steps)
+        try:
+            work = chunk_work(a, b)
+        except Exception:
+            # Whatever the family or the eigensolve raised; the replay
+            # below raises it again at the step where it first occurs.
+            work = None
+        if work is not None:
+            advance(a, b, work)
+            continue
+        # Replay one step at a time from this chunk's start state, so that a
+        # later step's failure cannot pre-empt an earlier one.
+        for i in range(a, b):
+            advance(i, i + 1, chunk_work(i, i + 1))
 
     drift = float(np.max(np.abs(w_norms - w_norms[0])))
     if drift > drift_tol:

@@ -124,6 +124,14 @@ def test_evolve_command(tmp_path, capsys):
     assert len(lines) == 1 + 1201
 
 
+@pytest.mark.parametrize("steps", ["0", "-5", "ten"])
+def test_evolve_rejects_non_positive_steps(capsys, steps):
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "pt_two_level", "--center", "0.15,0.85", "--steps", steps])
+    assert exc.value.code == EXIT_USAGE
+    assert "--steps: expected a positive integer" in capsys.readouterr().err
+
+
 def test_scan_command_with_flags(tmp_path, capsys):
     out_csv = tmp_path / "mini.csv"
     code, out, _ = run(

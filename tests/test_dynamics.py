@@ -1,15 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from ptqgt import (
     HamiltonianFamily,
+    NonFinite,
     NotAdiabatic,
     PathSpec,
     StepTooLarge,
     adiabatic_phase,
     biortho_eig,
     build_W,
+    dynamics,
     evolve,
+    gauge_fix,
     k_field,
 )
 from ptqgt.families import pt_two_level_family, spin_half_family
@@ -174,6 +179,144 @@ def test_not_adiabatic_raised_near_exceptional_circle():
     with pytest.raises(NotAdiabatic):
         evolve(fam, path, eig0.right[:, 0], n_steps=2000, track_level=0,
                drift_tol=np.inf)
+
+
+def nan_below(s_min):
+    """pt_two_level, but all-NaN wherever s < s_min."""
+    fam = pt_two_level_family()
+
+    def evaluate(lam):
+        h = fam(lam)
+        return np.full_like(h, np.nan) if lam[1] < s_min else h
+
+    return HamiltonianFamily(dim_hilbert=2, dim_param=2, evaluate=evaluate)
+
+
+def test_not_adiabatic_wins_over_later_nan():
+    # the loop of test_not_adiabatic_raised_near_exceptional_circle, with
+    # NaN from t ~ 0.221 on: after NotAdiabatic fires at t ~ 0.2188, but in
+    # the same chunk of steps, so the chunk's stacked work fails first
+    fam = nan_below(0.401)
+    path = circle_path([0.3, 0.65], 0.25, 0.3)
+    eig0 = biortho_eig(fam(path.at(0.0)))
+    with pytest.raises(NotAdiabatic, match="t=0.2188"):
+        evolve(fam, path, eig0.right[:, 0], n_steps=2000, track_level=0,
+               drift_tol=np.inf)
+
+
+def test_non_finite_raised_at_first_nan_step():
+    # the same loop with NaN from t ~ 0.215 on, before the NotAdiabatic
+    # point: NonFinite at the first step whose stack holds a NaN, which is
+    # the first step whose latest K probe, i dt + dt + dt/10, has s < s_min
+    s_min, n_steps = 0.4055, 2000
+    fam = nan_below(s_min)
+    base = circle_path([0.3, 0.65], 0.25, 0.3)
+    seen = []
+
+    def curve(t):
+        seen.append(t)
+        return base.at(t)
+
+    path = PathSpec(curve=curve, duration=0.3, closed=True)
+    dt = path.duration / n_steps
+    eig0 = biortho_eig(fam(path.at(0.0)))
+    with pytest.raises(NonFinite):
+        evolve(fam, path, eig0.right[:, 0], n_steps=n_steps, track_level=0,
+               drift_tol=np.inf)
+    latest = np.arange(n_steps) * dt + dt + dt / 10.0
+    expected = next(i for i, t in enumerate(latest) if base.at(t)[1] < s_min)
+    # every time step i evaluates lies in [i + 0.4, i + 1.1] dt
+    assert round(seen[-1] / dt - 0.75) == expected
+
+
+def evolve_per_step(family, path, psi0, n_steps, level):
+    """Reference RK4: k_field and gauge_fix once per step, no stacking."""
+    psi = np.asarray(psi0, dtype=complex).copy()
+    dt = path.duration / n_steps
+    anchor = biortho_eig(family(path.at(0.0)))
+    states, w_norms, alphas, energies = [], [], [], []
+
+    def record(t, psi):
+        eig = biortho_eig(family(path.at(t)))
+        eig = gauge_fix(anchor, eig) if t > 0 else eig
+        states.append(psi)
+        w_norms.append(float(np.vdot(psi, build_W(eig).matrix @ psi).real))
+        alphas.append(np.angle(np.vdot(eig.left[:, level], psi)))
+        energies.append(eig.energies[level].real)
+
+    record(0.0, psi)
+    k_start = k_field(family, path, 0.0, dt / 10.0)
+    for i in range(n_steps):
+        t = i * dt
+        k_mid, k_end = k_field(family, path, [t + 0.5 * dt, t + dt], dt / 10.0)
+        g_mid = -1j * family(path.at(t + 0.5 * dt)) + k_mid
+        k1 = (-1j * family(path.at(t)) + k_start) @ psi
+        k2 = g_mid @ (psi + 0.5 * dt * k1)
+        k3 = g_mid @ (psi + 0.5 * dt * k2)
+        k4 = (-1j * family(path.at(t + dt)) + k_end) @ (psi + dt * k3)
+        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k_start = k_end
+        record((i + 1) * dt, psi)
+    beta = -np.trapezoid(energies, np.arange(n_steps + 1) * dt)
+    total = np.unwrap(alphas)[-1] - alphas[0]
+    return np.array(states), np.array(w_norms), beta, total - beta
+
+
+@pytest.mark.parametrize("n_steps", [100, dynamics._CHUNK + 3])
+def test_evolve_matches_per_step_reference(n_steps):
+    fam = pt_two_level_family()
+    path = circle_path([0.15, 0.85], 0.05, 5.0)
+    psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
+    res = evolve(fam, path, psi0, n_steps=n_steps, track_level=0, drift_tol=np.inf)
+    states, w_norms, beta, gamma = evolve_per_step(fam, path, psi0, n_steps, 0)
+    assert np.max(np.abs(res.states - states)) <= 1e-14
+    assert np.max(np.abs(res.w_norms - w_norms)) <= 1e-15
+    assert abs(res.dynamical_phase - beta) <= 1e-14
+    assert abs(np.angle(np.exp(1j * (res.geometric_phase - gamma)))) <= 1e-14
+    assert abs(res.geometric_phase) > 1e-6  # a non-trivial phase is compared
+
+
+def test_eigensolves_per_chunk(monkeypatch):
+    fam = pt_two_level_family()
+    path = circle_path([0.15, 0.85], 0.05, 20.0)
+    psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eig(a)
+
+    def no_gauge_fix(prev, cur):
+        raise AssertionError("gauge_fix called on a collision-free loop")
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    monkeypatch.setattr(dynamics, "gauge_fix", no_gauge_fix)
+    evolve(fam, path, psi0, n_steps=1000, track_level=0)
+    assert len(calls) <= 2 * math.ceil(1000 / dynamics._CHUNK) + 2
+
+
+def test_batched_gauge_fix_matches_gauge_fix():
+    fam = pt_two_level_family()
+    anchor = biortho_eig(fam([0.3, 0.5]))
+    lams = [[0.15, 0.85], [-0.46, 0.32], [0.3, 0.55], [0.32, 0.3], [0.0, 1.2]]
+    stack = biortho_eig(np.stack([fam(lam) for lam in lams]))
+    assign = np.abs(anchor.left.conj().T @ stack.right).argmax(axis=-1)
+    collided = [len(set(row)) < 2 for row in assign.tolist()]
+    assert any(collided) and not all(collided)  # both routes are compared
+    fixed = dynamics._gauge_fix_to(anchor, stack)
+    for j in range(len(lams)):
+        ref = gauge_fix(anchor, stack[j])
+        for name in ("energies", "right", "left"):
+            assert np.array_equal(getattr(fixed, name)[j], getattr(ref, name)), (j, name)
+
+
+@pytest.mark.parametrize("n_steps", [0, -3])
+def test_evolve_rejects_non_positive_n_steps(n_steps):
+    fam = flat_pt_family()
+    path = circle_path([0.3, 1.0], 0.05, 1.0)
+    with pytest.raises(ValueError, match="n_steps must be positive"):
+        evolve(fam, path, [1.0, 0.0], n_steps=n_steps)
 
 
 # ----------------------------------------------------- adiabatic phase
