@@ -16,7 +16,7 @@ matrix or a stack ``(..., N, N)`` and decompose a stack in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,10 +40,16 @@ __all__ = [
     "gauge_transform",
 ]
 
+_TOL_DEGENERATE = 1e-8  # eigenvalue distance that makes a cluster, times the scale
+_TOL_REAL = 1e-9  # largest |Im E| of a real (PT-unbroken) spectrum, times the scale
+
 
 @dataclass(frozen=True)
 class HamiltonianFamily:
     """A smooth map from a real d-dimensional parameter point to an NxN matrix.
+
+    Calling the family, and ``deriv``, takes a point ``(d,)`` or a stack
+    ``(..., d)`` of them; ``evaluate`` and ``derivative`` see one point.
 
     Parameters
     ----------
@@ -56,7 +62,7 @@ class HamiltonianFamily:
     derivative : callable, optional
         ``derivative(lam, mu) -> (N, N) complex ndarray`` giving the
         analytic partial derivative along direction ``mu``. When absent,
-        consumers fall back to central differences of ``evaluate``.
+        ``deriv`` falls back to central differences of ``evaluate``.
     """
 
     dim_hilbert: int
@@ -69,16 +75,36 @@ class HamiltonianFamily:
             raise ValueError("dimensions must be positive")
 
     def __call__(self, lam) -> np.ndarray:
-        return np.asarray(self.evaluate(np.asarray(lam, dtype=float)), dtype=complex)
+        """H at a point ``(d,)`` or at each point of a stack ``(..., d)``."""
+        return self._each(self.evaluate, lam)
 
-    def deriv(self, lam, mu: int, step: float = 1e-6) -> np.ndarray:
-        """Partial derivative of the matrix along direction ``mu``."""
-        lam = np.asarray(lam, dtype=float)
+    def deriv(self, lam, mu: int, step=1e-6) -> np.ndarray:
+        """Partial derivative along ``mu`` at a point or a stack. ``step``,
+        a scalar or an array over the stack, serves the fallback."""
         if self.derivative is not None:
-            return np.asarray(self.derivative(lam, mu), dtype=complex)
-        e = np.zeros_like(lam)
-        e[mu] = step
-        return (self(lam + e) - self(lam - e)) / (2.0 * step)
+            return self._each(lambda p: self.derivative(p, mu), lam)
+        lam = self._points(lam)
+        e = np.zeros(self.dim_param)
+        e[mu] = 1.0
+        step = np.asarray(step, dtype=float)[..., None]
+        return (self(lam + step * e) - self(lam - step * e)) / (2.0 * step[..., None])
+
+    def _points(self, lam) -> np.ndarray:
+        lam = np.asarray(lam, dtype=float)
+        if lam.ndim == 0 or lam.shape[-1] != self.dim_param:
+            raise ValueError(f"expected points of length {self.dim_param}, got {lam.shape}")
+        return lam
+
+    def _each(self, fn, lam) -> np.ndarray:
+        """``fn`` at the point or at each point of the stack ``lam``."""
+        lam = self._points(lam)
+        if lam.ndim == 1:
+            return np.asarray(fn(lam), dtype=complex)
+        points = lam.reshape(-1, self.dim_param)
+        out = np.empty((len(points), self.dim_hilbert, self.dim_hilbert), dtype=complex)
+        for i, p in enumerate(points):
+            out[i] = fn(p)
+        return out.reshape(lam.shape[:-1] + out.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -95,7 +121,6 @@ class BiorthoEigensystem:
     right: np.ndarray
     left: np.ndarray
     unbroken: bool | np.ndarray
-    tol_real: float = 1e-9
 
     @property
     def dim(self) -> int:
@@ -112,7 +137,6 @@ class BiorthoEigensystem:
             right=self.right[i],
             left=self.left[i],
             unbroken=bool(unbroken) if np.ndim(unbroken) == 0 else unbroken,
-            tol_real=self.tol_real,
         )
 
 
@@ -121,18 +145,13 @@ class MetricOperator:
     """Positive-definite W with W H = H^dag W, defining the inner product."""
 
     matrix: np.ndarray
-    source: str = "from_eigensystem"  # or "user_supplied"
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
-def biortho_eig(
-    h,
-    tol_degenerate: float | None = None,
-    tol_real: float = 1e-9,
-) -> BiorthoEigensystem:
+def biortho_eig(h) -> BiorthoEigensystem:
     """Biorthogonal eigendecomposition of a square matrix or a stack of them.
 
     One ``numpy.linalg.eig`` call covers the whole stack; every check
@@ -141,11 +160,6 @@ def biortho_eig(
     Parameters
     ----------
     h : array_like, shape (..., N, N)
-    tol_degenerate : float, optional
-        Eigenvalue-distance threshold below which coalescing eigenvectors
-        are treated as defective. Defaults to ``1e-8 * spectral_radius``.
-    tol_real : float
-        Relative tolerance on ``|Im E|`` for the ``unbroken`` flag.
 
     Raises
     ------
@@ -173,7 +187,7 @@ def biortho_eig(
     # point all eigenvalues can sit near zero while the matrix does not.
     norm_scale = np.linalg.norm(h.reshape(h.shape[0], -1), axis=-1) / np.sqrt(n)
     scale = np.maximum(np.abs(w).max(axis=-1), norm_scale)
-    tol = 1e-8 * scale if tol_degenerate is None else np.full_like(scale, tol_degenerate)
+    tol = _TOL_DEGENERATE * scale
 
     # Exceptional-point detection: clusters of sorted eigenvalues (neighbours
     # within tol) whose right vectors span less than the cluster size.
@@ -203,13 +217,12 @@ def biortho_eig(
     if not (np.linalg.norm(vl, axis=-2) <= 1e13).all():
         raise DefectiveMatrix("left/right eigenvector overlap numerically singular")
 
-    unbroken = np.abs(w.imag).max(axis=-1) <= tol_real * scale
+    unbroken = np.abs(w.imag).max(axis=-1) <= _TOL_REAL * scale
     return BiorthoEigensystem(
         energies=w.reshape(batch + (n,)),
         right=vr.reshape(batch + (n, n)),
         left=vl.reshape(batch + (n, n)),
         unbroken=bool(unbroken[0]) if not batch else unbroken.reshape(batch),
-        tol_real=tol_real,
     )
 
 
@@ -229,46 +242,50 @@ def build_W(eig: BiorthoEigensystem) -> MetricOperator:
         raise NotPositiveDefinite(
             f"smallest/largest eigenvalue of W is {ratio:.3e}; eigensystem is broken"
         )
-    return MetricOperator(matrix=w, source="from_eigensystem")
+    return MetricOperator(matrix=w)
 
 
 def gauge_fix(prev: BiorthoEigensystem, cur: BiorthoEigensystem) -> BiorthoEigensystem:
     """Align ``cur`` with ``prev``: reorder by maximal overlap, remove phases.
 
+    ``cur`` may be a stack, each element aligned with the single ``prev``.
     After the fix, <Phi_n^prev|Psi_n^cur> is real positive for every n and
     <Phi_n|Psi_n> = 1 is preserved. States are matched by the permutation
-    maximizing the summed |overlap|; AmbiguousMatching is raised when a
-    matched overlap vanishes (a degeneracy was crossed between the two
-    parameter points).
+    maximizing the summed |overlap| (the row-wise argmax where that is one);
+    AmbiguousMatching is raised when a matched overlap vanishes (a
+    degeneracy was crossed between the two parameter points).
     """
-    overlaps = prev.left.conj().T @ cur.right  # M[n, m] = <Phi_n^prev | Psi_m^cur>
-    assign = np.argmax(np.abs(overlaps), axis=1)
-    if len(set(assign.tolist())) != prev.dim:
+    n = cur.dim
+    overlaps = (_dagger(prev.left) @ cur.right).reshape(-1, n, n)  # <Phi_n^prev|Psi_m^cur[j]>
+    magnitudes = np.abs(overlaps)
+    assign = magnitudes.argmax(axis=-1)
+    collided = (np.sort(assign, axis=-1) != np.arange(n)).any(axis=-1)
+    if collided.any():
         # Row-wise maxima collide (near-tied overlaps). Imported here: the
         # scipy.optimize import costs ~0.2 s and ~20 MB at start-up.
         from scipy.optimize import linear_sum_assignment
 
-        _, assign = linear_sum_assignment(np.abs(overlaps), maximize=True)
+        for j in np.flatnonzero(collided):
+            assign[j] = linear_sum_assignment(magnitudes[j], maximize=True)[1]
 
-    energies = cur.energies[assign]
-    right = cur.right[:, assign]
-    left = cur.left[:, assign]
-
-    matched = overlaps[np.arange(prev.dim), assign]
+    rows = np.arange(assign.shape[0])[:, None]
+    matched = overlaps[rows, np.arange(n), assign]
     if np.any(np.abs(matched) < 1e-12):
         raise AmbiguousMatching("matched overlap is numerically zero")
     # Unit phase s makes <Phi^prev|s Psi^cur> real positive; scaling both
     # Psi and Phi by s keeps <Phi|Psi> = 1.
-    s = matched.conj() / np.abs(matched)
-    right = right * s
-    left = left * s
+    s = (matched.conj() / np.abs(matched))[..., None]
+
+    # Gathered as biortho_eig gathers columns: the column-major layout keeps
+    # the round-off of downstream products.
+    def columns(v):
+        return (v.reshape(-1, n, n)[rows, :, assign] * s).swapaxes(-1, -2).reshape(v.shape)
 
     return BiorthoEigensystem(
-        energies=energies,
-        right=right,
-        left=left,
+        energies=cur.energies.reshape(-1, n)[rows, assign].reshape(cur.energies.shape),
+        right=columns(cur.right),
+        left=columns(cur.left),
         unbroken=cur.unbroken,
-        tol_real=cur.tol_real,
     )
 
 
@@ -284,5 +301,4 @@ def gauge_transform(eig: BiorthoEigensystem, f) -> BiorthoEigensystem:
         right=eig.right * f,
         left=eig.left / f.conj(),
         unbroken=eig.unbroken,
-        tol_real=eig.tol_real,
     )

@@ -78,6 +78,35 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _vertex_count(text: str) -> int:
+    value = _positive_int(text)
+    if value < 3:  # plus the closing vertex: the 4 a LoopSpec needs
+        raise argparse.ArgumentTypeError(f"expected at least 3 vertices, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+class _UsageError(Exception):
+    """A command-line value that does not fit the model; exit code 1."""
+
+
+def _model_at(args, text: str):
+    """The model ``args.model``, and the point ``text`` checked against it."""
+    family = _load_family(args.model)
+    point = _parse_point(text)
+    if point.shape[0] != family.dim_param:
+        raise _UsageError(f"model expects {family.dim_param} parameters, got {point.shape[0]}")
+    if not 0 <= args.level < family.dim_hilbert:
+        raise _UsageError(f"level must lie in 0..{family.dim_hilbert - 1}, got {args.level}")
+    return family, point
+
+
 # ---------------------------------------------------------------- scan
 
 
@@ -155,14 +184,7 @@ def _fmt_matrix(m) -> str:
 
 
 def cmd_qgt(args) -> int:
-    family = _load_family(args.model)
-    lam = _parse_point(args.lam)
-    if lam.shape[0] != family.dim_param:
-        print(
-            f"model expects {family.dim_param} parameters, got {lam.shape[0]}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    family, lam = _model_at(args, args.lam)
     tensor = geometry.qgt(family, lam, n=args.level, step=args.step)
     q = tensor.q
     g = q.real
@@ -201,10 +223,8 @@ def _circle_path(center: np.ndarray, radius: float, tau: float) -> PathSpec:
 
 
 def cmd_berry(args) -> int:
-    family = _load_family(args.model)
-    center = _parse_point(args.center)
-    ts = np.linspace(0.0, 1.0, args.vertices + 1)
-    verts = np.stack([_circle_path(center, args.radius, 1.0).at(t) for t in ts])
+    family, center = _model_at(args, args.center)
+    verts = _circle_path(center, args.radius, 1.0).at(np.linspace(0.0, 1.0, args.vertices + 1))
     verts[-1] = verts[0]
     gamma = berry_phase_loop(family, LoopSpec(vertices=verts, level=args.level))
     print(f"loop: circle center={center.tolist()} radius={args.radius} "
@@ -214,8 +234,7 @@ def cmd_berry(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    family = _load_family(args.model)
-    center = _parse_point(args.center)
+    family, center = _model_at(args, args.center)
     path = _circle_path(center, args.radius, args.tau)
     out = adiabatic_phase(family, path, n=args.level, n_steps=args.steps)
     result = out["result"]
@@ -294,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="bundled model name or .model file path")
     p.add_argument("--lam", required=True, help="comma-separated point")
     p.add_argument("--level", type=int, default=0)
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--step", type=_positive_float, default=None)
     p.set_defaults(func=cmd_qgt)
 
     p = sub.add_parser("berry", help="discrete loop Berry phase")
     p.add_argument("model")
     p.add_argument("--center", required=True)
     p.add_argument("--radius", type=float, default=0.05)
-    p.add_argument("--vertices", type=int, default=256)
+    p.add_argument("--vertices", type=_vertex_count, default=256)
     p.add_argument("--level", type=int, default=0)
     p.set_defaults(func=cmd_berry)
 
@@ -309,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--center", required=True)
     p.add_argument("--radius", type=float, default=0.05)
-    p.add_argument("--tau", type=float, default=100.0)
+    p.add_argument("--tau", type=_positive_float, default=100.0)
     p.add_argument("--steps", type=_positive_int, default=6000)
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--out", help="trajectory CSV path")
@@ -330,6 +349,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_USAGE
     except (Degenerate, GaplessPoint, DefectiveMatrix) as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)

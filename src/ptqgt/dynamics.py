@@ -20,14 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .biortho import (
-    BiorthoEigensystem,
-    HamiltonianFamily,
-    biortho_eig,
-    build_W,
-    gauge_fix,
-)
-from .errors import AmbiguousMatching, MetricSingular, NotAdiabatic, StepTooLarge
+from .biortho import HamiltonianFamily, biortho_eig, build_W, gauge_fix
+from .errors import MetricSingular, NotAdiabatic, StepTooLarge
 from .geometry import LoopSpec, berry_phase_loop
 
 __all__ = [
@@ -57,8 +51,14 @@ class PathSpec:
         if self.duration <= 0:
             raise ValueError("duration must be positive")
 
-    def at(self, t: float) -> np.ndarray:
-        return np.asarray(self.curve(t), dtype=float)
+    def at(self, t) -> np.ndarray:
+        """lambda at a time, or at each time of an array ``t`` as
+        ``t.shape + (d,)``; ``curve`` is only ever given one scalar time."""
+        if np.isscalar(t):
+            return np.asarray(self.curve(t), dtype=float)
+        t = np.asarray(t, dtype=float)
+        points = np.stack([np.asarray(self.curve(s), dtype=float) for s in t.ravel()])
+        return points.reshape(t.shape + points.shape[1:])
 
     @classmethod
     def from_samples(cls, times, points, closed: bool = False) -> "PathSpec":
@@ -69,9 +69,7 @@ class PathSpec:
             raise ValueError("times and points must have matching leading length")
 
         def curve(t, _times=times, _points=points):
-            return np.array(
-                [np.interp(t, _times, _points[:, j]) for j in range(_points.shape[1])]
-            )
+            return np.array([np.interp(t, _times, column) for column in _points.T])
 
         return cls(curve=curve, duration=float(times[-1]), closed=closed)
 
@@ -88,15 +86,6 @@ class EvolutionResult:
     geometric_phase: float = 0.0
 
 
-def _evaluate(family: HamiltonianFamily, path: PathSpec, t: np.ndarray) -> np.ndarray:
-    """H at every time of the array ``t``, shape ``t.shape + (N, N)``."""
-    n = family.dim_hilbert
-    hs = np.empty((t.size, n, n), dtype=complex)
-    for i, s in enumerate(t.ravel()):
-        hs[i] = family(path.at(s))
-    return hs.reshape(t.shape + (n, n))
-
-
 def _k_field(
     family: HamiltonianFamily, path: PathSpec, t: np.ndarray, h: np.ndarray,
     dt_probe: float,
@@ -104,7 +93,7 @@ def _k_field(
     """K at the times ``t`` given ``h``, the H already evaluated there."""
     t_plus = np.minimum(t + dt_probe, path.duration)
     t_minus = np.maximum(t - dt_probe, 0.0)
-    probes = _evaluate(family, path, np.stack([t_plus, t_minus]))
+    probes = family(path.at(np.stack([t_plus, t_minus])))
     w = build_W(biortho_eig(np.concatenate([h[None], probes]))).matrix
     dw = (w[1] - w[2]) / (t_plus - t_minus)[..., None, None]
     try:
@@ -125,33 +114,7 @@ def k_field(
     if dt_probe <= 0:
         raise ValueError("dt_probe must be positive")
     t = np.asarray(t, dtype=float)
-    return _k_field(family, path, t, _evaluate(family, path, t), dt_probe)
-
-
-def _gauge_fix_to(anchor: BiorthoEigensystem, eig: BiorthoEigensystem) -> BiorthoEigensystem:
-    """``gauge_fix(anchor, eig[j])`` for every element j of the stack ``eig``.
-
-    One batched overlap and row-wise argmax; ``gauge_fix`` itself runs
-    only for elements whose argmax is not a permutation.
-    """
-    overlaps = anchor.left.conj().T @ eig.right  # M[j, n, m] = <Phi_n^anchor | Psi_m^j>
-    assign = np.abs(overlaps).argmax(axis=-1)
-    # The row maximum bounds every matched overlap, so this also refuses
-    # each element that gauge_fix would refuse.
-    matched = np.take_along_axis(overlaps, assign[..., None], axis=-1)[..., 0]
-    if np.any(np.abs(matched) < 1e-12):
-        raise AmbiguousMatching("matched overlap is numerically zero")
-    s = (matched.conj() / np.abs(matched))[..., None, :]
-    columns = assign[..., None, :]
-    energies = np.take_along_axis(eig.energies, assign, axis=-1)
-    right = np.take_along_axis(eig.right, columns, axis=-1) * s
-    left = np.take_along_axis(eig.left, columns, axis=-1) * s
-    collided = (np.sort(assign, axis=-1) != np.arange(eig.dim)).any(axis=-1)
-    for j in np.flatnonzero(collided):
-        fixed = gauge_fix(anchor, eig[j])
-        energies[j], right[j], left[j] = fixed.energies, fixed.right, fixed.left
-    return BiorthoEigensystem(energies=energies, right=right, left=left,
-                              unbroken=eig.unbroken, tol_real=eig.tol_real)
+    return _k_field(family, path, t, family(path.at(t)), dt_probe)
 
 
 def evolve(
@@ -221,13 +184,13 @@ def evolve(
         """Stacked eigensystem work for steps a..b-1; writes no state."""
         t = np.arange(a, b) * dt
         t_gen = np.stack([t + 0.5 * dt, t + dt], axis=-1)  # K and generator times
-        h_gen = _evaluate(family, path, t_gen)
+        h_gen = family(path.at(t_gen))
         k_gen = _k_field(family, path, t_gen, h_gen, dt_probe)
-        h_rec = _evaluate(family, path, times[a + 1 : b + 1])
+        h_rec = family(path.at(times[a + 1 : b + 1]))
         eig = biortho_eig(h_rec)
         left = level = None
         if track_level is not None:
-            eig = _gauge_fix_to(anchor, eig)
+            eig = gauge_fix(anchor, eig)
             left, level = eig.left[..., track_level], eig.energies[..., track_level].real
         g_start = -1j * np.concatenate([h_start[None], h_rec[:-1]]) + np.concatenate(
             [k_start[None], k_gen[:-1, 1]]
@@ -318,8 +281,7 @@ def adiabatic_phase(
     result = evolve(family, loop, psi0, n_steps, track_level=n)
 
     m = n_loop_vertices if n_loop_vertices is not None else min(n_steps, 512)
-    ts = np.linspace(0.0, loop.duration, m + 1)
-    verts = np.stack([loop.at(t) for t in ts])
+    verts = loop.at(np.linspace(0.0, loop.duration, m + 1))
     verts[-1] = verts[0]
     gamma_line = berry_phase_loop(family, LoopSpec(vertices=verts, level=n))
 

@@ -28,17 +28,17 @@ class ScanConfig:
     method: str = "perturbative"
 
     def __post_init__(self):
-        if self.h_range[2] < 2 or self.eta_range[2] < 2:
+        (h_lo, h_hi, n_h), (eta_lo, eta_hi, n_eta) = self.h_range, self.eta_range
+        if not all(isinstance(n, (int, np.integer)) for n in (n_h, n_eta)):
+            raise ValueError("grid counts must be integers")
+        if n_h < 2 or n_eta < 2:
             raise ValueError("grid counts must be at least 2")
         if self.n_quad < 16:
             raise ValueError("n_quad must be at least 16")
-        if not (
-            math.isfinite(self.h_range[0])
-            and math.isfinite(self.h_range[1])
-            and math.isfinite(self.eta_range[0])
-            and math.isfinite(self.eta_range[1])
-        ):
+        if not all(math.isfinite(x) for x in (h_lo, h_hi, eta_lo, eta_hi)):
             raise ValueError("grid ranges must be finite")
+        if self.method not in ("perturbative", "fd"):
+            raise ValueError(f"unknown method {self.method!r}")
 
     def h_values(self) -> np.ndarray:
         return np.linspace(*self.h_range)

@@ -23,7 +23,7 @@ from ptqgt import (
     metric_intensity,
     qgt,
 )
-from ptqgt.families import pt_two_level_family
+from ptqgt.families import load_bundled_model, pt_two_level_family, spin_half_family
 
 ANISO = XYParams(J=1.0, Js=0.5, Gamma=1.0 / 3.0, Gammas=1.0 / 6.0)
 
@@ -259,3 +259,38 @@ def test_family_derivative_matches_finite_difference():
             exact = fam.deriv(lam, mu)
             approx = fam_fd.deriv(lam, mu, step=1e-6)
             assert np.max(np.abs(exact - approx)) < 1e-8
+
+
+def _no_derivative(fam):
+    return HamiltonianFamily(dim_hilbert=fam.dim_hilbert, dim_param=fam.dim_param,
+                             evaluate=fam.evaluate)
+
+
+@pytest.mark.parametrize("make", [
+    spin_half_family,                                  # analytic derivative
+    lambda: _no_derivative(pt_two_level_family()),     # central-difference fallback
+    lambda: load_bundled_model("pt_two_level"),        # .model file, no derivative
+])
+def test_family_stack_matches_per_point(make):
+    fam = make()
+    rng = np.random.default_rng(3)
+    lams = rng.uniform(0.2, 1.0, size=(3, 4, fam.dim_param))
+    steps = rng.uniform(1e-6, 1e-4, size=(3, 4))
+    h = fam(lams)
+    assert h.shape == (3, 4, fam.dim_hilbert, fam.dim_hilbert)
+    for mu in range(fam.dim_param):
+        dh = fam.deriv(lams, mu, steps)
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(h[idx], fam(lams[idx]))
+            assert np.array_equal(dh[idx], fam.deriv(lams[idx], mu, steps[idx]))
+        # a scalar step serves the whole stack
+        assert np.array_equal(fam.deriv(lams, mu, 1e-5)[2, 1], fam.deriv(lams[2, 1], mu, 1e-5))
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (2, 4, 1), (3,), ()])
+def test_family_rejects_points_of_wrong_length(shape):
+    fam = _no_derivative(pt_two_level_family())
+    with pytest.raises(ValueError, match="points of length 2"):
+        fam(np.zeros(shape))
+    with pytest.raises(ValueError, match="points of length 2"):
+        fam.deriv(np.zeros(shape), 0)

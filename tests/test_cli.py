@@ -132,6 +132,25 @@ def test_evolve_rejects_non_positive_steps(capsys, steps):
     assert "--steps: expected a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["qgt", "pt_two_level", "--lam", "0.15,0.85", "--step", "-1"],
+    ["qgt", "pt_two_level", "--lam", "0.15,0.85", "--level", "5"],
+    ["qgt", "pt_two_level", "--lam", "0.15,0.85", "--level", "-1"],
+    ["berry", "pt_two_level", "--center", "0.15,0.85", "--vertices", "2"],
+    ["berry", "pt_two_level", "--center", "0.15"],
+    ["berry", "pt_two_level", "--center", "0.15,0.85", "--level", "2"],
+    ["evolve", "pt_two_level", "--center", "0.15,0.85", "--tau", "-1"],
+    ["evolve", "pt_two_level", "--center", "0.15,0.85,0.3", "--steps", "10"],
+])
+def test_out_of_range_arguments_exit_1(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err
+
+
 def test_scan_command_with_flags(tmp_path, capsys):
     out_csv = tmp_path / "mini.csv"
     code, out, _ = run(
@@ -167,6 +186,19 @@ def test_scan_bad_config_exits_1(tmp_path, capsys):
     code, _, err = run(["scan", "--config", str(cfg_path)], capsys)
     assert code == EXIT_USAGE
     assert "config error" in err
+
+
+@pytest.mark.parametrize("change", [{"method": "bogus"}, {"h_range": [0, 1, 3.5]}])
+def test_scan_invalid_config_values_exit_1(tmp_path, capsys, change):
+    cfg = {"params": {"J": 1.0, "Js": 0.5, "Gamma": 0.25, "Gammas": 0.5},
+           "h_range": [0.2, 0.8, 3], "eta_range": [-0.4, 0.4, 3], "n_quad": 24,
+           "out_path": str(tmp_path / "out.csv")} | change
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    code, _, err = run(["scan", "--config", str(cfg_path)], capsys)
+    assert code == EXIT_USAGE
+    assert "config error" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_verify_subset_runs(capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from ptqgt import (
     HamiltonianFamily,
@@ -57,6 +58,19 @@ def test_pathspec_validation_and_sampling():
     assert abs(mid[1] - 0.5 * (1.0**2 + 1.1**2)) < 1e-12
     with pytest.raises(ValueError):
         PathSpec.from_samples(times, points[:-1])
+
+
+def test_pathspec_at_array_matches_per_time():
+    times = np.linspace(0.0, 2.0, 21)
+    paths = [circle_path([0.15, 0.85], 0.05, 2.0),
+             PathSpec.from_samples(times, np.stack([times, times**2, -times], axis=1))]
+    ts = np.array([[0.0, 0.37, 1.05], [1.5, 1.999, 2.0]])
+    for path in paths:
+        points = path.at(ts)
+        assert points.shape == ts.shape + path.at(0.0).shape
+        for idx in np.ndindex(ts.shape):
+            assert np.array_equal(points[idx], path.at(ts[idx]))
+    assert np.array_equal(paths[0].at(np.asarray(0.37)), paths[0].at(0.37))
 
 
 # -------------------------------------------------------------- k field
@@ -280,31 +294,37 @@ def test_eigensolves_per_chunk(monkeypatch):
     fam = pt_two_level_family()
     path = circle_path([0.15, 0.85], 0.05, 20.0)
     psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
-    calls = []
+    calls, fixes = [], []
     eig = np.linalg.eig
 
     def counted(a):
         calls.append(np.shape(a))
         return eig(a)
 
-    def no_gauge_fix(prev, cur):
-        raise AssertionError("gauge_fix called on a collision-free loop")
+    def counted_gauge_fix(prev, cur):
+        fixes.append(np.shape(cur.energies))
+        return gauge_fix(prev, cur)
+
+    def no_assignment(*args, **kwargs):
+        raise AssertionError("assignment solved on a collision-free loop")
 
     monkeypatch.setattr(np.linalg, "eig", counted)
-    monkeypatch.setattr(dynamics, "gauge_fix", no_gauge_fix)
+    monkeypatch.setattr(dynamics, "gauge_fix", counted_gauge_fix)
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", no_assignment)
     evolve(fam, path, psi0, n_steps=1000, track_level=0)
     assert len(calls) <= 2 * math.ceil(1000 / dynamics._CHUNK) + 2
+    assert len(fixes) <= math.ceil(1000 / dynamics._CHUNK)
 
 
 def test_batched_gauge_fix_matches_gauge_fix():
     fam = pt_two_level_family()
     anchor = biortho_eig(fam([0.3, 0.5]))
     lams = [[0.15, 0.85], [-0.46, 0.32], [0.3, 0.55], [0.32, 0.3], [0.0, 1.2]]
-    stack = biortho_eig(np.stack([fam(lam) for lam in lams]))
+    stack = biortho_eig(fam(lams))
     assign = np.abs(anchor.left.conj().T @ stack.right).argmax(axis=-1)
     collided = [len(set(row)) < 2 for row in assign.tolist()]
     assert any(collided) and not all(collided)  # both routes are compared
-    fixed = dynamics._gauge_fix_to(anchor, stack)
+    fixed = gauge_fix(anchor, stack)
     for j in range(len(lams)):
         ref = gauge_fix(anchor, stack[j])
         for name in ("energies", "right", "left"):

@@ -192,6 +192,13 @@ def test_loopspec_validation():
     assert not open_loop.closed
     with pytest.raises(OpenLoop):
         berry_phase_loop(spin_half_family(), open_loop)
+    # a 5e-6 gap is open, although it is within numpy's default rtol
+    verts = circle_loop(0.8, 16)
+    verts[-1, 0] += 5e-6
+    gapped = LoopSpec(vertices=verts, level=0)
+    assert not gapped.closed
+    with pytest.raises(OpenLoop):
+        berry_phase_loop(spin_half_family(), gapped)
 
 
 def test_berry_phase_solid_angle_both_levels():

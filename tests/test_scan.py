@@ -35,6 +35,10 @@ def test_config_validation():
         small_config(n_quad=8)
     with pytest.raises(ValueError):
         small_config(eta_range=(0.0, np.inf, 3))
+    with pytest.raises(ValueError, match="unknown method"):
+        small_config(method="bogus")
+    with pytest.raises(ValueError, match="must be integers"):
+        small_config(h_range=(0.0, 1.0, 3.5))
     cfg = small_config()
     assert np.allclose(cfg.h_values(), [0.2, 0.5, 0.8])
     assert np.allclose(cfg.eta_values(), [-0.4, 0.0, 0.4])

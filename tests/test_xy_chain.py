@@ -221,6 +221,15 @@ def test_metric_intensity_methods_agree():
     assert np.max(np.abs(g_pert - g_fd)) < 1e-7 * np.max(np.abs(g_pert))
 
 
+def test_metric_intensity_fd_default_step_near_pt_line():
+    # 0.0026 from eta_c, where g22 diverges: the FD route's O(step^2)
+    # truncation grows there, and the default step must keep it small
+    f = FieldPoint(h=1.1798084793552917, eta=0.9974232732342033)
+    g_pert = metric_intensity(ANISO, f, n_quad=65)
+    g_fd = metric_intensity(ANISO, f, n_quad=65, method="fd")
+    assert np.max(np.abs(g_fd - g_pert)) < 1e-7 * np.linalg.norm(g_pert)
+
+
 def test_metric_intensity_quadrature_convergence():
     f = FieldPoint(h=0.5, eta=0.3)
     g65 = metric_intensity(ANISO, f, n_quad=65)
