@@ -66,6 +66,7 @@ from .xy_chain import (
     XYParams,
     critical_set,
     dispersion,
+    dk_blocks,
     dk_family,
     dk_matrix,
     metric_intensity,

@@ -96,9 +96,12 @@ class _UsageError(Exception):
     """A command-line value that does not fit the model; exit code 1."""
 
 
-def _model_at(args, text: str):
+def _model_at(args, text: str, min_params: int = 1):
     """The model ``args.model``, and the point ``text`` checked against it."""
     family = _load_family(args.model)
+    if family.dim_param < min_params:
+        raise _UsageError(f"this command needs a model with at least {min_params} "
+                          f"parameters, got {family.dim_param}")
     point = _parse_point(text)
     if point.shape[0] != family.dim_param:
         raise _UsageError(f"model expects {family.dim_param} parameters, got {point.shape[0]}")
@@ -212,6 +215,8 @@ def cmd_qgt(args) -> int:
 
 
 def _circle_path(center: np.ndarray, radius: float, tau: float) -> PathSpec:
+    """Circle in the plane of the first two parameters."""
+
     def curve(t):
         ang = 2.0 * np.pi * t / tau
         out = center.copy()
@@ -223,7 +228,7 @@ def _circle_path(center: np.ndarray, radius: float, tau: float) -> PathSpec:
 
 
 def cmd_berry(args) -> int:
-    family, center = _model_at(args, args.center)
+    family, center = _model_at(args, args.center, min_params=2)
     verts = _circle_path(center, args.radius, 1.0).at(np.linspace(0.0, 1.0, args.vertices + 1))
     verts[-1] = verts[0]
     gamma = berry_phase_loop(family, LoopSpec(vertices=verts, level=args.level))
@@ -234,7 +239,7 @@ def cmd_berry(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    family, center = _model_at(args, args.center)
+    family, center = _model_at(args, args.center, min_params=2)
     path = _circle_path(center, args.radius, args.tau)
     out = adiabatic_phase(family, path, n=args.level, n_steps=args.steps)
     result = out["result"]

@@ -9,6 +9,7 @@ the occupied (negative-energy) levels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "FieldPoint",
     "CriticalSet",
     "Dispersion",
+    "dk_blocks",
     "dk_matrix",
     "dk_family",
     "dispersion",
@@ -107,28 +109,38 @@ class Dispersion:
     c4: float
 
 
-def dk_matrix(p: XYParams, f: FieldPoint, k: float) -> np.ndarray:
-    """Momentum block D_k for 0 < k < pi/2.
+def dk_blocks(p: XYParams, h, eta, ks) -> np.ndarray:
+    """Momentum blocks D_k at each field point and node, shape (P, K, 4, 4).
 
-    Anticommutes with I_2 x sigma_x, so the spectrum is symmetric about
-    zero.
+    ``h`` and ``eta`` hold the P field points, ``ks`` the K momenta, each
+    in the open interval (0, pi/2). Each block anticommutes with
+    I_2 x sigma_x, so its spectrum is symmetric about zero.
     """
-    if not 0.0 < k < np.pi / 2:
+    ks = np.asarray(ks, dtype=float)
+    if not np.all((0.0 < ks) & (ks < np.pi / 2)):
         raise ValueError("k must lie in the open interval (0, pi/2)")
-    jc = 2.0 * p.J * np.cos(k)
-    gs = 2.0 * p.Gamma * np.sin(k)
-    gc = 2.0 * p.Gammas * np.cos(k)
-    js = 2.0 * p.Js * np.sin(k)
-    h, eta = f.h, f.eta
-    return np.array(
-        [
-            [jc + h, 1j * gs, -gc, -1j * (js + eta)],
-            [-1j * gs, -jc - h, 1j * (js + eta), gc],
-            [-gc, -1j * (js - eta), jc - h, 1j * gs],
-            [1j * (js - eta), gc, -1j * gs, -jc + h],
-        ],
-        dtype=complex,
+    jc = 2.0 * p.J * np.cos(ks)
+    gs = 2.0 * p.Gamma * np.sin(ks)
+    gc = 2.0 * p.Gammas * np.cos(ks)
+    js = 2.0 * p.Js * np.sin(ks)
+    h = np.asarray(h, dtype=float)[:, None]
+    eta = np.asarray(eta, dtype=float)[:, None]
+    entries = (
+        (jc + h, 1j * gs, -gc, -1j * (js + eta)),
+        (-1j * gs, -jc - h, 1j * (js + eta), gc),
+        (-gc, -1j * (js - eta), jc - h, 1j * gs),
+        (1j * (js - eta), gc, -1j * gs, -jc + h),
     )
+    out = np.empty((h.shape[0], ks.size, 4, 4), dtype=complex)
+    for i, row in enumerate(entries):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
+
+
+def dk_matrix(p: XYParams, f: FieldPoint, k: float) -> np.ndarray:
+    """Momentum block D_k for 0 < k < pi/2; one block of ``dk_blocks``."""
+    return dk_blocks(p, [f.h], [f.eta], [k])[0, 0]
 
 
 _DH = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
@@ -147,7 +159,7 @@ def dk_family(p: XYParams, k: float) -> HamiltonianFamily:
     """D_k as a family over lambda = (h, eta), with analytic derivatives."""
 
     def evaluate(lam):
-        return dk_matrix(p, FieldPoint(h=lam[0], eta=lam[1]), k)
+        return dk_blocks(p, lam[:1], lam[1:], [k])[0, 0]
 
     def derivative(lam, mu):
         return _DH if mu == 0 else _DETA
@@ -241,40 +253,53 @@ def occupied_levels(eig: BiorthoEigensystem, tol: float | None = None) -> list[i
     return [int(i) for i in np.flatnonzero(e < 0)]
 
 
+@functools.lru_cache(maxsize=None)
 def _gl_nodes(n_quad: int):
+    """Gauss-Legendre nodes and weights on (0, pi/2), computed once per
+    ``n_quad`` and returned read-only, since every caller shares them."""
     x, w = leggauss(n_quad)
     half = np.pi / 4.0
-    return half * (x + 1.0), half * w
+    ks, wts = half * (x + 1.0), half * w
+    ks.flags.writeable = wts.flags.writeable = False
+    return ks, wts
 
 
-def _intensity_perturbative(p: XYParams, f: FieldPoint, n_quad: int) -> np.ndarray:
-    """Sum-over-states route; one stacked eigensolve over all nodes."""
+def _intensity_perturbative(p: XYParams, h, eta, n_quad: int) -> np.ndarray:
+    """Sum-over-states route at the P field points ``(h[i], eta[i])``,
+    shape (P, 2, 2); one stacked eigensolve over every point and node.
+
+    A point is refused at its first offending node, the first such point
+    in point order, as the one-point call at that point would refuse it.
+    """
     ks, wts = _gl_nodes(n_quad)
     try:
-        eig = biortho_eig(np.stack([dk_matrix(p, f, k) for k in ks]))
+        eig = biortho_eig(dk_blocks(p, h, eta, ks))
     except DefectiveMatrix as exc:
         raise Degenerate(f"defective block at a quadrature node: {exc}") from exc
 
-    e = eig.energies.real
-    e_scale = max(float(np.max(np.abs(e))), 1e-300)
+    e = eig.energies.real  # (P, K, 4)
+    e_scale = np.maximum(np.abs(e).max(axis=(1, 2)), 1e-300)[:, None, None]
     occupied = e < 0
-    gaps = np.abs(e[:, :, None] - e[:, None, :]) + np.diag(np.full(4, np.inf))
-    complex_spectrum = np.any(np.abs(eig.energies.imag) > 1e-9 * e_scale, axis=1)
-    gapless = np.any(np.abs(e) < 1e-10 * e_scale, axis=1)
-    crossing = np.any(occupied[:, :, None] & (gaps < 1e-10 * e_scale), axis=(1, 2))
-    bad = np.flatnonzero(complex_spectrum | gapless | crossing)
-    if bad.size:  # refuse at the first offending node, in node order
-        i = bad[0]
-        if complex_spectrum[i]:
-            raise Degenerate(f"complex block spectrum at k = {ks[i]:.6f}")
-        if gapless[i]:
-            raise GaplessPoint(f"gap closes at quadrature node k = {ks[i]:.6f}")
-        raise Degenerate(f"level crossing at quadrature node k = {ks[i]:.6f}")
+    gaps = np.abs(e[..., :, None] - e[..., None, :]) + np.diag(np.full(4, np.inf))
+    complex_spectrum = np.any(np.abs(eig.energies.imag) > 1e-9 * e_scale, axis=-1)
+    gapless = np.any(np.abs(e) < 1e-10 * e_scale, axis=-1)
+    crossing = np.any(occupied[..., :, None] & (gaps < 1e-10 * e_scale[..., None]),
+                      axis=(-2, -1))
+    bad = np.argwhere(complex_spectrum | gapless | crossing)
+    if bad.size:  # refuse at the first offending node, in (point, node) order
+        point, node = bad[0]
+        k = ks[node]
+        if complex_spectrum[point, node]:
+            raise Degenerate(f"complex block spectrum at k = {k:.6f}")
+        if gapless[point, node]:
+            raise GaplessPoint(f"gap closes at quadrature node k = {k:.6f}")
+        raise Degenerate(f"level crossing at quadrature node k = {k:.6f}")
 
     g = geometry._sos_qgt(eig, np.stack([_DH, _DETA]), occupied).real
     # factor 2: the intensity integrand is twice the per-mode metric in
-    # the 1/2-prefactor convention
-    return np.einsum("i,iab->ab", 2.0 * wts, g) / (4.0 * np.pi)
+    # the 1/2-prefactor convention. One reduction per point keeps each
+    # point's sum in the order of the one-point call.
+    return np.stack([np.einsum("i,iab->ab", 2.0 * wts, gi) for gi in g]) / (4.0 * np.pi)
 
 
 def _intensity_fd(p: XYParams, f: FieldPoint, n_quad: int, step: float) -> np.ndarray:
@@ -304,7 +329,9 @@ def metric_intensity(
     Gauss-Legendre quadrature on (0, pi/2) of the per-mode metric summed
     over occupied levels, prefactor 1/(4 pi). ``method`` selects the
     sum-over-states route ('perturbative', default: analytic dH, one
-    eigensolve per node) or the finite-difference route ('fd', the
+    stacked eigensolve over all nodes; this is the one-point case of the
+    kernel a scan row runs on chunks of points, so both give the same
+    bits) or the finite-difference route ('fd', the
     generic geometry pipeline, used for cross-validation). The FD
     ``step`` of 1e-6 keeps its O(step^2) error, which grows toward |eta| =
     eta_c where g22 diverges, below 1e-7 relative up to 0.9975 eta_c.
@@ -316,7 +343,7 @@ def metric_intensity(
     if n_quad < 2:
         raise ValueError("n_quad must be at least 2")
     if method == "perturbative":
-        compute = lambda nq: _intensity_perturbative(p, f, nq)
+        compute = lambda nq: _intensity_perturbative(p, [f.h], [f.eta], nq)[0]
     elif method == "fd":
         compute = lambda nq: _intensity_fd(p, f, nq, step)
     else:

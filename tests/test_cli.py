@@ -109,6 +109,17 @@ def test_berry_command(capsys):
     assert "gamma_line" in out
 
 
+@pytest.mark.parametrize("command", ["berry", "evolve"])
+def test_circle_on_one_parameter_model_exits_1(tmp_path, capsys, command):
+    model = tmp_path / "zeeman.model"
+    model.write_text(
+        "dim 2\nparams 1\nH[1,1] = l1\nH[2,2] = -l1\n", encoding="utf-8"
+    )
+    code, _, err = run([command, str(model), "--center", "1.0"], capsys)
+    assert code == EXIT_USAGE
+    assert "at least 2 parameters" in err
+
+
 def test_evolve_command(tmp_path, capsys):
     traj = tmp_path / "traj.csv"
     code, out, _ = run(

@@ -3,7 +3,7 @@ import pytest
 
 import ptqgt.scan as scan_mod
 from ptqgt import (
-    Degenerate,
+    DefectiveMatrix,
     FieldPoint,
     ScanConfig,
     XYParams,
@@ -83,14 +83,78 @@ def test_broken_rows_have_no_metric():
 
 
 def test_degenerate_cells_marked_inf(monkeypatch):
+    # every eigensolve refuses: each chunk is replayed point by point, and
+    # each point is refused in turn
     def boom(*args, **kwargs):
-        raise Degenerate("forced for the test")
+        raise DefectiveMatrix("forced for the test")
 
-    monkeypatch.setattr(scan_mod.xy_chain, "metric_intensity", boom)
+    monkeypatch.setattr(scan_mod.xy_chain, "biortho_eig", boom)
     result = run_scan(small_config())
     for rec in result.records:
         assert rec.status == "degenerate"
         assert rec.g11 == float("inf")
+
+
+def test_refused_point_leaves_its_chunk_neighbours_ok(monkeypatch):
+    cfg = small_config(h_range=(0.0, 1.0, 11), eta_range=(-0.4, 0.4, 2))
+    assert cfg.h_range[2] > scan_mod._CHUNK  # the refusal sits inside a full chunk
+    refs = {(float(h), float(eta)): metric_intensity(
+                ANISO, FieldPoint(h=float(h), eta=float(eta)), n_quad=cfg.n_quad)
+            for eta in cfg.eta_values() for h in cfg.h_values()}
+    real = scan_mod.xy_chain.biortho_eig
+    h_bad = 0.5
+
+    def picky(blocks):
+        # D_k[0, 0] - D_k[2, 2] = 2h in every block
+        h = (blocks[..., 0, 0] - blocks[..., 2, 2]).real / 2.0
+        if np.any(np.abs(h - h_bad) < 1e-12):
+            raise DefectiveMatrix("forced for the test")
+        return real(blocks)
+
+    monkeypatch.setattr(scan_mod.xy_chain, "biortho_eig", picky)
+    result = run_scan(cfg)
+    assert len(result.records) == 22
+    for rec in result.records:
+        if rec.h == h_bad:
+            assert rec.status == "degenerate" and rec.g11 == float("inf")
+            continue
+        assert rec.status == "ok"
+        g = refs[(rec.h, rec.eta)]
+        assert (rec.g11, rec.g12, rec.g22) == (g[0, 0], g[0, 1], g[1, 1])
+
+
+def test_scanned_values_equal_one_point_intensity_bitwise():
+    cfg = small_config(h_range=(0.0, 3.0, 41), eta_range=(-0.95, 0.95, 2), n_quad=65)
+    result = run_scan(cfg)
+    for rec in result.records:
+        assert rec.status == "ok"
+        g = metric_intensity(ANISO, FieldPoint(h=rec.h, eta=rec.eta), n_quad=65)
+        assert (rec.g11, rec.g12, rec.g22) == (g[0, 0], g[0, 1], g[1, 1])
+
+
+def test_row_makes_one_eigensolve_per_chunk(monkeypatch):
+    from ptqgt import xy_chain
+
+    calls = {"eig": 0, "leggauss": 0}
+    eig, leggauss = np.linalg.eig, xy_chain.leggauss
+
+    def counted_eig(a):
+        calls["eig"] += 1
+        return eig(a)
+
+    def counted_leggauss(n):
+        calls["leggauss"] += 1
+        return leggauss(n)
+
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    monkeypatch.setattr(xy_chain, "leggauss", counted_leggauss)
+    xy_chain._gl_nodes.cache_clear()
+    hs = np.linspace(0.0, 3.0, 41)
+    records = scan_mod._scan_row((ANISO, hs, 0.3, 65, "perturbative"))
+    assert [rec.status for rec in records] == ["ok"] * 41
+    assert calls["eig"] == -(-41 // scan_mod._CHUNK)
+    scan_mod._scan_row((ANISO, hs, -0.3, 65, "perturbative"))
+    assert calls["leggauss"] == 1
 
 
 def test_csv_output_and_gnuplot(tmp_path):

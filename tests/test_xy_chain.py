@@ -3,6 +3,7 @@ import pytest
 
 from ptqgt import (
     CaseUnsupported,
+    Degenerate,
     FieldPoint,
     GaplessPoint,
     QuadratureUnconverged,
@@ -10,12 +11,14 @@ from ptqgt import (
     biortho_eig,
     critical_set,
     dispersion,
+    dk_blocks,
     dk_family,
     dk_matrix,
     metric_intensity,
     occupied_levels,
     unbroken_at,
 )
+from ptqgt.xy_chain import _gl_nodes, _intensity_perturbative
 
 ANISO = XYParams(J=1.0, Js=0.5, Gamma=1.0 / 3.0, Gammas=1.0 / 6.0)
 PSEUDO_ISO = XYParams(J=1.0, Js=0.5, Gamma=0.25, Gammas=0.5)
@@ -69,6 +72,33 @@ def test_dk_domain():
     for k in (0.0, np.pi / 2, -0.1, 2.0):
         with pytest.raises(ValueError):
             dk_matrix(ANISO, f, k)
+
+
+def test_dk_blocks_bitwise_equal_to_dk_matrix():
+    rng = np.random.default_rng(5)
+    ks, _ = _gl_nodes(65)
+    for params in (ANISO, PSEUDO_ISO):
+        hs = rng.uniform(0.0, 3.0, 3)
+        etas = rng.uniform(-0.95, 0.95, 3)
+        blocks = dk_blocks(params, hs, etas, ks)
+        assert blocks.shape == (3, 65, 4, 4)
+        for i, (h, eta) in enumerate(zip(hs, etas)):
+            for j, k in enumerate(ks):
+                single = dk_matrix(params, FieldPoint(h=h, eta=eta), k)
+                assert blocks[i, j].tobytes() == single.tobytes()  # signed zeros too
+    with pytest.raises(ValueError):
+        dk_blocks(ANISO, [0.5], [0.3], [0.7, np.pi / 2])
+
+
+def test_gl_nodes_cached_read_only():
+    ks, wts = _gl_nodes(65)
+    again = _gl_nodes(65)
+    assert again[0] is ks and again[1] is wts
+    assert np.all((0.0 < ks) & (ks < np.pi / 2))
+    assert abs(wts.sum() - np.pi / 2) < 1e-14
+    for a in (ks, wts):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_dk_family_analytic_derivatives():
@@ -289,6 +319,46 @@ def test_g22_magnitude_grows_toward_pt_breaking():
     ]
     mags = [abs(v) for v in f_vals]
     assert mags[0] < mags[1] < mags[2]
+
+
+def test_stacked_kernel_is_the_one_point_kernel_per_point():
+    hs = [0.0, 0.75, 1.95, 3.0]
+    etas = [0.3, -0.9, 0.0, 0.95]
+    for params in (ANISO, PSEUDO_ISO):
+        g = _intensity_perturbative(params, hs, etas, 65)
+        assert g.shape == (4, 2, 2)
+        for gi, h, eta in zip(g, hs, etas):
+            one = metric_intensity(params, FieldPoint(h=h, eta=eta), n_quad=65)
+            assert gi.tobytes() == one.tobytes()
+
+
+def _gapless_node_field() -> float:
+    # pseudo-isotropic, eta = 0: the gap closes at cos^2 k* =
+    # (h^2 - r_c2^2)/(r_c1^2 - r_c2^2); put k* on a quadrature node
+    crit = critical_set(PSEUDO_ISO)
+    k_star = _gl_nodes(65)[0][20]
+    return float(np.sqrt(crit.r_c2**2 + np.cos(k_star) ** 2 * (crit.r_c1**2 - crit.r_c2**2)))
+
+
+def test_stacked_kernel_refuses_as_the_first_refused_point():
+    h_star = _gapless_node_field()
+    with pytest.raises(GaplessPoint) as alone:
+        metric_intensity(PSEUDO_ISO, FieldPoint(h=h_star, eta=0.0), n_quad=65)
+    with pytest.raises(GaplessPoint) as stacked:
+        _intensity_perturbative(PSEUDO_ISO, [1.0, h_star, 2.0, h_star + 0.5],
+                                [0.0] * 4, 65)
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(Degenerate):  # complex block spectrum beyond eta_c
+        _intensity_perturbative(ANISO, [0.5, 0.5], [0.3, 1.2], 65)
+
+
+def test_stacked_kernel_scales_each_point_by_itself():
+    # 8.7e-9 from zero energy at a node: above 1e-10 of its own scale
+    # (~3.9), below 1e-10 of the h = 1e3 point's (~1e3)
+    h_near = _gapless_node_field() + 1e-8
+    g = _intensity_perturbative(PSEUDO_ISO, [1e3, h_near], [0.0, 0.0], 65)
+    one = metric_intensity(PSEUDO_ISO, FieldPoint(h=h_near, eta=0.0), n_quad=65)
+    assert g[1].tobytes() == one.tobytes()
 
 
 def test_metric_intensity_argument_validation():
