@@ -81,6 +81,8 @@ class HamiltonianFamily:
     def deriv(self, lam, mu: int, step=1e-6) -> np.ndarray:
         """Partial derivative along ``mu`` at a point or a stack. ``step``,
         a scalar or an array over the stack, serves the fallback."""
+        if not 0 <= mu < self.dim_param:
+            raise ValueError(f"mu must lie in 0..{self.dim_param - 1}, got {mu}")
         if self.derivative is not None:
             return self._each(lambda p: self.derivative(p, mu), lam)
         lam = self._points(lam)

@@ -11,6 +11,7 @@ signal, 3 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -61,11 +62,14 @@ def _load_family(name_or_path: str):
 
 def _parse_point(text: str) -> np.ndarray:
     try:
-        return np.array([float(x) for x in text.split(",")], dtype=float)
+        point = np.array([float(x) for x in text.split(",")], dtype=float)
     except ValueError:
-        print(f"invalid point {text!r}: expected comma-separated numbers",
+        point = None
+    if point is None or not np.all(np.isfinite(point)):
+        print(f"invalid point {text!r}: expected comma-separated finite numbers",
               file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    return point
 
 
 def _positive_int(text: str) -> int:
@@ -82,6 +86,13 @@ def _vertex_count(text: str) -> int:
     value = _positive_int(text)
     if value < 3:  # plus the closing vertex: the 4 a LoopSpec needs
         raise argparse.ArgumentTypeError(f"expected at least 3 vertices, got {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
@@ -113,10 +124,18 @@ def _model_at(args, text: str, min_params: int = 1):
 # ---------------------------------------------------------------- scan
 
 
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ScanConfig)}
+
+
 def _scan_config(args) -> ScanConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("the config must be a JSON object")
+        unknown = sorted(set(raw) - _CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
         params = XYParams(**raw.get("params", {}))
         return ScanConfig(
             params=params,
@@ -125,7 +144,6 @@ def _scan_config(args) -> ScanConfig:
             n_quad=int(raw.get("n_quad", 65)),
             workers=int(raw.get("workers", 1)),
             out_path=raw.get("out_path", args.out),
-            method=raw.get("method", "perturbative"),
         )
     return ScanConfig(
         params=_params_from(args),
@@ -134,7 +152,6 @@ def _scan_config(args) -> ScanConfig:
         n_quad=args.n_quad,
         workers=args.workers,
         out_path=args.out,
-        method=args.method,
     )
 
 
@@ -304,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-count", type=int, default=41)
     p.add_argument("--n-quad", type=int, default=65)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--method", choices=("perturbative", "fd"),
-                   default="perturbative")
     p.add_argument("--out", default="scan.csv")
     p.set_defaults(func=cmd_scan)
 
@@ -324,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("berry", help="discrete loop Berry phase")
     p.add_argument("model")
     p.add_argument("--center", required=True)
-    p.add_argument("--radius", type=float, default=0.05)
+    p.add_argument("--radius", type=_finite_float, default=0.05)
     p.add_argument("--vertices", type=_vertex_count, default=256)
     p.add_argument("--level", type=int, default=0)
     p.set_defaults(func=cmd_berry)
@@ -332,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="adiabatic transport around a loop")
     p.add_argument("model")
     p.add_argument("--center", required=True)
-    p.add_argument("--radius", type=float, default=0.05)
+    p.add_argument("--radius", type=_finite_float, default=0.05)
     p.add_argument("--tau", type=_positive_float, default=100.0)
     p.add_argument("--steps", type=_positive_int, default=6000)
     p.add_argument("--level", type=int, default=0)

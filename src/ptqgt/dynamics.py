@@ -265,13 +265,12 @@ def adiabatic_phase(
     loop: PathSpec,
     n: int,
     n_steps: int,
-    n_loop_vertices: int | None = None,
 ) -> dict:
     """Adiabatically transport eigenstate ``n`` around a closed path.
 
     Returns ``gamma_sim`` (phase left after removing the dynamical phase
     from the simulated evolution), ``gamma_line`` (discrete loop-product
-    Berry phase on the same vertex grid) and ``beta`` (dynamical phase).
+    Berry phase, min(n_steps, 512) vertices) and ``beta`` (dynamical phase).
     """
     if not loop.closed:
         raise ValueError("adiabatic_phase needs a closed path")
@@ -280,7 +279,7 @@ def adiabatic_phase(
 
     result = evolve(family, loop, psi0, n_steps, track_level=n)
 
-    m = n_loop_vertices if n_loop_vertices is not None else min(n_steps, 512)
+    m = min(n_steps, 512)
     verts = loop.at(np.linspace(0.0, loop.duration, m + 1))
     verts[-1] = verts[0]
     gamma_line = berry_phase_loop(family, LoopSpec(vertices=verts, level=n))

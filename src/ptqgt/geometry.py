@@ -104,18 +104,18 @@ class DerivativeBundle:
     """
 
     point: np.ndarray
-    step: float
     eig: BiorthoEigensystem
     w: np.ndarray  # metric W at the centre
     dpsi: np.ndarray  # (d, N, N)
     dphi: np.ndarray
     dw: np.ndarray
-    dh: np.ndarray
 
 
-def default_step(lam) -> float:
+def default_step(lam):
+    """Difference step 1e-5 (1 + |lam|) at a point ``(d,)``, or one per
+    point of a stack ``(..., d)``."""
     lam = np.asarray(lam, dtype=float)
-    return 1e-5 * (1.0 + float(np.linalg.norm(lam)))
+    return 1e-5 * (1.0 + np.sqrt(np.vecdot(lam, lam)))
 
 
 def param_derivatives(
@@ -124,9 +124,7 @@ def param_derivatives(
     """Central differences of the gauge-fixed eigensystem at ``lam``.
 
     The eigensystems at ``lam +/- step e_mu`` are gauge-fixed against the
-    centre so the raw solver phases difference away smoothly. ``dh`` comes
-    from ``family.derivative`` when available, otherwise from central
-    differences of ``family.evaluate``.
+    centre so the raw solver phases difference away smoothly.
 
     The 2d+1 stencil points are evaluated, decomposed and gauge-fixed as one stack.
     Propagates DefectiveMatrix / AmbiguousMatching from the eigensolver
@@ -152,13 +150,11 @@ def param_derivatives(
 
     return DerivativeBundle(
         point=lam,
-        step=step,
         eig=eig0,
         w=ws[0],
         dpsi=(fixed.right[:d] - fixed.right[d:]) / (2.0 * step),
         dphi=(fixed.left[:d] - fixed.left[d:]) / (2.0 * step),
         dw=(ws[1:d + 1] - ws[d + 1:]) / (2.0 * step),
-        dh=np.stack([family.deriv(lam, mu, step=step) for mu in range(d)]),
     )
 
 
@@ -272,11 +268,9 @@ def metric_perturbative(eig: BiorthoEigensystem, dh: Sequence[np.ndarray]) -> np
     return _sos_qgt(eig, np.asarray(dh), np.arange(eig.dim) == 0).real
 
 
-def connection_at(
-    family: HamiltonianFamily, lam, n: int = 0, step: float | None = None
-) -> Connection:
+def connection_at(family: HamiltonianFamily, lam, n: int = 0) -> Connection:
     """Connection A_{n,mu} = Im <Phi_n|d_mu Psi_n> in the module's gauge."""
-    bundle = param_derivatives(family, lam, step)
+    bundle = param_derivatives(family, lam)
     phi = bundle.eig.left[:, n]
     a = np.array(
         [np.vdot(phi, bundle.dpsi[mu][:, n]).imag for mu in range(family.dim_param)]
@@ -315,7 +309,6 @@ def curvature_flux(
     plane: tuple[int, int] = (0, 1),
     resolution: int = 32,
     n: int = 0,
-    step: float | None = None,
 ) -> float:
     """Surface integral of the curvature two-form over an axis rectangle.
 
@@ -326,18 +319,20 @@ def curvature_flux(
     refine.
 
     Omega = Im Q comes from the sum-over-states kernel, one stacked
-    eigensolve per grid row; no eigenvectors are differenced. ``step`` is
-    used only by families without an analytic derivative, as the
-    central-difference step of ``family.deriv`` (default
-    ``default_step`` at each grid point). Raises Degenerate when the grid
-    points do not all lie in the same PT phase (the rectangle crosses an
-    exceptional line) or when level ``n`` closes its gap at a grid point.
+    eigensolve per grid row; no eigenvectors are differenced. A family
+    without an analytic derivative is differenced with ``default_step`` at
+    each grid point. Raises ValueError unless ``plane`` names two distinct
+    parameter axes, and Degenerate when the grid points do not all lie in
+    the same PT phase (the rectangle crosses an exceptional line) or when
+    level ``n`` closes its gap at a grid point.
     """
-    if step is not None and step <= 0:
-        raise ValueError("step must be positive")
+    mu, nu = plane
+    if not (0 <= mu < family.dim_param and 0 <= nu < family.dim_param and mu != nu):
+        raise ValueError(
+            f"plane must name two distinct axes in 0..{family.dim_param - 1}, got {plane}"
+        )
     lam_min = np.asarray(lam_min, dtype=float)
     lam_max = np.asarray(lam_max, dtype=float)
-    mu, nu = plane
     xs = np.linspace(lam_min[mu], lam_max[mu], resolution + 1)
     ys = np.linspace(lam_min[nu], lam_max[nu], resolution + 1)
     xc = 0.5 * (xs[:-1] + xs[1:])
@@ -358,7 +353,7 @@ def curvature_flux(
         if np.any(eig.unbroken != unbroken):
             raise Degenerate("flux grid crosses a PT-breaking (exceptional) line")
         _check_gap(eig, n)
-        steps = np.array([default_step(p) for p in row]) if step is None else step
+        steps = default_step(row)
         dh = np.stack([family.deriv(row, a, steps) for a in (mu, nu)], axis=-3)
         total += 2.0 * float(np.sum(_sos_qgt(eig, dh, levels)[:, 0, 1].imag)) * da
     return total
@@ -377,10 +372,7 @@ def fidelity(eig_a: BiorthoEigensystem, eig_b: BiorthoEigensystem, n: int = 0) -
 
 
 def o_operators(
-    family: HamiltonianFamily,
-    lam,
-    step: float | None = None,
-    bundle: DerivativeBundle | None = None,
+    family: HamiltonianFamily, lam, bundle: DerivativeBundle | None = None
 ) -> OperatorPair:
     """Generators O_mu = i sum_n |d_mu Psi_n><Phi_n| and their A/B split.
 
@@ -389,7 +381,7 @@ def o_operators(
     Hermitian in the W inner product.
     """
     if bundle is None:
-        bundle = param_derivatives(family, lam, step)
+        bundle = param_derivatives(family, lam)
     d = family.dim_param
     left_h = bundle.eig.left.conj().T
     o_full = 1j * np.stack([bundle.dpsi[mu] @ left_h for mu in range(d)])
@@ -403,18 +395,16 @@ def o_operators(
     return OperatorPair(o_full=o_full, o_a=o_a, o_b=o_b)
 
 
-def variance_metric(
-    family: HamiltonianFamily, lam, step: float | None = None
-) -> np.ndarray:
+def variance_metric(family: HamiltonianFamily, lam) -> np.ndarray:
     """Ground-state metric from centred anticommutators of O_A and O_B.
 
     g_{mu nu} = 1/2 (<{O_A,mu - <O_A,mu>, ...}> - <{O_B,mu - ..., ...}>)
     with expectations <X> = <Phi_0|X|Psi_0>. Agrees with Re Q from the
     differencing route up to the shared O(step^2) error.
     """
-    bundle = param_derivatives(family, lam, step)
+    bundle = param_derivatives(family, lam)
     _check_gap(bundle.eig, 0)
-    ops = o_operators(family, lam, step, bundle=bundle)
+    ops = o_operators(family, lam, bundle=bundle)
     psi0 = bundle.eig.right[:, 0]
     phi0 = bundle.eig.left[:, 0]
 

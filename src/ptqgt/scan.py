@@ -30,7 +30,6 @@ class ScanConfig:
     n_quad: int = 65
     workers: int = 1
     out_path: str | None = None
-    method: str = "perturbative"
 
     def __post_init__(self):
         (h_lo, h_hi, n_h), (eta_lo, eta_hi, n_eta) = self.h_range, self.eta_range
@@ -42,8 +41,6 @@ class ScanConfig:
             raise ValueError("n_quad must be at least 16")
         if not all(math.isfinite(x) for x in (h_lo, h_hi, eta_lo, eta_hi)):
             raise ValueError("grid ranges must be finite")
-        if self.method not in ("perturbative", "fd"):
-            raise ValueError(f"unknown method {self.method!r}")
 
     def h_values(self) -> np.ndarray:
         return np.linspace(*self.h_range)
@@ -79,14 +76,12 @@ class ScanResult:
         return out
 
 
-def _scan_point(p: XYParams, h: float, eta: float, n_quad: int, method: str) -> ScanRecord:
+def _scan_point(p: XYParams, h: float, eta: float, n_quad: int) -> ScanRecord:
     if abs(eta) >= p.eta_c:
         return ScanRecord(h=h, eta=eta, unbroken=False,
                           g11=None, g12=None, g22=None, status="broken")
     try:
-        g = xy_chain.metric_intensity(
-            p, FieldPoint(h=h, eta=eta), n_quad=n_quad, method=method
-        )
+        g = xy_chain.metric_intensity(p, FieldPoint(h=h, eta=eta), n_quad=n_quad)
     except (Degenerate, GaplessPoint):
         inf = float("inf")
         return ScanRecord(h=h, eta=eta, unbroken=True,
@@ -104,23 +99,23 @@ def _ok_record(h: float, eta: float, g: np.ndarray) -> ScanRecord:
 def _scan_row(args) -> list[ScanRecord]:
     """One eta row of records, in h order.
 
-    An unbroken perturbative row goes through the intensity kernel
-    ``_CHUNK`` points at a time, one stacked eigensolve per chunk. A chunk
-    the kernel refuses (a defective block, or any point gapless, crossing
-    or complex at a node) is replayed point by point through
-    ``metric_intensity``, so every record and status is the one-point
-    result. FD and broken rows take the per-point path throughout.
+    An unbroken row goes through the intensity kernel ``_CHUNK`` points
+    at a time, one stacked eigensolve per chunk. A chunk the kernel
+    refuses (a defective block, or any point gapless, crossing or complex
+    at a node) is replayed point by point through ``metric_intensity``, so
+    every record and status is the one-point result. A broken row is all
+    ``broken`` records.
     """
-    p, hs, eta, n_quad, method = args
-    if method != "perturbative" or abs(eta) >= p.eta_c:
-        return [_scan_point(p, float(h), eta, n_quad, method) for h in hs]
+    p, hs, eta, n_quad = args
+    if abs(eta) >= p.eta_c:
+        return [_scan_point(p, float(h), eta, n_quad) for h in hs]
     records: list[ScanRecord] = []
     for lo in range(0, len(hs), _CHUNK):
         chunk = [float(h) for h in hs[lo:lo + _CHUNK]]
         try:
             g = xy_chain._intensity_perturbative(p, chunk, [eta] * len(chunk), n_quad)
         except PtqgtError:
-            records.extend(_scan_point(p, h, eta, n_quad, method) for h in chunk)
+            records.extend(_scan_point(p, h, eta, n_quad) for h in chunk)
         else:
             records.extend(_ok_record(h, eta, gi) for h, gi in zip(chunk, g))
     return records
@@ -131,8 +126,7 @@ def run_scan(config: ScanConfig) -> ScanResult:
     order regardless of worker count."""
     hs = config.h_values()
     etas = config.eta_values()
-    tasks = [(config.params, hs, float(eta), config.n_quad, config.method)
-             for eta in etas]
+    tasks = [(config.params, hs, float(eta), config.n_quad) for eta in etas]
     records: list[ScanRecord] = []
     if config.workers <= 1:
         for task in tasks:

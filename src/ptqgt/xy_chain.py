@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _CASE_TOL = 1e-12
+# FD intensity step: its O(step^2) error, which grows toward |eta| = eta_c
+# where g22 diverges, stays below 1e-7 relative up to 0.9975 eta_c.
+_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -204,11 +207,11 @@ def dispersion(p: XYParams, f: FieldPoint, k: float) -> Dispersion:
     )
 
 
-def unbroken_at(p: XYParams, f: FieldPoint, n_grid: int = 256) -> dict:
-    """PT-unbroken verdicts: analytic |eta| < eta_c and a numeric k-scan."""
+def unbroken_at(p: XYParams, f: FieldPoint) -> dict:
+    """PT-unbroken verdicts: analytic |eta| < eta_c and a 256-momentum scan."""
     p.check_analytic_case()
     analytic = abs(f.eta) < p.eta_c
-    ks = (np.arange(n_grid) + 0.5) * (np.pi / 2) / n_grid
+    ks = (np.arange(256) + 0.5) * (np.pi / 2) / 256
     c2, c4 = _c2_c4(p, f.h, f.eta, ks)
     numeric = bool(np.all(c2**2 - c4 > 0) and np.all(c2 > 0))
     return {"analytic": analytic, "numeric": numeric}
@@ -239,15 +242,13 @@ def critical_set(p: XYParams) -> CriticalSet:
     )
 
 
-def occupied_levels(eig: BiorthoEigensystem, tol: float | None = None) -> list[int]:
+def occupied_levels(eig: BiorthoEigensystem) -> list[int]:
     """Indices of negative-energy levels (the ground-state occupation).
 
-    Raises GaplessPoint when a level sits at zero energy within tol.
+    Raises GaplessPoint when some |E| is below 1e-8 of the largest |E|.
     """
     e = eig.energies.real
-    scale = max(float(np.max(np.abs(e))), 1e-300)
-    if tol is None:
-        tol = 1e-8 * scale
+    tol = 1e-8 * max(float(np.max(np.abs(e))), 1e-300)
     if np.any(np.abs(e) < tol):
         raise GaplessPoint(f"level within {tol:.2e} of zero energy")
     return [int(i) for i in np.flatnonzero(e < 0)]
@@ -302,13 +303,13 @@ def _intensity_perturbative(p: XYParams, h, eta, n_quad: int) -> np.ndarray:
     return np.stack([np.einsum("i,iab->ab", 2.0 * wts, gi) for gi in g]) / (4.0 * np.pi)
 
 
-def _intensity_fd(p: XYParams, f: FieldPoint, n_quad: int, step: float) -> np.ndarray:
+def _intensity_fd(p: XYParams, f: FieldPoint, n_quad: int) -> np.ndarray:
     ks, wts = _gl_nodes(n_quad)
     total = np.zeros((2, 2))
     lam = np.array([f.h, f.eta])
     for k, w in zip(ks, wts):
         fam = dk_family(p, k)
-        bundle = geometry.param_derivatives(fam, lam, step)
+        bundle = geometry.param_derivatives(fam, lam, _FD_STEP)
         occ = occupied_levels(bundle.eig)
         for n in occ:
             g = geometry.qgt(fam, lam, n, bundle=bundle).q.real
@@ -321,7 +322,6 @@ def metric_intensity(
     f: FieldPoint,
     n_quad: int = 129,
     method: str = "perturbative",
-    step: float = 1e-6,
     check_convergence: bool = False,
 ) -> np.ndarray:
     """Thermodynamic-limit metric intensity g-bar at a field point.
@@ -331,10 +331,8 @@ def metric_intensity(
     sum-over-states route ('perturbative', default: analytic dH, one
     stacked eigensolve over all nodes; this is the one-point case of the
     kernel a scan row runs on chunks of points, so both give the same
-    bits) or the finite-difference route ('fd', the
-    generic geometry pipeline, used for cross-validation). The FD
-    ``step`` of 1e-6 keeps its O(step^2) error, which grows toward |eta| =
-    eta_c where g22 diverges, below 1e-7 relative up to 0.9975 eta_c.
+    bits) or the finite-difference route ('fd', the generic geometry
+    pipeline with step 1e-6, used for cross-validation).
 
     With ``check_convergence`` the quadrature is repeated at 2*n_quad and
     QuadratureUnconverged is raised if any entry moves by more than 1e-4
@@ -345,7 +343,7 @@ def metric_intensity(
     if method == "perturbative":
         compute = lambda nq: _intensity_perturbative(p, [f.h], [f.eta], nq)[0]
     elif method == "fd":
-        compute = lambda nq: _intensity_fd(p, f, nq, step)
+        compute = lambda nq: _intensity_fd(p, f, nq)
     else:
         raise ValueError(f"unknown method {method!r}")
     g = compute(n_quad)

@@ -287,6 +287,14 @@ def test_family_stack_matches_per_point(make):
         assert np.array_equal(fam.deriv(lams, mu, 1e-5)[2, 1], fam.deriv(lams[2, 1], mu, 1e-5))
 
 
+@pytest.mark.parametrize("make", [pt_two_level_family,
+                                  lambda: _no_derivative(pt_two_level_family())])
+@pytest.mark.parametrize("mu", [-1, 2, 5])
+def test_family_deriv_rejects_out_of_range_mu(make, mu):
+    with pytest.raises(ValueError, match="mu must lie in 0..1"):
+        make().deriv(np.array([0.1, 0.8]), mu)
+
+
 @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 1), (3,), ()])
 def test_family_rejects_points_of_wrong_length(shape):
     fam = _no_derivative(pt_two_level_family())

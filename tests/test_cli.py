@@ -152,6 +152,11 @@ def test_evolve_rejects_non_positive_steps(capsys, steps):
     ["berry", "pt_two_level", "--center", "0.15,0.85", "--level", "2"],
     ["evolve", "pt_two_level", "--center", "0.15,0.85", "--tau", "-1"],
     ["evolve", "pt_two_level", "--center", "0.15,0.85,0.3", "--steps", "10"],
+    ["qgt", "pt_two_level", "--lam", "nan,0.9"],
+    ["qgt", "spin_half", "--lam", "0.1,-inf,0.3"],
+    ["berry", "pt_two_level", "--center", "0.15,nan"],
+    ["berry", "pt_two_level", "--center", "0.15,0.85", "--radius", "nan"],
+    ["evolve", "pt_two_level", "--center", "0.15,0.85", "--radius", "inf", "--steps", "10"],
 ])
 def test_out_of_range_arguments_exit_1(capsys, argv):
     try:
@@ -197,9 +202,18 @@ def test_scan_bad_config_exits_1(tmp_path, capsys):
     code, _, err = run(["scan", "--config", str(cfg_path)], capsys)
     assert code == EXIT_USAGE
     assert "config error" in err
+    cfg_path.write_text(json.dumps([["h_range", [0, 1, 2]]]), encoding="utf-8")
+    code, _, err = run(["scan", "--config", str(cfg_path)], capsys)
+    assert code == EXIT_USAGE
+    assert "must be a JSON object" in err
 
 
-@pytest.mark.parametrize("change", [{"method": "bogus"}, {"h_range": [0, 1, 3.5]}])
+@pytest.mark.parametrize("change", [
+    {"method": "bogus"},
+    {"h_range": [0, 1, 3.5]},
+    {"n_qaud": 129},  # misspelt keys would otherwise fall back to defaults
+    {"wokers": 4},
+])
 def test_scan_invalid_config_values_exit_1(tmp_path, capsys, change):
     cfg = {"params": {"J": 1.0, "Js": 0.5, "Gamma": 0.25, "Gammas": 0.5},
            "h_range": [0.2, 0.8, 3], "eta_range": [-0.4, 0.4, 3], "n_quad": 24,

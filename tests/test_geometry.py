@@ -109,6 +109,38 @@ def test_qgt_refuses_stencil_across_exceptional_point():
         qgt(fam, lam, n=0)
 
 
+@pytest.mark.parametrize("name, lam", [("pt_two_level", [0.1, 0.8]),
+                                       ("spin_half", [0.3, -0.2, 0.7])])
+def test_qgt_evaluates_only_its_stencil(monkeypatch, name, lam):
+    model = load_bundled_model(name)  # .model families have no analytic derivative
+    calls = []
+
+    def evaluate(point):
+        calls.append(point)
+        return model.evaluate(point)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("qgt must not differentiate H")
+
+    monkeypatch.setattr(HamiltonianFamily, "deriv", forbidden)
+    fam = HamiltonianFamily(model.dim_hilbert, model.dim_param, evaluate)
+    qgt(fam, np.array(lam), n=0)
+    assert len(calls) == 2 * model.dim_param + 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_default_step_on_a_stack_equals_per_point_calls(d):
+    rng = np.random.default_rng(d)
+    lams = rng.normal(size=(1000, d)) * 10.0 ** rng.uniform(-3, 3, size=(1000, 1))
+    steps = geometry.default_step(lams)
+    per_point = np.array([geometry.default_step(lam) for lam in lams])
+    reference = np.array([1e-5 * (1.0 + float(np.linalg.norm(lam))) for lam in lams])
+    assert np.array_equal(steps, per_point)
+    assert np.array_equal(steps, reference)
+    assert np.array_equal(geometry.default_step(lams.reshape(2, 500, d)),
+                          steps.reshape(2, 500))
+
+
 def test_metric_perturbative_matches_fd_on_dk():
     fam = dk_family(ANISO, 0.8)
     lam = np.array([0.4, 0.2])
@@ -324,6 +356,26 @@ def test_curvature_flux_one_eigensolve_per_row(monkeypatch):
     monkeypatch.setattr(geometry, "param_derivatives", forbidden)
     curvature_flux(pt_two_level_family(), [0.05, 0.8], [0.15, 0.9], resolution=6)
     assert shapes == [(6, 2, 2)] * 6
+
+
+def test_curvature_flux_calls_default_step_once_per_row(monkeypatch):
+    calls = []
+    default_step = geometry.default_step
+
+    def counted(lam):
+        calls.append(np.shape(lam))
+        return default_step(lam)
+
+    monkeypatch.setattr(geometry, "default_step", counted)
+    fam = load_bundled_model("pt_two_level")  # no analytic derivative
+    curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=6)
+    assert calls == [(6, 2)] * 6
+
+
+@pytest.mark.parametrize("plane", [(0, 0), (1, 1), (0, 2), (2, 1), (-1, 0)])
+def test_curvature_flux_rejects_bad_plane(plane):
+    with pytest.raises(ValueError, match="plane must name two distinct axes"):
+        curvature_flux(pt_two_level_family(), [0.05, 0.8], [0.15, 0.9], plane, resolution=4)
 
 
 # -------------------------------------------------------------- fidelity

@@ -35,8 +35,6 @@ def test_config_validation():
         small_config(n_quad=8)
     with pytest.raises(ValueError):
         small_config(eta_range=(0.0, np.inf, 3))
-    with pytest.raises(ValueError, match="unknown method"):
-        small_config(method="bogus")
     with pytest.raises(ValueError, match="must be integers"):
         small_config(h_range=(0.0, 1.0, 3.5))
     cfg = small_config()
@@ -150,10 +148,10 @@ def test_row_makes_one_eigensolve_per_chunk(monkeypatch):
     monkeypatch.setattr(xy_chain, "leggauss", counted_leggauss)
     xy_chain._gl_nodes.cache_clear()
     hs = np.linspace(0.0, 3.0, 41)
-    records = scan_mod._scan_row((ANISO, hs, 0.3, 65, "perturbative"))
+    records = scan_mod._scan_row((ANISO, hs, 0.3, 65))
     assert [rec.status for rec in records] == ["ok"] * 41
     assert calls["eig"] == -(-41 // scan_mod._CHUNK)
-    scan_mod._scan_row((ANISO, hs, -0.3, 65, "perturbative"))
+    scan_mod._scan_row((ANISO, hs, -0.3, 65))
     assert calls["leggauss"] == 1
 
 
