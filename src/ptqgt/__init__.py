@@ -1,6 +1,6 @@
 """Biorthogonal quantum geometry for PT-symmetric Hamiltonian families.
 
-Extended quantum geometric tensor, Berry connection / curvature / phase,
+Extended quantum geometric tensor, Berry curvature and phase,
 fidelity, metric-compatible adiabatic dynamics, and a dimerized XY-chain
 application for locating phase transitions and PT-breaking lines.
 """
@@ -39,7 +39,6 @@ from .families import (
     spin_half_family,
 )
 from .geometry import (
-    Connection,
     DerivativeBundle,
     GeomTensor,
     LoopSpec,
@@ -47,8 +46,8 @@ from .geometry import (
     berry_curvature,
     berry_phase_loop,
     classify_interval,
-    connection_at,
     curvature_flux,
+    default_step,
     fidelity,
     metric_perturbative,
     metric_tensor,

@@ -43,10 +43,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_params_flags(p):
-    p.add_argument("--J", type=float, default=1.0)
-    p.add_argument("--Js", type=float, default=0.5)
-    p.add_argument("--Gamma", type=float, default=1.0 / 3.0)
-    p.add_argument("--Gammas", type=float, default=1.0 / 6.0)
+    p.add_argument("--J", type=_positive_float, default=1.0)
+    p.add_argument("--Js", type=_positive_float, default=0.5)
+    p.add_argument("--Gamma", type=_positive_float, default=1.0 / 3.0)
+    p.add_argument("--Gammas", type=_positive_float, default=1.0 / 6.0)
 
 
 def _params_from(args) -> XYParams:

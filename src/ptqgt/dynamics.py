@@ -271,10 +271,15 @@ def adiabatic_phase(
     Returns ``gamma_sim`` (phase left after removing the dynamical phase
     from the simulated evolution), ``gamma_line`` (discrete loop-product
     Berry phase, min(n_steps, 512) vertices) and ``beta`` (dynamical phase).
+    Raises ValueError unless the path is closed: declared so, with
+    ``at(0)`` and ``at(duration)`` within 1e-12 of each other.
     """
     if not loop.closed:
         raise ValueError("adiabatic_phase needs a closed path")
-    eig0 = biortho_eig(family(loop.at(0.0)))
+    start, end = loop.at(0.0), loop.at(loop.duration)
+    if not np.allclose(start, end, rtol=0.0, atol=1e-12):
+        raise ValueError(f"path is declared closed but its ends differ: {start} vs {end}")
+    eig0 = biortho_eig(family(start))
     psi0 = eig0.right[:, n]  # <psi0|W|psi0> = 1 by construction
 
     result = evolve(family, loop, psi0, n_steps, track_level=n)

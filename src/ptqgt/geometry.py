@@ -29,7 +29,6 @@ from .errors import Degenerate, MetricSingular, OpenLoop
 
 __all__ = [
     "GeomTensor",
-    "Connection",
     "LoopSpec",
     "OperatorPair",
     "DerivativeBundle",
@@ -39,7 +38,6 @@ __all__ = [
     "berry_curvature",
     "metric_tensor",
     "metric_perturbative",
-    "connection_at",
     "berry_phase_loop",
     "curvature_flux",
     "fidelity",
@@ -56,16 +54,6 @@ class GeomTensor:
     level: int
     point: np.ndarray
     q: np.ndarray  # (d, d) complex Hermitian
-    scheme: str = "finite_difference"  # or "perturbative"
-
-
-@dataclass(frozen=True)
-class Connection:
-    """Connection one-form components A_{n,mu}. Gauge dependent."""
-
-    level: int
-    point: np.ndarray
-    a: np.ndarray  # (d,) real
 
 
 @dataclass(frozen=True)
@@ -103,7 +91,6 @@ class DerivativeBundle:
     gauge anchored at the centre eigensystem ``eig``.
     """
 
-    point: np.ndarray
     eig: BiorthoEigensystem
     w: np.ndarray  # metric W at the centre
     dpsi: np.ndarray  # (d, N, N)
@@ -149,7 +136,6 @@ def param_derivatives(
     fixed = gauge_fix(eig0, eigs[1:])
 
     return DerivativeBundle(
-        point=lam,
         eig=eig0,
         w=ws[0],
         dpsi=(fixed.right[:d] - fixed.right[d:]) / (2.0 * step),
@@ -158,9 +144,16 @@ def param_derivatives(
     )
 
 
+def _check_level(n: int, dim: int):
+    if not 0 <= n < dim:
+        raise ValueError(f"level must lie in 0..{dim - 1}, got {n}")
+
+
 def _check_gap(eig: BiorthoEigensystem, n: int):
-    """Raise Degenerate at the first stack element whose level ``n`` is
-    closer to another level than 1e-8 times that element's spectral radius."""
+    """Raise ValueError unless ``n`` names a level, then Degenerate at the
+    first stack element whose level ``n`` is closer to another level than
+    1e-8 times that element's spectral radius."""
+    _check_level(n, eig.dim)
     if eig.dim < 2:
         return
     e = eig.energies.reshape(-1, eig.dim)
@@ -172,51 +165,34 @@ def _check_gap(eig: BiorthoEigensystem, n: int):
         raise Degenerate(f"level {n} gap {gap[i]:.3e} below tolerance {tol[i]:.3e}")
 
 
-def _qgt_from_states(psi, phi, dpsi_n, dphi_n) -> np.ndarray:
-    """Assemble Q from a level's vectors and their parameter derivatives.
+def _fd_qgt(psi, phi, dpsi, dphi) -> np.ndarray:
+    """Q of every level, (N, d, d), from the eigenvectors and their
+    parameter derivatives.
 
-    ``dpsi_n[mu]`` is the derivative vector along direction mu. The
-    returned matrix is exactly Hermitian by construction.
+    ``psi`` and ``phi`` are (N, N) with levels as columns; ``dpsi[mu]``
+    and ``dphi[mu]`` are their derivatives along direction mu, (d, N, N).
+    x[n, mu, nu] = <d_mu Phi_n|d_nu Psi_n> - <d_mu Phi_n|Psi_n><Phi_n|d_nu Psi_n>
+    and Q = 1/2 (x + x^dag), exactly Hermitian by construction.
     """
-    d = dpsi_n.shape[0]
-    q = np.empty((d, d), dtype=complex)
-    a_phi = dphi_n.conj() @ psi  # <d_mu Phi | Psi>
-    a_psi = dpsi_n.conj() @ phi  # <d_mu Psi | Phi>
-    b_psi = dpsi_n @ phi.conj()  # <Phi | d_nu Psi>
-    b_phi = dphi_n @ psi.conj()  # <Psi | d_nu Phi>
-    for mu in range(d):
-        for nu in range(d):
-            q[mu, nu] = 0.5 * (
-                np.vdot(dphi_n[mu], dpsi_n[nu])
-                - a_phi[mu] * b_psi[nu]
-                + np.vdot(dpsi_n[mu], dphi_n[nu])
-                - a_psi[mu] * b_phi[nu]
-            )
-    return q
+    dphi_h = dphi.conj()
+    x = np.einsum("ain,bin->nab", dphi_h, dpsi) - (
+        np.einsum("ain,in->na", dphi_h, psi)[:, :, None]
+        * np.einsum("in,bin->nb", phi.conj(), dpsi)[:, None, :]
+    )
+    return 0.5 * (x + np.swapaxes(x, -1, -2).conj())
 
 
-def qgt(
-    family: HamiltonianFamily,
-    lam,
-    n: int = 0,
-    step: float | None = None,
-    bundle: DerivativeBundle | None = None,
-) -> GeomTensor:
+def qgt(family: HamiltonianFamily, lam, n: int = 0, step: float | None = None) -> GeomTensor:
     """Extended geometric tensor of level ``n`` at ``lam`` by differencing.
 
-    A precomputed ``bundle`` may be passed to share derivatives between
-    levels. Raises Degenerate when the level gap is below tolerance.
+    Raises ValueError unless 0 <= n < N, and Degenerate when the level gap
+    is below tolerance.
     """
-    if bundle is None:
-        bundle = param_derivatives(family, lam, step)
+    lam = np.asarray(lam, dtype=float)
+    bundle = param_derivatives(family, lam, step)
     _check_gap(bundle.eig, n)
-    q = _qgt_from_states(
-        bundle.eig.right[:, n],
-        bundle.eig.left[:, n],
-        bundle.dpsi[:, :, n],
-        bundle.dphi[:, :, n],
-    )
-    return GeomTensor(level=n, point=bundle.point, q=q, scheme="finite_difference")
+    q = _fd_qgt(bundle.eig.right, bundle.eig.left, bundle.dpsi, bundle.dphi)[n]
+    return GeomTensor(level=n, point=lam, q=q)
 
 
 def berry_curvature(q: GeomTensor) -> np.ndarray:
@@ -268,16 +244,6 @@ def metric_perturbative(eig: BiorthoEigensystem, dh: Sequence[np.ndarray]) -> np
     return _sos_qgt(eig, np.asarray(dh), np.arange(eig.dim) == 0).real
 
 
-def connection_at(family: HamiltonianFamily, lam, n: int = 0) -> Connection:
-    """Connection A_{n,mu} = Im <Phi_n|d_mu Psi_n> in the module's gauge."""
-    bundle = param_derivatives(family, lam)
-    phi = bundle.eig.left[:, n]
-    a = np.array(
-        [np.vdot(phi, bundle.dpsi[mu][:, n]).imag for mu in range(family.dim_param)]
-    )
-    return Connection(level=n, point=bundle.point, a=a)
-
-
 def berry_phase_loop(family: HamiltonianFamily, loop: LoopSpec) -> float:
     """Berry phase from the discrete overlap product around a closed loop.
 
@@ -322,15 +288,18 @@ def curvature_flux(
     eigensolve per grid row; no eigenvectors are differenced. A family
     without an analytic derivative is differenced with ``default_step`` at
     each grid point. Raises ValueError unless ``plane`` names two distinct
-    parameter axes, and Degenerate when the grid points do not all lie in
-    the same PT phase (the rectangle crosses an exceptional line) or when
-    level ``n`` closes its gap at a grid point.
+    parameter axes, ``resolution`` is at least 1 and 0 <= n < N, and
+    Degenerate when the grid points do not all lie in the same PT phase
+    (the rectangle crosses an exceptional line) or when level ``n`` closes
+    its gap at a grid point.
     """
     mu, nu = plane
     if not (0 <= mu < family.dim_param and 0 <= nu < family.dim_param and mu != nu):
         raise ValueError(
             f"plane must name two distinct axes in 0..{family.dim_param - 1}, got {plane}"
         )
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution}")
     lam_min = np.asarray(lam_min, dtype=float)
     lam_max = np.asarray(lam_max, dtype=float)
     xs = np.linspace(lam_min[mu], lam_max[mu], resolution + 1)
@@ -364,35 +333,33 @@ def fidelity(eig_a: BiorthoEigensystem, eig_b: BiorthoEigensystem, n: int = 0) -
 
     F = sqrt(|<Phi_n(b)|Psi_n(a)><Phi_n(a)|Psi_n(b)>|); equals 1 when the
     eigensystems coincide and is invariant under gauge rescalings on
-    either side.
+    either side. Raises ValueError unless 0 <= n < N.
     """
+    _check_level(n, eig_a.dim)
     o_ba = np.vdot(eig_b.left[:, n], eig_a.right[:, n])
     o_ab = np.vdot(eig_a.left[:, n], eig_b.right[:, n])
     return float(np.sqrt(np.abs(o_ba * o_ab)))
 
 
-def o_operators(
-    family: HamiltonianFamily, lam, bundle: DerivativeBundle | None = None
-) -> OperatorPair:
+def _operators(bundle: DerivativeBundle) -> OperatorPair:
+    """``o_operators`` from a bundle: one product and one solve over the
+    (d, N, N) stack of directions."""
+    try:
+        o_b = -0.5 * np.linalg.solve(bundle.w, bundle.dw)
+    except np.linalg.LinAlgError as exc:
+        raise MetricSingular("metric W is numerically singular") from exc
+    o_full = 1j * (bundle.dpsi @ bundle.eig.left.conj().T)
+    return OperatorPair(o_full=o_full, o_a=o_full - 1j * o_b, o_b=o_b)
+
+
+def o_operators(family: HamiltonianFamily, lam) -> OperatorPair:
     """Generators O_mu = i sum_n |d_mu Psi_n><Phi_n| and their A/B split.
 
     O_B,mu = -1/2 W^{-1} d_mu W is (minus) the gauge field driving the
     inner-product drift; O_A,mu = O_mu - i O_B,mu. Both parts are
-    Hermitian in the W inner product.
+    Hermitian in the W inner product. Each field is a (d, N, N) stack.
     """
-    if bundle is None:
-        bundle = param_derivatives(family, lam)
-    d = family.dim_param
-    left_h = bundle.eig.left.conj().T
-    o_full = 1j * np.stack([bundle.dpsi[mu] @ left_h for mu in range(d)])
-    try:
-        o_b = -0.5 * np.stack(
-            [np.linalg.solve(bundle.w, bundle.dw[mu]) for mu in range(d)]
-        )
-    except np.linalg.LinAlgError as exc:
-        raise MetricSingular("metric W is numerically singular") from exc
-    o_a = o_full - 1j * o_b
-    return OperatorPair(o_full=o_full, o_a=o_a, o_b=o_b)
+    return _operators(param_derivatives(family, lam))
 
 
 def variance_metric(family: HamiltonianFamily, lam) -> np.ndarray:
@@ -404,23 +371,17 @@ def variance_metric(family: HamiltonianFamily, lam) -> np.ndarray:
     """
     bundle = param_derivatives(family, lam)
     _check_gap(bundle.eig, 0)
-    ops = o_operators(family, lam, bundle=bundle)
+    ops = _operators(bundle)
+    phi0 = bundle.eig.left[:, 0].conj()
     psi0 = bundle.eig.right[:, 0]
-    phi0 = bundle.eig.left[:, 0]
+    eye = np.eye(bundle.eig.dim)
 
-    def expect(x):
-        return np.vdot(phi0, x @ psi0)
+    def anticommutators(o):
+        x = o - np.einsum("i,aij,j->a", phi0, o, psi0)[:, None, None] * eye
+        pair = np.einsum("i,aij,bjk,k->ab", phi0, x, x, psi0)
+        return pair + pair.T
 
-    d = family.dim_param
-    oa = [ops.o_a[mu] - expect(ops.o_a[mu]) * np.eye(bundle.w.shape[0]) for mu in range(d)]
-    ob = [ops.o_b[mu] - expect(ops.o_b[mu]) * np.eye(bundle.w.shape[0]) for mu in range(d)]
-    g = np.empty((d, d), dtype=float)
-    for mu in range(d):
-        for nu in range(d):
-            anti_a = expect(oa[mu] @ oa[nu] + oa[nu] @ oa[mu])
-            anti_b = expect(ob[mu] @ ob[nu] + ob[nu] @ ob[mu])
-            g[mu, nu] = 0.5 * float((anti_a - anti_b).real)
-    return g
+    return 0.5 * (anticommutators(ops.o_a) - anticommutators(ops.o_b)).real
 
 
 def classify_interval(g, dlam) -> tuple[float, str]:

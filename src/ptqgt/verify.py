@@ -18,7 +18,7 @@ from . import geometry, xy_chain
 from .biortho import biortho_eig, build_W
 from .dynamics import PathSpec, adiabatic_phase
 from .families import pt_two_level_family, spin_half_family
-from .geometry import LoopSpec, _qgt_from_states, berry_phase_loop, curvature_flux
+from .geometry import LoopSpec, _fd_qgt, berry_phase_loop, curvature_flux
 from .xy_chain import FieldPoint, XYParams, dk_family
 
 __all__ = ["CheckResult", "run_suite", "FAST_CHECKS", "FULL_CHECKS",
@@ -128,20 +128,12 @@ def check_gauge_invariance(seed=42, trials=20) -> CheckResult:
         c = rng.normal(size=(2, n_dim)) + 1j * rng.normal(size=(2, n_dim))
         psi_t = bundle.eig.right * f0
         phi_t = bundle.eig.left / f0.conj()
-        dpsi_t = np.stack(
-            [bundle.dpsi[mu] * f0 + bundle.eig.right * (f0 * c[mu]) for mu in range(2)]
-        )
-        dphi_t = np.stack(
-            [bundle.dphi[mu] / f0.conj()
-             - bundle.eig.left * (c[mu].conj() / f0.conj()) for mu in range(2)]
-        )
-        for n in range(n_dim):
-            q0 = _qgt_from_states(bundle.eig.right[:, n], bundle.eig.left[:, n],
-                                  bundle.dpsi[:, :, n], bundle.dphi[:, :, n])
-            q1 = _qgt_from_states(psi_t[:, n], phi_t[:, n],
-                                  dpsi_t[:, :, n], dphi_t[:, :, n])
-            scale = max(np.linalg.norm(q0), 1e-300)
-            worst = max(worst, float(np.max(np.abs(q1 - q0))) / scale)
+        dpsi_t = bundle.dpsi * f0 + bundle.eig.right * (f0 * c)[:, None, :]
+        dphi_t = bundle.dphi / f0.conj() - bundle.eig.left * (c.conj() / f0.conj())[:, None, :]
+        q0 = _fd_qgt(bundle.eig.right, bundle.eig.left, bundle.dpsi, bundle.dphi)
+        q1 = _fd_qgt(psi_t, phi_t, dpsi_t, dphi_t)
+        scale = np.maximum(np.linalg.norm(q0, axis=(1, 2)), 1e-300)
+        worst = max(worst, float(np.max(np.max(np.abs(q1 - q0), axis=(1, 2)) / scale)))
     return CheckResult("gauge_invariance", worst, 1e-9)
 
 
@@ -210,9 +202,8 @@ def check_ob_identity(seed=42, trials=20) -> CheckResult:
     worst = 0.0
     for params, lam, k in _random_dk_cases(rng, trials):
         fam = dk_family(params, k)
-        bundle = geometry.param_derivatives(fam, lam)
-        ops = geometry.o_operators(fam, lam, bundle=bundle)
-        w = bundle.w
+        ops = geometry.o_operators(fam, lam)
+        w = geometry.param_derivatives(fam, lam).w
         for mu in range(2):
             o = ops.o_full[mu]
             ob_dec = -0.5j * (o - np.linalg.solve(w, o.conj().T @ w))

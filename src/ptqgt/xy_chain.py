@@ -49,7 +49,7 @@ _FD_STEP = 1e-6
 @dataclass(frozen=True)
 class XYParams:
     """Coupling constants: homogeneous/staggered isotropic (J, Js) and
-    anisotropic (Gamma, Gammas) strengths. All strictly positive."""
+    anisotropic (Gamma, Gammas) strengths. All finite and strictly positive."""
 
     J: float
     Js: float
@@ -57,8 +57,8 @@ class XYParams:
     Gammas: float
 
     def __post_init__(self):
-        if min(self.J, self.Js, self.Gamma, self.Gammas) <= 0:
-            raise ValueError("all coupling constants must be strictly positive")
+        if not all(0.0 < c < np.inf for c in (self.J, self.Js, self.Gamma, self.Gammas)):
+            raise ValueError("all coupling constants must be finite and strictly positive")
 
     @property
     def case(self) -> str:
@@ -308,12 +308,12 @@ def _intensity_fd(p: XYParams, f: FieldPoint, n_quad: int) -> np.ndarray:
     total = np.zeros((2, 2))
     lam = np.array([f.h, f.eta])
     for k, w in zip(ks, wts):
-        fam = dk_family(p, k)
-        bundle = geometry.param_derivatives(fam, lam, _FD_STEP)
+        bundle = geometry.param_derivatives(dk_family(p, k), lam, _FD_STEP)
         occ = occupied_levels(bundle.eig)
         for n in occ:
-            g = geometry.qgt(fam, lam, n, bundle=bundle).q.real
-            total += w * 2.0 * g
+            geometry._check_gap(bundle.eig, n)
+        q = geometry._fd_qgt(bundle.eig.right, bundle.eig.left, bundle.dpsi, bundle.dphi)
+        total += w * 2.0 * q[occ].real.sum(axis=0)
     return total / (4.0 * np.pi)
 
 

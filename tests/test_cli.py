@@ -157,6 +157,11 @@ def test_evolve_rejects_non_positive_steps(capsys, steps):
     ["berry", "pt_two_level", "--center", "0.15,nan"],
     ["berry", "pt_two_level", "--center", "0.15,0.85", "--radius", "nan"],
     ["evolve", "pt_two_level", "--center", "0.15,0.85", "--radius", "inf", "--steps", "10"],
+    ["critical", "--J", "nan"],
+    ["critical", "--J", "inf"],
+    ["critical", "--Gamma", "0"],
+    ["critical", "--Gammas", "-0.5"],
+    ["scan", "--Js", "nan", "--h-count", "2", "--eta-count", "2"],
 ])
 def test_out_of_range_arguments_exit_1(capsys, argv):
     try:
@@ -213,6 +218,8 @@ def test_scan_bad_config_exits_1(tmp_path, capsys):
     {"h_range": [0, 1, 3.5]},
     {"n_qaud": 129},  # misspelt keys would otherwise fall back to defaults
     {"wokers": 4},
+    {"params": {"J": float("nan"), "Js": 0.5, "Gamma": 0.25, "Gammas": 0.5}},
+    {"params": {"J": 1.0, "Js": 0.5, "Gamma": float("inf"), "Gammas": 0.5}},
 ])
 def test_scan_invalid_config_values_exit_1(tmp_path, capsys, change):
     cfg = {"params": {"J": 1.0, "Js": 0.5, "Gamma": 0.25, "Gammas": 0.5},

@@ -348,6 +348,10 @@ def test_adiabatic_phase_requires_closed_path():
                     duration=1.0, closed=False)
     with pytest.raises(ValueError):
         adiabatic_phase(fam, path, n=0, n_steps=10)
+    # declaring the same open path closed does not make it one
+    path = PathSpec(curve=path.curve, duration=1.0, closed=True)
+    with pytest.raises(ValueError, match="ends differ"):
+        adiabatic_phase(fam, path, n=0, n_steps=10)
 
 
 def test_flat_pt_loop_has_negligible_geometric_phase():

@@ -11,7 +11,6 @@ from ptqgt import (
     berry_phase_loop,
     biortho_eig,
     classify_interval,
-    connection_at,
     curvature_flux,
     dk_family,
     fidelity,
@@ -39,6 +38,15 @@ def sphere_point(theta, phi_az):
 def circle_loop(theta, n_verts):
     az = np.linspace(0.0, 2.0 * np.pi, n_verts + 1)
     return np.stack([sphere_point(theta, a) for a in az])
+
+
+def pt_loop(level, n_verts=16):
+    """Closed circle of radius 0.05 about (0.15, 0.85) in the unbroken
+    phase of pt_two_level."""
+    az = np.linspace(0.0, 2.0 * np.pi, n_verts + 1)
+    verts = np.array([0.15, 0.85]) + 0.05 * np.stack([np.cos(az), np.sin(az)], axis=1)
+    verts[-1] = verts[0]
+    return LoopSpec(vertices=verts, level=level)
 
 
 # ------------------------------------------------------------------- qgt
@@ -128,6 +136,61 @@ def test_qgt_evaluates_only_its_stencil(monkeypatch, name, lam):
     assert len(calls) == 2 * model.dim_param + 1
 
 
+@pytest.mark.parametrize("fam, lam", [
+    (dk_family(ANISO, 0.8), [0.4, 0.2]),
+    (dk_family(ANISO, 0.3), [1.7, -0.3]),
+    (pt_two_level_family(), [0.15, 0.85]),  # unbroken
+    (pt_two_level_family(), [0.2, 0.2]),  # broken
+])
+def test_qgt_exactly_hermitian_at_every_level(fam, lam):
+    for n in range(fam.dim_hilbert):
+        q = qgt(fam, lam, n=n).q
+        assert np.array_equal(q, q.conj().T)
+
+
+def test_fd_qgt_matches_the_per_level_formula():
+    fam = dk_family(ANISO, 0.8)
+    bundle = param_derivatives(fam, [0.4, 0.2])
+    psi, phi = bundle.eig.right, bundle.eig.left
+    q = geometry._fd_qgt(psi, phi, bundle.dpsi, bundle.dphi)
+    assert q.shape == (4, 2, 2)
+    for n in range(4):
+        dpsi, dphi = bundle.dpsi[:, :, n], bundle.dphi[:, :, n]
+        x = np.array([[np.vdot(dphi[mu], dpsi[nu])
+                       - np.vdot(dphi[mu], psi[:, n]) * np.vdot(phi[:, n], dpsi[nu])
+                       for nu in range(2)] for mu in range(2)])
+        ref = 0.5 * (x + x.conj().T)
+        assert np.max(np.abs(q[n] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam, lam, bundle: qgt(fam, lam, n=0, bundle=bundle),
+    lambda fam, lam, bundle: o_operators(fam, lam, bundle=bundle),
+])
+def test_no_bundle_keyword(call):
+    fam = dk_family(ANISO, 0.8)
+    lam = np.array([0.4, 0.2])
+    with pytest.raises(TypeError):
+        call(fam, lam, param_derivatives(fam, lam))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: qgt(pt_two_level_family(), [0.15, 0.85], n=2),
+    lambda: qgt(pt_two_level_family(), [0.15, 0.85], n=-1),
+    lambda: qgt(dk_family(ANISO, 0.8), [0.4, 0.2], n=5),
+    lambda: curvature_flux(pt_two_level_family(), [0.05, 0.8], [0.15, 0.9], resolution=4, n=3),
+    lambda: berry_phase_loop(pt_two_level_family(), pt_loop(level=4)),
+    lambda: berry_phase_loop(pt_two_level_family(), pt_loop(level=-2)),
+    lambda: fidelity(*[biortho_eig(pt_two_level_family()(lam))
+                       for lam in ([0.15, 0.85], [0.16, 0.85])], n=3),
+    lambda: fidelity(*[biortho_eig(pt_two_level_family()(lam))
+                       for lam in ([0.15, 0.85], [0.16, 0.85])], n=-1),
+])
+def test_level_index_out_of_range(call):
+    with pytest.raises(ValueError, match="level must lie in"):
+        call()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_default_step_on_a_stack_equals_per_point_calls(d):
     rng = np.random.default_rng(d)
@@ -183,34 +246,6 @@ def test_sos_qgt_matches_fd_qgt(fam, lam, n):
     scale = np.linalg.norm(q_sos)
     assert np.max(np.abs(q_sos.real - q_fd.real)) < 1e-6 * scale
     assert np.max(np.abs(q_sos.imag - q_fd.imag)) < 1e-6 * scale
-
-
-# ------------------------------------------------------------ connection
-
-
-def test_connection_vanishes_for_real_symmetric_family():
-    # restricted to the x-z plane the spin-1/2 matrix is real symmetric, so
-    # in the real-positive-leading-component gauge A = Im<Phi|dPsi> = 0
-    fam = HamiltonianFamily(
-        dim_hilbert=2,
-        dim_param=2,
-        evaluate=lambda lam: np.array(
-            [[lam[1], lam[0]], [lam[0], -lam[1]]], dtype=complex
-        ),
-    )
-    conn = connection_at(fam, np.array([0.3, 0.9]), n=0)
-    assert np.max(np.abs(conn.a)) < 1e-9
-
-
-def test_connection_gauge_dependence():
-    # the differencing gauge is anchored: <Phi(center)|Psi(center +- step)>
-    # is made real positive, so the connection is the parallel-transport
-    # one and vanishes at the anchor even when the curvature does not
-    fam = spin_half_family()
-    lam = sphere_point(1.0, 0.7)
-    conn = connection_at(fam, lam, n=0)
-    assert np.max(np.abs(conn.a)) < 1e-9
-    assert np.max(np.abs(qgt(fam, lam, n=0).q.imag)) > 0.1
 
 
 # ------------------------------------------------------------ berry loop
@@ -378,6 +413,12 @@ def test_curvature_flux_rejects_bad_plane(plane):
         curvature_flux(pt_two_level_family(), [0.05, 0.8], [0.15, 0.9], plane, resolution=4)
 
 
+@pytest.mark.parametrize("resolution", [0, -3])
+def test_curvature_flux_rejects_resolution_below_one(resolution):
+    with pytest.raises(ValueError, match="resolution must be at least 1"):
+        curvature_flux(pt_two_level_family(), [0.05, 0.8], [0.15, 0.9], resolution=resolution)
+
+
 # -------------------------------------------------------------- fidelity
 
 
@@ -418,8 +459,8 @@ def test_fidelity_quadratic_expansion():
 def test_o_operators_generate_derivatives():
     fam = dk_family(ANISO, 0.8)
     lam = np.array([0.4, 0.2])
-    bundle = param_derivatives(fam, lam)
-    ops = o_operators(fam, lam, bundle=bundle)
+    bundle = param_derivatives(fam, lam)  # the same bits o_operators differences
+    ops = o_operators(fam, lam)
     # i d_mu Psi_n = O_mu Psi_n by construction of the generator
     for mu in range(2):
         lhs = 1j * bundle.dpsi[mu]
@@ -430,9 +471,8 @@ def test_o_operators_generate_derivatives():
 def test_o_split_parts_w_hermitian():
     fam = dk_family(ANISO, 0.8)
     lam = np.array([0.4, 0.2])
-    bundle = param_derivatives(fam, lam)
-    ops = o_operators(fam, lam, bundle=bundle)
-    w = bundle.w
+    ops = o_operators(fam, lam)
+    w = param_derivatives(fam, lam).w
     for mu in range(2):
         for part in (ops.o_a[mu], ops.o_b[mu]):
             x = w @ part

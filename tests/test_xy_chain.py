@@ -14,6 +14,7 @@ from ptqgt import (
     dk_blocks,
     dk_family,
     dk_matrix,
+    geometry,
     metric_intensity,
     occupied_levels,
     unbroken_at,
@@ -30,6 +31,11 @@ PSEUDO_ISO = XYParams(J=1.0, Js=0.5, Gamma=0.25, Gammas=0.5)
 def test_params_validation_and_case():
     with pytest.raises(ValueError):
         XYParams(J=1.0, Js=0.0, Gamma=0.3, Gammas=0.1)
+    for bad_value in (np.nan, np.inf, -np.inf, -1.0):
+        for name in ("J", "Js", "Gamma", "Gammas"):
+            couplings = {"J": 1.0, "Js": 0.5, "Gamma": 0.3, "Gammas": 0.1, name: bad_value}
+            with pytest.raises(ValueError, match="finite and strictly positive"):
+                XYParams(**couplings)
     assert ANISO.case == "anisotropic"
     assert PSEUDO_ISO.case == "pseudo_isotropic"
     assert ANISO.eta_c == 1.0
@@ -249,6 +255,23 @@ def test_metric_intensity_methods_agree():
     g_pert = metric_intensity(ANISO, f, n_quad=33, method="perturbative")
     g_fd = metric_intensity(ANISO, f, n_quad=33, method="fd")
     assert np.max(np.abs(g_pert - g_fd)) < 1e-7 * np.max(np.abs(g_pert))
+
+
+def test_fd_intensity_makes_one_bundle_per_node(monkeypatch):
+    calls = []
+    param_derivatives = geometry.param_derivatives
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return param_derivatives(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the FD intensity must not call qgt per level")
+
+    monkeypatch.setattr(geometry, "param_derivatives", counted)
+    monkeypatch.setattr(geometry, "qgt", forbidden)
+    metric_intensity(ANISO, FieldPoint(h=0.4, eta=0.2), n_quad=24, method="fd")
+    assert len(calls) == 24
 
 
 def test_metric_intensity_fd_default_step_near_pt_line():
