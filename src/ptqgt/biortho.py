@@ -98,10 +98,9 @@ class HamiltonianFamily:
         return lam
 
     def _each(self, fn, lam) -> np.ndarray:
-        """``fn`` at the point or at each point of the stack ``lam``."""
+        """``fn`` at each point of the stack ``lam``, a point being a stack
+        of one; the result is always a fresh array."""
         lam = self._points(lam)
-        if lam.ndim == 1:
-            return np.asarray(fn(lam), dtype=complex)
         points = lam.reshape(-1, self.dim_param)
         out = np.empty((len(points), self.dim_hilbert, self.dim_hilbert), dtype=complex)
         for i, p in enumerate(points):

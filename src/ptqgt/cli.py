@@ -136,15 +136,12 @@ def _scan_config(args) -> ScanConfig:
         unknown = sorted(set(raw) - _CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys {unknown}")
-        params = XYParams(**raw.get("params", {}))
-        return ScanConfig(
-            params=params,
-            h_range=tuple(raw["h_range"]),
-            eta_range=tuple(raw["eta_range"]),
-            n_quad=int(raw.get("n_quad", 65)),
-            workers=int(raw.get("workers", 1)),
-            out_path=raw.get("out_path", args.out),
-        )
+        # n_quad and workers, when given, go to ScanConfig as they are,
+        # so its defaults and its integer checks are the only ones.
+        raw = dict(raw, params=XYParams(**raw.get("params", {})),
+                   h_range=tuple(raw["h_range"]), eta_range=tuple(raw["eta_range"]),
+                   out_path=raw.get("out_path", args.out))
+        return ScanConfig(**raw)
     return ScanConfig(
         params=_params_from(args),
         h_range=(args.h_min, args.h_max, args.h_count),

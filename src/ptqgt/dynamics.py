@@ -22,7 +22,7 @@ import numpy as np
 
 from .biortho import HamiltonianFamily, biortho_eig, build_W, gauge_fix
 from .errors import MetricSingular, NotAdiabatic, StepTooLarge
-from .geometry import LoopSpec, berry_phase_loop
+from .geometry import LoopSpec, _check_level, berry_phase_loop
 
 __all__ = [
     "PathSpec",
@@ -53,20 +53,22 @@ class PathSpec:
 
     def at(self, t) -> np.ndarray:
         """lambda at a time, or at each time of an array ``t`` as
-        ``t.shape + (d,)``; ``curve`` is only ever given one scalar time."""
-        if np.isscalar(t):
-            return np.asarray(self.curve(t), dtype=float)
+        ``t.shape + (d,)``, in a fresh array; ``curve`` is only ever given
+        one scalar time."""
         t = np.asarray(t, dtype=float)
         points = np.stack([np.asarray(self.curve(s), dtype=float) for s in t.ravel()])
         return points.reshape(t.shape + points.shape[1:])
 
     @classmethod
     def from_samples(cls, times, points, closed: bool = False) -> "PathSpec":
-        """Linear interpolation through dense (t, lambda) samples."""
+        """Linear interpolation through dense (t, lambda) samples; the
+        times must be strictly increasing."""
         times = np.asarray(times, dtype=float)
         points = np.asarray(points, dtype=float)
         if times.ndim != 1 or points.shape[0] != times.shape[0]:
             raise ValueError("times and points must have matching leading length")
+        if not np.all(np.diff(times) > 0):
+            raise ValueError("times must be strictly increasing")
 
         def curve(t, _times=times, _points=points):
             return np.array([np.interp(t, _times, column) for column in _points.T])
@@ -128,11 +130,11 @@ def evolve(
     """Integrate the metric-compatible evolution with fixed-step RK4.
 
     ``psi0`` must be normalized in the initial inner product,
-    <psi0|W(lambda_0)|psi0> = 1. When ``track_level`` is given, the
-    instantaneous overlap with that eigenstate is monitored (NotAdiabatic
-    below 0.99) and the total / dynamical / geometric phases are
-    extracted. Raises StepTooLarge when the W-norm drifts beyond
-    ``drift_tol``.
+    <psi0|W(lambda_0)|psi0> = 1. When ``track_level`` is given (a level
+    in 0..N-1, else ValueError), the instantaneous overlap with that
+    eigenstate is monitored (NotAdiabatic below 0.99) and the total /
+    dynamical / geometric phases are extracted. Raises StepTooLarge when
+    the W-norm drifts beyond ``drift_tol``.
 
     The path is walked in chunks of steps. For each chunk H is evaluated
     once at every time the chunk needs; K at every half-step and step end
@@ -146,6 +148,8 @@ def evolve(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
+    if track_level is not None:
+        _check_level(track_level, family.dim_hilbert)
     psi = np.asarray(psi0, dtype=complex).copy()
     dt = path.duration / n_steps
     dt_probe = dt / 10.0
@@ -271,11 +275,13 @@ def adiabatic_phase(
     Returns ``gamma_sim`` (phase left after removing the dynamical phase
     from the simulated evolution), ``gamma_line`` (discrete loop-product
     Berry phase, min(n_steps, 512) vertices) and ``beta`` (dynamical phase).
-    Raises ValueError unless the path is closed: declared so, with
-    ``at(0)`` and ``at(duration)`` within 1e-12 of each other.
+    Raises ValueError unless ``n`` names a level and the path is closed:
+    declared so, with ``at(0)`` and ``at(duration)`` within 1e-12 of each
+    other.
     """
     if not loop.closed:
         raise ValueError("adiabatic_phase needs a closed path")
+    _check_level(n, family.dim_hilbert)
     start, end = loop.at(0.0), loop.at(loop.duration)
     if not np.allclose(start, end, rtol=0.0, atol=1e-12):
         raise ValueError(f"path is declared closed but its ends differ: {start} vs {end}")

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import xy_chain
-from .errors import Degenerate, GaplessPoint, PtqgtError
-from .xy_chain import FieldPoint, XYParams
+from .errors import Degenerate, GaplessPoint
+from .xy_chain import XYParams
 
 __all__ = ["ScanConfig", "ScanRecord", "ScanResult", "run_scan", "write_csv"]
 
@@ -33,8 +33,9 @@ class ScanConfig:
 
     def __post_init__(self):
         (h_lo, h_hi, n_h), (eta_lo, eta_hi, n_eta) = self.h_range, self.eta_range
-        if not all(isinstance(n, (int, np.integer)) for n in (n_h, n_eta)):
-            raise ValueError("grid counts must be integers")
+        if not all(isinstance(n, (int, np.integer))
+                   for n in (n_h, n_eta, self.n_quad, self.workers)):
+            raise ValueError("grid counts, n_quad and workers must be integers")
         if n_h < 2 or n_eta < 2:
             raise ValueError("grid counts must be at least 2")
         if self.n_quad < 16:
@@ -76,49 +77,35 @@ class ScanResult:
         return out
 
 
-def _scan_point(p: XYParams, h: float, eta: float, n_quad: int) -> ScanRecord:
-    if abs(eta) >= p.eta_c:
-        return ScanRecord(h=h, eta=eta, unbroken=False,
-                          g11=None, g12=None, g22=None, status="broken")
+def _records(p: XYParams, hs: list[float], eta: float, n_quad: int) -> list[ScanRecord]:
+    """Records at the unbroken points ``(h, eta)``, ``h`` in ``hs``, from
+    one kernel call. When the kernel refuses (a defective block, or any
+    point gapless, crossing or complex at a node), each point is re-run
+    alone, so every record and status is that point's own."""
     try:
-        g = xy_chain.metric_intensity(p, FieldPoint(h=h, eta=eta), n_quad=n_quad)
+        g = xy_chain._intensity_perturbative(p, hs, [eta] * len(hs), n_quad)
     except (Degenerate, GaplessPoint):
+        if len(hs) > 1:
+            return [rec for h in hs for rec in _records(p, [h], eta, n_quad)]
         inf = float("inf")
-        return ScanRecord(h=h, eta=eta, unbroken=True,
-                          g11=inf, g12=inf, g22=inf, status="degenerate")
-    return _ok_record(h, eta, g)
-
-
-def _ok_record(h: float, eta: float, g: np.ndarray) -> ScanRecord:
-    return ScanRecord(
-        h=h, eta=eta, unbroken=True,
-        g11=float(g[0, 0]), g12=float(g[0, 1]), g22=float(g[1, 1]), status="ok",
-    )
+        return [ScanRecord(h=hs[0], eta=eta, unbroken=True,
+                           g11=inf, g12=inf, g22=inf, status="degenerate")]
+    return [ScanRecord(h=h, eta=eta, unbroken=True, g11=float(gi[0, 0]),
+                       g12=float(gi[0, 1]), g22=float(gi[1, 1]), status="ok")
+            for h, gi in zip(hs, g)]
 
 
 def _scan_row(args) -> list[ScanRecord]:
-    """One eta row of records, in h order.
-
-    An unbroken row goes through the intensity kernel ``_CHUNK`` points
-    at a time, one stacked eigensolve per chunk. A chunk the kernel
-    refuses (a defective block, or any point gapless, crossing or complex
-    at a node) is replayed point by point through ``metric_intensity``, so
-    every record and status is the one-point result. A broken row is all
-    ``broken`` records.
-    """
+    """One eta row of records, in h order: ``broken`` records beyond
+    eta_c, else ``_records`` of ``_CHUNK`` points at a time, one stacked
+    eigensolve per chunk."""
     p, hs, eta, n_quad = args
+    hs = [float(h) for h in hs]
     if abs(eta) >= p.eta_c:
-        return [_scan_point(p, float(h), eta, n_quad) for h in hs]
-    records: list[ScanRecord] = []
-    for lo in range(0, len(hs), _CHUNK):
-        chunk = [float(h) for h in hs[lo:lo + _CHUNK]]
-        try:
-            g = xy_chain._intensity_perturbative(p, chunk, [eta] * len(chunk), n_quad)
-        except PtqgtError:
-            records.extend(_scan_point(p, h, eta, n_quad) for h in chunk)
-        else:
-            records.extend(_ok_record(h, eta, gi) for h, gi in zip(chunk, g))
-    return records
+        return [ScanRecord(h=h, eta=eta, unbroken=False, g11=None, g12=None,
+                           g22=None, status="broken") for h in hs]
+    return [rec for lo in range(0, len(hs), _CHUNK)
+            for rec in _records(p, hs[lo:lo + _CHUNK], eta, n_quad)]
 
 
 def run_scan(config: ScanConfig) -> ScanResult:

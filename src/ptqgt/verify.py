@@ -39,21 +39,13 @@ class CheckResult:
         return self.residual <= self.tol
 
 
-def standard_qgt_oracle(family, lam, n=0, hermitian=True):
-    """Brute-force sum-over-states geometric tensor.
-
-    For Hermitian families this is the textbook
-    sum_m <n|dH|m><m|dH|n> / (E_n - E_m)^2 with orthonormal eigenvectors;
-    independent of the biorthogonal pipeline.
+def standard_qgt_oracle(family, lam, n=0):
+    """Brute-force sum-over-states geometric tensor of a Hermitian family:
+    the textbook sum_m <n|dH|m><m|dH|n> / (E_n - E_m)^2 with orthonormal
+    eigenvectors from ``eigh``; independent of the biorthogonal pipeline.
     """
     lam = np.asarray(lam, dtype=float)
-    h = family(lam)
-    if hermitian:
-        e, v = np.linalg.eigh(h)
-    else:
-        e, v = np.linalg.eig(h)
-        order = np.lexsort((e.imag, e.real))
-        e, v = e[order], v[:, order]
+    e, v = np.linalg.eigh(family(lam))
     d = family.dim_param
     dh = [family.deriv(lam, mu) for mu in range(d)]
     q = np.zeros((d, d), dtype=complex)

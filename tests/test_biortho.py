@@ -302,3 +302,17 @@ def test_family_rejects_points_of_wrong_length(shape):
         fam(np.zeros(shape))
     with pytest.raises(ValueError, match="points of length 2"):
         fam.deriv(np.zeros(shape), 0)
+
+
+def test_one_point_results_are_fresh_arrays():
+    # a point is a stack of one: writing into its result cannot reach a
+    # matrix the family keeps (spin_half's derivatives are its Paulis)
+    shared = np.eye(2, dtype=complex)
+    const = HamiltonianFamily(dim_hilbert=2, dim_param=1, evaluate=lambda lam: shared)
+    h = const([0.3])
+    h[...] = 7.0
+    assert np.array_equal(const([0.3]), np.eye(2))
+    fam = spin_half_family()
+    dh = fam.deriv([0.0, 0.0, 1.0], 0)
+    dh[...] = 7.0
+    assert np.array_equal(fam.deriv([0.0, 0.0, 1.0], 0), [[0, 1], [1, 0]])

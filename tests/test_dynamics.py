@@ -60,6 +60,20 @@ def test_pathspec_validation_and_sampling():
         PathSpec.from_samples(times, points[:-1])
 
 
+@pytest.mark.parametrize("times", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
+def test_pathspec_from_samples_refuses_unordered_times(times):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PathSpec.from_samples(times, np.zeros((3, 2)))
+
+
+def test_pathspec_at_returns_a_fresh_array():
+    shared = np.array([0.15, 0.85])
+    path = PathSpec(curve=lambda t: shared, duration=1.0)
+    point = path.at(0.5)
+    point[...] = 7.0
+    assert np.array_equal(path.at(0.5), [0.15, 0.85])
+
+
 def test_pathspec_at_array_matches_per_time():
     times = np.linspace(0.0, 2.0, 21)
     paths = [circle_path([0.15, 0.85], 0.05, 2.0),
@@ -337,6 +351,17 @@ def test_evolve_rejects_non_positive_n_steps(n_steps):
     path = circle_path([0.3, 1.0], 0.05, 1.0)
     with pytest.raises(ValueError, match="n_steps must be positive"):
         evolve(fam, path, [1.0, 0.0], n_steps=n_steps)
+
+
+@pytest.mark.parametrize("level", [5, -1])
+def test_transport_refuses_a_level_out_of_range(level):
+    fam = pt_two_level_family()
+    path = circle_path([0.15, 0.85], 0.05, 1.0)
+    with pytest.raises(ValueError, match=r"level must lie in 0\.\.1"):
+        adiabatic_phase(fam, path, n=level, n_steps=20)
+    psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
+    with pytest.raises(ValueError, match=r"level must lie in 0\.\.1"):
+        evolve(fam, path, psi0, n_steps=20, track_level=level)
 
 
 # ----------------------------------------------------- adiabatic phase

@@ -37,6 +37,10 @@ def test_config_validation():
         small_config(eta_range=(0.0, np.inf, 3))
     with pytest.raises(ValueError, match="must be integers"):
         small_config(h_range=(0.0, 1.0, 3.5))
+    with pytest.raises(ValueError, match="must be integers"):
+        small_config(n_quad=20.5)
+    with pytest.raises(ValueError, match="must be integers"):
+        small_config(workers=1.0)
     cfg = small_config()
     assert np.allclose(cfg.h_values(), [0.2, 0.5, 0.8])
     assert np.allclose(cfg.eta_values(), [-0.4, 0.0, 0.4])
@@ -109,7 +113,11 @@ def test_refused_point_leaves_its_chunk_neighbours_ok(monkeypatch):
             raise DefectiveMatrix("forced for the test")
         return real(blocks)
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the scan re-runs points through its own kernel call")
+
     monkeypatch.setattr(scan_mod.xy_chain, "biortho_eig", picky)
+    monkeypatch.setattr(scan_mod.xy_chain, "metric_intensity", forbidden)
     result = run_scan(cfg)
     assert len(result.records) == 22
     for rec in result.records:
