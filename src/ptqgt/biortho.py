@@ -49,7 +49,8 @@ class HamiltonianFamily:
     """A smooth map from a real d-dimensional parameter point to an NxN matrix.
 
     Calling the family, and ``deriv``, takes a point ``(d,)`` or a stack
-    ``(..., d)`` of them; ``evaluate`` and ``derivative`` see one point.
+    ``(..., d)`` of them and returns ``(N, N)`` or ``(..., N, N)``, always
+    a fresh complex array.
 
     Parameters
     ----------
@@ -63,12 +64,20 @@ class HamiltonianFamily:
         ``derivative(lam, mu) -> (N, N) complex ndarray`` giving the
         analytic partial derivative along direction ``mu``. When absent,
         ``deriv`` falls back to central differences of ``evaluate``.
+    batched : bool
+        When False (the default), ``evaluate`` and ``derivative`` see one
+        point and are called once per point of a stack. When True, they
+        are called once per stack with all its P points as a ``(P, d)``
+        array and return ``(P, N, N)``, or ``(N, N)`` for a matrix that
+        is the same at every point. A result of any other shape raises
+        ValueError.
     """
 
     dim_hilbert: int
     dim_param: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     derivative: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
+    batched: bool = False
 
     def __post_init__(self):
         if self.dim_hilbert < 1 or self.dim_param < 1:
@@ -99,13 +108,25 @@ class HamiltonianFamily:
 
     def _each(self, fn, lam) -> np.ndarray:
         """``fn`` at each point of the stack ``lam``, a point being a stack
-        of one; the result is always a fresh array."""
+        of one: one call on the whole stack when the family is batched,
+        else one call per point. The result is always a fresh array."""
         lam = self._points(lam)
         points = lam.reshape(-1, self.dim_param)
-        out = np.empty((len(points), self.dim_hilbert, self.dim_hilbert), dtype=complex)
-        for i, p in enumerate(points):
-            out[i] = fn(p)
-        return out.reshape(lam.shape[:-1] + out.shape[1:])
+        mat = (self.dim_hilbert, self.dim_hilbert)
+        shape = (len(points),) + mat
+        if not self.batched:
+            # One array from all the results: its shape is (P, N, N) only
+            # if every result is (N, N); nothing is broadcast.
+            out = np.array([fn(p) for p in points] or np.empty(shape), dtype=complex)
+            if out.shape != shape:
+                raise ValueError(f"expected a result of shape {mat} at each point, "
+                                 f"got a stack of {out.shape}")
+        else:
+            out = np.asarray(fn(points))
+            if out.shape not in (shape, mat):
+                raise ValueError(f"expected a result of shape {shape} or {mat}, got {out.shape}")
+            out = np.array(np.broadcast_to(out, shape), dtype=complex)
+        return out.reshape(lam.shape[:-1] + mat)
 
 
 @dataclass(frozen=True)

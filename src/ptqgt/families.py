@@ -26,13 +26,14 @@ def spin_half_family() -> HamiltonianFamily:
     paulis = (_SX, _SY, _SZ)
 
     def evaluate(lam):
-        return lam[0] * _SX + lam[1] * _SY + lam[2] * _SZ
+        lam = lam[:, :, None, None]
+        return lam[:, 0] * _SX + lam[:, 1] * _SY + lam[:, 2] * _SZ
 
     def derivative(lam, mu):
         return paulis[mu]
 
-    return HamiltonianFamily(dim_hilbert=2, dim_param=3,
-                             evaluate=evaluate, derivative=derivative)
+    return HamiltonianFamily(dim_hilbert=2, dim_param=3, evaluate=evaluate,
+                             derivative=derivative, batched=True)
 
 
 def pt_two_level_family(b: float = 0.3) -> HamiltonianFamily:
@@ -46,16 +47,21 @@ def pt_two_level_family(b: float = 0.3) -> HamiltonianFamily:
     """
 
     def evaluate(lam):
-        a, s = lam
-        return np.array([[1j * b, s + a], [s - a, -1j * b]], dtype=complex)
+        a, s = lam[:, 0], lam[:, 1]
+        out = np.empty((len(lam), 2, 2), dtype=complex)
+        out[:, 0, 0] = 1j * b
+        out[:, 0, 1] = s + a
+        out[:, 1, 0] = s - a
+        out[:, 1, 1] = -1j * b
+        return out
 
     def derivative(lam, mu):
         if mu == 0:
             return np.array([[0, 1], [-1, 0]], dtype=complex)
         return np.array([[0, 1], [1, 0]], dtype=complex)
 
-    return HamiltonianFamily(dim_hilbert=2, dim_param=2,
-                             evaluate=evaluate, derivative=derivative)
+    return HamiltonianFamily(dim_hilbert=2, dim_param=2, evaluate=evaluate,
+                             derivative=derivative, batched=True)
 
 
 def bundled_model_path(name: str):

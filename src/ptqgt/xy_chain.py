@@ -162,13 +162,14 @@ def dk_family(p: XYParams, k: float) -> HamiltonianFamily:
     """D_k as a family over lambda = (h, eta), with analytic derivatives."""
 
     def evaluate(lam):
-        return dk_blocks(p, lam[:1], lam[1:], [k])[0, 0]
+        return dk_blocks(p, lam[:, 0], lam[:, 1], [k])[:, 0]
 
     def derivative(lam, mu):
         return _DH if mu == 0 else _DETA
 
     return HamiltonianFamily(
-        dim_hilbert=4, dim_param=2, evaluate=evaluate, derivative=derivative
+        dim_hilbert=4, dim_param=2, evaluate=evaluate, derivative=derivative,
+        batched=True,
     )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from ptqgt import (
     biortho_eig,
     build_W,
     dispersion,
+    dk_family,
     dk_matrix,
     gauge_fix,
     gauge_transform,
@@ -262,8 +265,7 @@ def test_family_derivative_matches_finite_difference():
 
 
 def _no_derivative(fam):
-    return HamiltonianFamily(dim_hilbert=fam.dim_hilbert, dim_param=fam.dim_param,
-                             evaluate=fam.evaluate)
+    return dataclasses.replace(fam, derivative=None)
 
 
 @pytest.mark.parametrize("make", [
@@ -316,3 +318,95 @@ def test_one_point_results_are_fresh_arrays():
     dh = fam.deriv([0.0, 0.0, 1.0], 0)
     dh[...] = 7.0
     assert np.array_equal(fam.deriv([0.0, 0.0, 1.0], 0), [[0, 1], [1, 0]])
+
+
+# The bundled families as they were written per point, before they became
+# batched: the batched forms must give the same bits.
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def _spin_half_reference(lam, mu=None):
+    if mu is not None:
+        return (_SX, _SY, _SZ)[mu]
+    return lam[0] * _SX + lam[1] * _SY + lam[2] * _SZ
+
+
+def _pt_two_level_reference(lam, mu=None, b=0.3):
+    if mu == 0:
+        return np.array([[0, 1], [-1, 0]], dtype=complex)
+    if mu == 1:
+        return np.array([[0, 1], [1, 0]], dtype=complex)
+    a, s = lam
+    return np.array([[1j * b, s + a], [s - a, -1j * b]], dtype=complex)
+
+
+def _dk_reference(lam, mu=None, k=0.7):
+    if mu == 0:
+        return np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
+    if mu == 1:
+        return np.array([[0, 0, 0, -1j], [0, 0, 1j, 0], [0, 1j, 0, 0], [-1j, 0, 0, 0]],
+                        dtype=complex)
+    return dk_matrix(ANISO, FieldPoint(h=lam[0], eta=lam[1]), k)
+
+
+@pytest.mark.parametrize("fam, reference", [
+    (spin_half_family(), _spin_half_reference),
+    (pt_two_level_family(), _pt_two_level_reference),
+    (dk_family(ANISO, 0.7), _dk_reference),
+])
+def test_batched_families_match_per_point_reference(fam, reference):
+    assert fam.batched
+    rng = np.random.default_rng(11)
+    lams = rng.uniform(-1.5, 1.5, size=(3, 4, fam.dim_param))
+    expected = np.array([[reference(p) for p in row] for row in lams])
+    assert np.array_equal(fam(lams), expected)
+    assert np.array_equal(fam(lams[1, 2]), reference(lams[1, 2]))
+    for mu in range(fam.dim_param):
+        expected = np.array([[reference(p, mu) for p in row] for row in lams])
+        assert np.array_equal(fam.deriv(lams, mu), expected)
+        assert np.array_equal(fam.deriv(lams[2, 3], mu), reference(lams[2, 3], mu))
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_family_refuses_results_of_the_wrong_shape(batched):
+    def scalar(lam):
+        return 1.0
+
+    def row(lam):
+        return np.ones(lam.shape[:-1] + (2,))  # (N,) per point, (P, N) per stack
+
+    def three(lam):
+        return np.ones(lam.shape[:-1] + (3, 3))
+
+    for evaluate in (scalar, row, three):
+        fam = HamiltonianFamily(2, 1, evaluate=evaluate, derivative=lambda lam, mu: evaluate(lam),
+                                batched=batched)
+        with pytest.raises(ValueError, match="expected a result of shape"):
+            fam([0.3])
+        with pytest.raises(ValueError, match="expected a result of shape"):
+            fam(np.full((5, 1), 0.3))
+        with pytest.raises(ValueError, match="expected a result of shape"):
+            fam.deriv(np.full((5, 1), 0.3), 0)
+
+
+def test_family_refuses_a_mix_of_result_shapes():
+    fam = HamiltonianFamily(2, 1, evaluate=lambda lam: np.eye(2) if lam[0] > 0 else 1.0)
+    with pytest.raises(ValueError):
+        fam(np.array([[0.3], [-0.3]]))
+
+
+def test_batched_family_broadcasts_a_constant_matrix():
+    shared = np.eye(2, dtype=complex)
+    const = HamiltonianFamily(2, 1, evaluate=lambda lam: shared, batched=True)
+    h = const(np.full((3, 1), 0.3))
+    assert h.shape == (3, 2, 2)
+    assert np.array_equal(h, np.broadcast_to(shared, (3, 2, 2)))
+    h[...] = 7.0  # a fresh array: the family's own matrix is untouched
+    assert np.array_equal(shared, np.eye(2))
+    one = const([0.3])
+    one[...] = 7.0
+    assert np.array_equal(const([0.3]), np.eye(2))
+    real = HamiltonianFamily(2, 1, evaluate=lambda lam: np.ones((len(lam), 2, 2)), batched=True)
+    assert real([0.3]).dtype == complex

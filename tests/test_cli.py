@@ -222,6 +222,9 @@ def test_scan_bad_config_exits_1(tmp_path, capsys):
     {"params": {"J": 1.0, "Js": 0.5, "Gamma": float("inf"), "Gammas": 0.5}},
     {"n_quad": 16.9},  # not rounded down to 16
     {"workers": "1"},  # not converted to 1
+    {"workers": True},  # not taken as 1
+    {"workers": 0},
+    {"workers": -4},  # not run serially
 ])
 def test_scan_invalid_config_values_exit_1(tmp_path, capsys, change):
     cfg = {"params": {"J": 1.0, "Js": 0.5, "Gamma": 0.25, "Gammas": 0.5},

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -397,3 +398,25 @@ def test_adiabatic_phase_matches_loop_product():
     assert np.max(np.abs(res.w_norms - res.w_norms[0])) < 1e-8
     # total = dynamical + geometric split identity
     assert abs(res.total_phase - res.dynamical_phase - res.geometric_phase) < 1e-12
+
+
+def test_adiabatic_phase_evaluates_a_batched_family_once_per_stack():
+    calls = []
+    fam = pt_two_level_family()
+
+    def evaluate(points):
+        calls.append(len(points))
+        return fam.evaluate(points)
+
+    counted = dataclasses.replace(fam, evaluate=evaluate)
+    path = circle_path([0.15, 0.85], 0.05, 8.0)
+    out = adiabatic_phase(counted, path, n=0, n_steps=256)
+    ref = adiabatic_phase(fam, path, n=0, n_steps=256)
+    assert np.array_equal(out["result"].states, ref["result"].states)
+    assert (out["gamma_sim"], out["gamma_line"]) == (ref["gamma_sim"], ref["gamma_line"])
+    # Per chunk: generator times, their K probes and the record times; then
+    # the start point twice, its K probes and the loop vertices. Called
+    # per point, the same transport makes one call per point, ~7 per step.
+    chunks = math.ceil(256 / dynamics._CHUNK)
+    assert len(calls) <= 3 * chunks + 4
+    assert sum(calls) > 7 * 256

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -521,3 +523,21 @@ def test_classify_interval():
     assert kind == "lightlike"
     ds2, kind = classify_interval(g, [1.0, 1.1])
     assert kind == "timelike"
+
+
+def test_curvature_flux_calls_a_batched_family_once_per_row():
+    calls = []
+    fam = pt_two_level_family()
+
+    def evaluate(points):
+        calls.append(("evaluate", len(points)))
+        return fam.evaluate(points)
+
+    def derivative(points, mu):
+        calls.append(("derivative", len(points)))
+        return fam.derivative(points, mu)
+
+    counted = dataclasses.replace(fam, evaluate=evaluate, derivative=derivative)
+    flux = curvature_flux(counted, [0.05, 0.8], [0.15, 0.9], resolution=6)
+    assert flux == curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=6)
+    assert calls == [("evaluate", 6), ("derivative", 6), ("derivative", 6)] * 6

@@ -41,6 +41,11 @@ def test_config_validation():
         small_config(n_quad=20.5)
     with pytest.raises(ValueError, match="must be integers"):
         small_config(workers=1.0)
+    with pytest.raises(ValueError, match="must be integers"):
+        small_config(workers=True)  # a bool is not a worker count
+    for workers in (0, -4):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            small_config(workers=workers)
     cfg = small_config()
     assert np.allclose(cfg.h_values(), [0.2, 0.5, 0.8])
     assert np.allclose(cfg.eta_values(), [-0.4, 0.0, 0.4])
