@@ -11,7 +11,9 @@ largest-magnitude component real positive; the left vectors are the dual
 basis ``left = inv(VR)^dag`` of the right-vector matrix VR, so that
 <Phi_m|Psi_n> = delta_mn by construction. Eigenvalues are sorted by
 (Re E, Im E) ascending. ``biortho_eig`` and ``build_W`` accept a single
-matrix or a stack ``(..., N, N)`` and decompose a stack in one call.
+matrix or a stack ``(..., N, N)`` and decompose a stack in one call. A
+real stack is decomposed in real arithmetic: its eigensystem is real when
+every eigenvalue of the stack is real, and complex otherwise.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AmbiguousMatching,
@@ -68,9 +69,9 @@ class HamiltonianFamily:
         When False (the default), ``evaluate`` and ``derivative`` see one
         point and are called once per point of a stack. When True, they
         are called once per stack with all its P points as a ``(P, d)``
-        array and return ``(P, N, N)``, or ``(N, N)`` for a matrix that
-        is the same at every point. A result of any other shape raises
-        ValueError.
+        array and return ``(P, N, N)``; a matrix that is the same at
+        every point is returned as ``np.broadcast_to(M, (P, N, N))``. A
+        result of any other shape raises ValueError.
     """
 
     dim_hilbert: int
@@ -114,18 +115,15 @@ class HamiltonianFamily:
         points = lam.reshape(-1, self.dim_param)
         mat = (self.dim_hilbert, self.dim_hilbert)
         shape = (len(points),) + mat
-        if not self.batched:
+        if self.batched:
+            out = np.array(fn(points), dtype=complex)
+        else:
             # One array from all the results: its shape is (P, N, N) only
             # if every result is (N, N); nothing is broadcast.
             out = np.array([fn(p) for p in points] or np.empty(shape), dtype=complex)
-            if out.shape != shape:
-                raise ValueError(f"expected a result of shape {mat} at each point, "
-                                 f"got a stack of {out.shape}")
-        else:
-            out = np.asarray(fn(points))
-            if out.shape not in (shape, mat):
-                raise ValueError(f"expected a result of shape {shape} or {mat}, got {out.shape}")
-            out = np.array(np.broadcast_to(out, shape), dtype=complex)
+        if out.shape != shape:
+            raise ValueError(f"expected a result of shape {mat} at each point, "
+                             f"a stack of {shape}, got {out.shape}")
         return out.reshape(lam.shape[:-1] + mat)
 
 
@@ -136,7 +134,9 @@ class BiorthoEigensystem:
     ``right[..., :, n]`` is Psi_n with H Psi_n = E_n Psi_n; ``left[..., :, n]``
     is Phi_n with H^dag Phi_n = E_n^* Phi_n and <Phi_m|Psi_n> = delta_mn.
     For a stack of matrices the leading axes index the stack, ``unbroken``
-    is a boolean array over them, and ``eig[i]`` picks one element.
+    is a boolean array over them, and ``eig[i]`` picks one element. The
+    arrays are complex, or real when ``biortho_eig`` decomposed a real
+    stack whose eigenvalues are all real.
     """
 
     energies: np.ndarray
@@ -182,6 +182,9 @@ def biortho_eig(h) -> BiorthoEigensystem:
     Parameters
     ----------
     h : array_like, shape (..., N, N)
+        Complex, or real (integer input included). A real stack is cast
+        to float and solved by a real ``eig``; as in numpy, the results
+        are real arrays when every eigenvalue of the stack is real.
 
     Raises
     ------
@@ -191,7 +194,8 @@ def biortho_eig(h) -> BiorthoEigensystem:
         When nearly-equal eigenvalues come with a singular eigenvector
         overlap (an exceptional point), or a left vector blows up.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
+    h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     if not np.isfinite(h).all():
@@ -218,7 +222,7 @@ def biortho_eig(h) -> BiorthoEigensystem:
         for group in np.split(np.arange(n), np.flatnonzero(~close[i]) + 1):
             if len(group) < 2:
                 continue
-            s = scipy.linalg.svdvals(vr[i][:, group])
+            s = np.linalg.svd(vr[i][:, group], compute_uv=False)
             if s[-1] <= 1e-8 * s[0]:
                 raise DefectiveMatrix(
                     f"eigenvalues near {w[i, group[0]]:.6g} have coalescing eigenvectors"

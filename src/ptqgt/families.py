@@ -19,6 +19,7 @@ __all__ = [
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+_PT_DERIVS = (np.array([[0, 1], [-1, 0]], dtype=complex), _SX)  # d/da, d/ds
 
 
 def spin_half_family() -> HamiltonianFamily:
@@ -30,7 +31,7 @@ def spin_half_family() -> HamiltonianFamily:
         return lam[:, 0] * _SX + lam[:, 1] * _SY + lam[:, 2] * _SZ
 
     def derivative(lam, mu):
-        return paulis[mu]
+        return np.broadcast_to(paulis[mu], (len(lam), 2, 2))
 
     return HamiltonianFamily(dim_hilbert=2, dim_param=3, evaluate=evaluate,
                              derivative=derivative, batched=True)
@@ -56,9 +57,7 @@ def pt_two_level_family(b: float = 0.3) -> HamiltonianFamily:
         return out
 
     def derivative(lam, mu):
-        if mu == 0:
-            return np.array([[0, 1], [-1, 0]], dtype=complex)
-        return np.array([[0, 1], [1, 0]], dtype=complex)
+        return np.broadcast_to(_PT_DERIVS[mu], (len(lam), 2, 2))
 
     return HamiltonianFamily(dim_hilbert=2, dim_param=2, evaluate=evaluate,
                              derivative=derivative, batched=True)

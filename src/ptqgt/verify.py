@@ -3,9 +3,10 @@
 Every check exercises one of the structural identities the package is
 built on (Hermiticity of Q, gauge invariance, perturbative vs
 finite-difference metric and Q, variance form, generator decomposition,
-fidelity expansion, Hermitian-limit reduction, Stokes consistency,
-adiabatic convergence) and reports a residual against a pinned
-tolerance. Tests and the ``ptqgt verify`` command both run these.
+fidelity expansion, Hermitian-limit reduction, the real basis of the
+intensity kernel, Stokes consistency, adiabatic convergence) and reports
+a residual against a pinned tolerance. Tests and the ``ptqgt verify``
+command both run these.
 """
 
 from __future__ import annotations
@@ -289,6 +290,25 @@ def check_w_identity(seed=42, trials=20) -> CheckResult:
     return CheckResult("metric_intertwining", worst, 1e-9)
 
 
+def check_real_basis_intensity(seed=42, trials=20) -> CheckResult:
+    """The intensity kernel, which solves U^dag D_k U in real arithmetic,
+    against the same sum over states on the complex blocks D_k with the
+    paper's dH, at the same quadrature nodes."""
+    rng = np.random.default_rng(seed + 9)
+    ks, wts = xy_chain._gl_nodes(65)
+    dh = np.stack([xy_chain._DH, xy_chain._DETA])
+    worst = 0.0
+    for params in (ANISO, PSEUDO_ISO):
+        h, eta = np.array(_random_unbroken_points(rng, params, trials // 2)).T
+        g = xy_chain._intensity_perturbative(params, h, eta, 65)
+        eig = biortho_eig(xy_chain.dk_blocks(params, h, eta, ks))
+        q = geometry._sos_qgt(eig, dh, eig.energies.real < 0).real
+        g_ref = np.einsum("k,pkab->pab", 2.0 * wts, q) / (4.0 * np.pi)
+        scale = np.max(np.abs(g_ref), axis=(1, 2))
+        worst = max(worst, float(np.max(np.max(np.abs(g - g_ref), axis=(1, 2)) / scale)))
+    return CheckResult("real_basis_intensity", worst, 1e-12)
+
+
 def check_stokes(resolution=64) -> CheckResult:
     """Boundary Berry phase + enclosed curvature flux vanish, and the
     residual drops ~4x when the grid is refined 2x."""
@@ -350,6 +370,7 @@ FAST_CHECKS = (
     check_fidelity_expansion,
     check_hermitian_reduction,
     check_w_identity,
+    check_real_basis_intensity,
 )
 
 _FULL_ONLY_CHECKS = (check_stokes, check_adiabatic)

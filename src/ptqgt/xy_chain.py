@@ -157,6 +157,24 @@ _DETA = np.array(
     dtype=complex,
 )
 
+# U = diag(1, i, 1, i) makes D_k real: U^dag D_k U multiplies entry (i, j)
+# by _ROTATE[i, j] = conj(u_i) u_j, which is 1 or +-i, so the change is
+# exact. _DERIVS_U holds U^dag _DH U and U^dag _DETA U.
+_U = np.array([1, 1j, 1, 1j])
+_ROTATE = np.outer(_U.conj(), _U)
+_DERIVS_U = np.array(
+    [
+        np.diag([1.0, -1.0, -1.0, 1.0]),
+        [
+            [0, 0, 0, 1],
+            [0, 0, 1, 0],
+            [0, -1, 0, 0],
+            [-1, 0, 0, 0],
+        ],
+    ],
+    dtype=float,
+)
+
 
 def dk_family(p: XYParams, k: float) -> HamiltonianFamily:
     """D_k as a family over lambda = (h, eta), with analytic derivatives."""
@@ -165,7 +183,7 @@ def dk_family(p: XYParams, k: float) -> HamiltonianFamily:
         return dk_blocks(p, lam[:, 0], lam[:, 1], [k])[:, 0]
 
     def derivative(lam, mu):
-        return _DH if mu == 0 else _DETA
+        return np.broadcast_to(_DH if mu == 0 else _DETA, (len(lam), 4, 4))
 
     return HamiltonianFamily(
         dim_hilbert=4, dim_param=2, evaluate=evaluate, derivative=derivative,
@@ -268,14 +286,16 @@ def _gl_nodes(n_quad: int):
 
 def _intensity_perturbative(p: XYParams, h, eta, n_quad: int) -> np.ndarray:
     """Sum-over-states route at the P field points ``(h[i], eta[i])``,
-    shape (P, 2, 2); one stacked eigensolve over every point and node.
+    shape (P, 2, 2); one stacked eigensolve over every point and node,
+    in the basis U where the blocks and their derivatives are real. The
+    sum over states is invariant under that change of basis.
 
     A point is refused at its first offending node, the first such point
     in point order, as the one-point call at that point would refuse it.
     """
     ks, wts = _gl_nodes(n_quad)
     try:
-        eig = biortho_eig(dk_blocks(p, h, eta, ks))
+        eig = biortho_eig((dk_blocks(p, h, eta, ks) * _ROTATE).real)
     except DefectiveMatrix as exc:
         raise Degenerate(f"defective block at a quadrature node: {exc}") from exc
 
@@ -297,7 +317,7 @@ def _intensity_perturbative(p: XYParams, h, eta, n_quad: int) -> np.ndarray:
             raise GaplessPoint(f"gap closes at quadrature node k = {k:.6f}")
         raise Degenerate(f"level crossing at quadrature node k = {k:.6f}")
 
-    g = geometry._sos_qgt(eig, np.stack([_DH, _DETA]), occupied).real
+    g = geometry._sos_qgt(eig, _DERIVS_U, occupied).real
     # factor 2: the intensity integrand is twice the per-mode metric in
     # the 1/2-prefactor convention. One reduction per point keeps each
     # point's sum in the order of the one-point call.

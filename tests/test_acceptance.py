@@ -4,7 +4,9 @@ The lines print straight to the terminal (outside pytest capture) so the
 verdicts are visible in a normal ``pytest -v`` run.
 """
 
+import gzip
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from ptqgt.verify import FAST_CHECKS
 
 ANISO = XYParams(J=1.0, Js=0.5, Gamma=1.0 / 3.0, Gammas=1.0 / 6.0)
 PSEUDO_ISO = XYParams(J=1.0, Js=0.5, Gamma=0.25, Gammas=0.5)
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def _announce(capsys, line):
@@ -306,3 +309,22 @@ def test_criterion_7_determinism(capsys, aniso_scan, tmp_path):
         "workers=1 and workers=8 scans produce byte-identical CSV",
     )
     assert ok
+
+
+# ------------------------------------------------- recorded acceptance grids
+
+
+def test_acceptance_grids_match_the_recorded_reference(aniso_scan, pseudo_scan):
+    # A guard on eigensolver changes: both grids within 1e-12 relative of
+    # the CSVs the benchmark recorded, with the same status at every point.
+    for name, (result, _) in (("aniso", aniso_scan), ("pseudo_iso", pseudo_scan)):
+        with gzip.open(REFERENCE_DIR / f"xy_scan_seed0_{name}.csv.gz", "rt",
+                       encoding="utf-8") as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert len(rows) == len(result.records) == 41 * 41
+        for rec, row in zip(result.records, rows):
+            assert (rec.h, rec.eta, rec.status) == (float(row[0]), float(row[1]), row[6])
+            if rec.status == "ok":
+                g = np.array([rec.g11, rec.g12, rec.g22])
+                ref = np.array([float(v) for v in row[3:6]])
+                assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), (name, row)

@@ -161,6 +161,40 @@ def test_sorted_by_real_then_imag():
     assert not eig.unbroken
 
 
+def test_real_stack_is_decomposed_in_real_arithmetic():
+    rng = np.random.default_rng(12)
+    s = rng.normal(size=(6, 4, 4)) + 3.0 * np.eye(4)
+    h = (s * rng.normal(size=(6, 1, 4))) @ np.linalg.inv(s)  # real spectra
+    real = biortho_eig(h)
+    for a in (real.energies, real.right, real.left):
+        assert a.dtype == np.float64
+    assert real.unbroken.all()
+    ref = biortho_eig(h.astype(complex))
+    scale = np.abs(ref.energies).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(real.energies - ref.energies) <= 1e-14 * scale)
+    assert np.max(np.abs(real.overlap_matrix() - np.eye(4))) <= 1e-12
+
+
+def test_real_matrix_with_complex_spectrum():
+    eig = biortho_eig(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert eig.energies.dtype == complex
+    assert eig.energies.tolist() == [-1j, 1j]  # sorted by (Re E, Im E)
+    assert np.max(np.abs(eig.overlap_matrix() - np.eye(2))) <= 1e-15
+    assert not eig.unbroken
+
+
+def test_real_jordan_block_defective():
+    with pytest.raises(DefectiveMatrix):
+        biortho_eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_integer_matrix_accepted():
+    eig = biortho_eig([[2, 1], [1, 2]])
+    assert eig.energies.dtype == np.float64
+    assert np.allclose(eig.energies, [1.0, 3.0], rtol=0.0, atol=1e-15)
+    assert eig.unbroken
+
+
 def test_degenerate_but_diagonalizable_ok():
     # identity has a fully degenerate spectrum yet a complete eigenbasis
     eig = biortho_eig(np.eye(3, dtype=complex))
@@ -399,7 +433,8 @@ def test_family_refuses_a_mix_of_result_shapes():
 
 def test_batched_family_broadcasts_a_constant_matrix():
     shared = np.eye(2, dtype=complex)
-    const = HamiltonianFamily(2, 1, evaluate=lambda lam: shared, batched=True)
+    const = HamiltonianFamily(2, 1, evaluate=lambda lam: np.broadcast_to(shared, (len(lam), 2, 2)),
+                              batched=True)
     h = const(np.full((3, 1), 0.3))
     assert h.shape == (3, 2, 2)
     assert np.array_equal(h, np.broadcast_to(shared, (3, 2, 2)))
@@ -410,3 +445,15 @@ def test_batched_family_broadcasts_a_constant_matrix():
     assert np.array_equal(const([0.3]), np.eye(2))
     real = HamiltonianFamily(2, 1, evaluate=lambda lam: np.ones((len(lam), 2, 2)), batched=True)
     assert real([0.3]).dtype == complex
+
+
+@pytest.mark.parametrize("points", [2, 3])
+def test_batched_family_refuses_a_row_per_point_whatever_the_stack_size(points):
+    # (P, N) is not (N, N) even at P = N: a batched result is always (P, N, N)
+    row = HamiltonianFamily(2, 1, evaluate=lambda lam: np.ones(lam.shape[:-1] + (2,)),
+                            batched=True)
+    with pytest.raises(ValueError, match="expected a result of shape"):
+        row(np.full((points, 1), 0.3))
+    const = HamiltonianFamily(2, 1, evaluate=lambda lam: np.eye(2), batched=True)
+    with pytest.raises(ValueError, match="expected a result of shape"):
+        const(np.full((points, 1), 0.3))

@@ -19,7 +19,14 @@ from ptqgt import (
     occupied_levels,
     unbroken_at,
 )
-from ptqgt.xy_chain import _gl_nodes, _intensity_perturbative
+from ptqgt.xy_chain import (
+    _DERIVS_U,
+    _DETA,
+    _DH,
+    _ROTATE,
+    _gl_nodes,
+    _intensity_perturbative,
+)
 
 ANISO = XYParams(J=1.0, Js=0.5, Gamma=1.0 / 3.0, Gammas=1.0 / 6.0)
 PSEUDO_ISO = XYParams(J=1.0, Js=0.5, Gamma=0.25, Gammas=0.5)
@@ -94,6 +101,15 @@ def test_dk_blocks_bitwise_equal_to_dk_matrix():
                 assert blocks[i, j].tobytes() == single.tobytes()  # signed zeros too
     with pytest.raises(ValueError):
         dk_blocks(ANISO, [0.5], [0.3], [0.7, np.pi / 2])
+
+
+def test_rotated_blocks_and_derivatives_are_exactly_real():
+    rng = np.random.default_rng(5)
+    for params in (ANISO, PSEUDO_ISO):
+        h, eta = rng.uniform(0.0, 3.0, 7), rng.uniform(-1.5, 1.5, 7)  # both PT phases
+        ks = rng.uniform(0.01, np.pi / 2 - 0.01, 9)
+        assert np.all((dk_blocks(params, h, eta, ks) * _ROTATE).imag == 0)
+    assert np.array_equal(np.stack([_DH, _DETA]) * _ROTATE, _DERIVS_U)
 
 
 def test_gl_nodes_cached_read_only():
