@@ -8,7 +8,6 @@ application for locating phase transitions and PT-breaking lines.
 from .biortho import (
     BiorthoEigensystem,
     HamiltonianFamily,
-    MetricOperator,
     biortho_eig,
     build_W,
     gauge_fix,

@@ -34,7 +34,6 @@ from .errors import (
 __all__ = [
     "HamiltonianFamily",
     "BiorthoEigensystem",
-    "MetricOperator",
     "biortho_eig",
     "build_W",
     "gauge_fix",
@@ -162,13 +161,6 @@ class BiorthoEigensystem:
         )
 
 
-@dataclass(frozen=True)
-class MetricOperator:
-    """Positive-definite W with W H = H^dag W, defining the inner product."""
-
-    matrix: np.ndarray
-
-
 def _dagger(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
@@ -252,7 +244,7 @@ def biortho_eig(h) -> BiorthoEigensystem:
     )
 
 
-def build_W(eig: BiorthoEigensystem) -> MetricOperator:
+def build_W(eig: BiorthoEigensystem) -> np.ndarray:
     """Inner-product metric W = sum_n |Phi_n><Phi_n| from the left vectors.
 
     With this W the right vectors are orthonormal in the W inner product:
@@ -268,7 +260,7 @@ def build_W(eig: BiorthoEigensystem) -> MetricOperator:
         raise NotPositiveDefinite(
             f"smallest/largest eigenvalue of W is {ratio:.3e}; eigensystem is broken"
         )
-    return MetricOperator(matrix=w)
+    return w
 
 
 def gauge_fix(prev: BiorthoEigensystem, cur: BiorthoEigensystem) -> BiorthoEigensystem:

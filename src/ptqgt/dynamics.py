@@ -4,11 +4,11 @@ The evolution equation i d psi/dt = [H(t) + i K(t)] psi with the gauge
 field K(t) = -1/2 W^{-1} dW/dt preserves the time-dependent W inner
 product exactly; the integrator here is a fixed-step classical RK4 whose
 conservation is verified a posteriori rather than enforced structurally.
-The path is known before the loop starts, so ``evolve`` precomputes its
-eigensystems in chunks of steps: one stacked eigensolve gives K at every
-half-step and step end of a chunk (the end value is reused as the next
-step's start value), another gives the records' eigensystems, and the
-RK4 loop between them only multiplies matrices. A chunk whose stacked
+The path is known before the loop starts, so ``evolve`` solves its
+instants in chunks of steps: one stacked eigensolve per chunk gives H, W
+and K at every half-step and step end (each step end is also the next
+step's start and a record time), the RK4 loop only multiplies matrices,
+and the chunk's records are formed once after it. A chunk whose stacked
 work fails is replayed one step at a time, so errors keep their time
 order.
 """
@@ -48,8 +48,8 @@ class PathSpec:
     closed: bool = False
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not (self.duration > 0 and np.isfinite(self.duration)):
+            raise ValueError("duration must be positive and finite")
 
     def at(self, t) -> np.ndarray:
         """lambda at a time, or at each time of an array ``t`` as
@@ -88,20 +88,22 @@ class EvolutionResult:
     geometric_phase: float = 0.0
 
 
-def _k_field(
-    family: HamiltonianFamily, path: PathSpec, t: np.ndarray, h: np.ndarray,
-    dt_probe: float,
-) -> np.ndarray:
-    """K at the times ``t`` given ``h``, the H already evaluated there."""
+def _instants(
+    family: HamiltonianFamily, path: PathSpec, t: np.ndarray, dt_probe: float
+):
+    """H, its eigensystem, W and K at the times ``t``, from one family call
+    and one stacked eigensolve over every time and its two K probes."""
     t_plus = np.minimum(t + dt_probe, path.duration)
     t_minus = np.maximum(t - dt_probe, 0.0)
-    probes = family(path.at(np.stack([t_plus, t_minus])))
-    w = build_W(biortho_eig(np.concatenate([h[None], probes]))).matrix
+    h = family(path.at(np.stack([t, t_plus, t_minus])))
+    eig = biortho_eig(h)
+    w = build_W(eig)
     dw = (w[1] - w[2]) / (t_plus - t_minus)[..., None, None]
     try:
-        return -0.5 * np.linalg.solve(w[0], dw)
+        k = -0.5 * np.linalg.solve(w[0], dw)
     except np.linalg.LinAlgError as exc:
         raise MetricSingular("metric W is numerically singular") from exc
+    return h[0], eig[0], w[0], k
 
 
 def k_field(
@@ -113,10 +115,9 @@ def k_field(
     The metrics at every time and its two probes come from one stacked
     eigensolve.
     """
-    if dt_probe <= 0:
-        raise ValueError("dt_probe must be positive")
-    t = np.asarray(t, dtype=float)
-    return _k_field(family, path, t, family(path.at(t)), dt_probe)
+    if not (dt_probe > 0 and np.isfinite(dt_probe)):
+        raise ValueError("dt_probe must be positive and finite")
+    return _instants(family, path, np.asarray(t, dtype=float), dt_probe)[3]
 
 
 def evolve(
@@ -134,20 +135,27 @@ def evolve(
     in 0..N-1, else ValueError), the instantaneous overlap with that
     eigenstate is monitored (NotAdiabatic below 0.99) and the total /
     dynamical / geometric phases are extracted. Raises StepTooLarge when
-    the W-norm drifts beyond ``drift_tol``.
+    the W-norm drifts beyond ``drift_tol`` (``np.inf`` switches the check
+    off); ValueError unless ``n_steps`` is a positive integer, or for a NaN
+    ``drift_tol``.
 
-    The path is walked in chunks of steps. For each chunk H is evaluated
-    once at every time the chunk needs; K at every half-step and step end
-    and the eigensystems at every record time come from one stacked
-    eigensolve each, and the records are gauge-fixed against the t = 0
-    anchor in one batch. The RK4 loop itself only multiplies matrices.
-    When a chunk's stacked work raises, the chunk is replayed one step at
-    a time from its start state, so the first failure in time order wins:
-    a NotAdiabatic is never pre-empted by a DefectiveMatrix or NonFinite
-    further down the path.
+    The path is walked in chunks of steps on the grid ``times``, so a step
+    starts exactly where the last one ended. Per chunk, one family call and
+    one stacked eigensolve give H, W and K at every half-step and step end;
+    the step ends serve the generators and the records, whose eigensystems
+    are gauge-fixed against the t = 0 anchor in one batch. The RK4 loop only
+    multiplies matrices; the W-norms, overlap checks and phases of the
+    chunk's states follow it at once. When a chunk's stacked work raises,
+    the chunk is replayed one step at a time from its start state, so the
+    first failure in time order wins: a NotAdiabatic is never pre-empted by
+    a DefectiveMatrix or NonFinite further down the path.
     """
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
+    if np.isnan(drift_tol):
+        raise ValueError("drift_tol must not be NaN")
     if track_level is not None:
         _check_level(track_level, family.dim_hilbert)
     psi = np.asarray(psi0, dtype=complex).copy()
@@ -160,61 +168,52 @@ def evolve(
     alphas = np.empty(n_steps + 1)
     energies = np.empty(n_steps + 1)
 
-    def record(i, psi, w, left):
-        """Store psi at times[i]; check and phase it against ``left``."""
-        states[i] = psi
-        w_norms[i] = float(np.vdot(psi, w @ psi).real)
-        if left is None:
+    def record(lo, hi, w, eig):
+        """W-norms of states[lo:hi]; with a tracked level, check and phase
+        them against its left vectors in the eigensystems ``eig``."""
+        kets = states[lo:hi]
+        w_norms[lo:hi] = np.einsum("ni,nij,nj->n", kets.conj(), w, kets).real
+        if track_level is None:
             return
-        ov = np.vdot(left, psi)
-        if np.abs(ov) < 0.99 * np.sqrt(max(w_norms[i], 0.0)):
+        ov = np.einsum("ni,ni->n", eig.left[..., track_level].conj(), kets)
+        low = np.abs(ov) < 0.99 * np.sqrt(np.maximum(w_norms[lo:hi], 0.0))
+        if low.any():
+            i = int(np.argmax(low))
             raise NotAdiabatic(
-                f"instantaneous overlap {np.abs(ov):.4f} dropped below 0.99 at t={times[i]:.4g}"
+                f"instantaneous overlap {np.abs(ov[i]):.4f} dropped below 0.99 "
+                f"at t={times[lo + i]:.4g}"
             )
-        alphas[i] = np.angle(ov)
+        alphas[lo:hi] = np.angle(ov)
+        energies[lo:hi] = eig.energies[..., track_level].real
 
-    h_start = family(path.at(0.0))
+    h, eig, w, k = _instants(family, path, times[:1], dt_probe)
     # Anchor the gauge at t = 0 (not chained): a chained fix is the
     # parallel-transport gauge and would absorb the geometric phase.
-    anchor = biortho_eig(h_start)
-    if track_level is not None:
-        energies[0] = anchor.energies[track_level].real
-    record(0, psi, build_W(anchor).matrix,
-           None if track_level is None else anchor.left[:, track_level])
-    # K at a step's end is the next step's K at its start.
-    k_start = _k_field(family, path, np.asarray(0.0), h_start, dt_probe)
+    anchor = eig[0]
+    states[0] = psi
+    record(0, 1, w, eig)
+    g_end = -1j * h[0] + k[0]  # the generator at the last step's end
 
     def chunk_work(a, b):
-        """Stacked eigensystem work for steps a..b-1; writes no state."""
-        t = np.arange(a, b) * dt
-        t_gen = np.stack([t + 0.5 * dt, t + dt], axis=-1)  # K and generator times
-        h_gen = family(path.at(t_gen))
-        k_gen = _k_field(family, path, t_gen, h_gen, dt_probe)
-        h_rec = family(path.at(times[a + 1 : b + 1]))
-        eig = biortho_eig(h_rec)
-        left = level = None
-        if track_level is not None:
-            eig = gauge_fix(anchor, eig)
-            left, level = eig.left[..., track_level], eig.energies[..., track_level].real
-        g_start = -1j * np.concatenate([h_start[None], h_rec[:-1]]) + np.concatenate(
-            [k_start[None], k_gen[:-1, 1]]
-        )
-        return (g_start, -1j * h_gen + k_gen, build_W(eig).matrix, left, level,
-                h_rec[-1], k_gen[-1, 1])
+        """Generators and step-end records for steps a..b-1; writes no state."""
+        h, eig, w, k = _instants(family, path, np.stack(
+            [times[a:b] + 0.5 * dt, times[a + 1 : b + 1]], axis=-1), dt_probe)
+        end = eig[:, 1] if track_level is None else gauge_fix(anchor, eig[:, 1])
+        return -1j * h + k, w[:, 1], end
 
     def advance(a, b, work):
-        """RK4 steps a..b-1 on the generators and records from chunk_work."""
-        nonlocal psi, h_start, k_start
-        g_start, g, w, left, level, h_start, k_start = work
-        if level is not None:
-            energies[a + 1 : b + 1] = level
+        """RK4 steps a..b-1 on the generators from chunk_work, then their records."""
+        nonlocal psi, g_end
+        g, w, eig = work
         for j in range(b - a):
-            k1 = g_start[j] @ psi
+            k1 = g_end @ psi
             k2 = g[j, 0] @ (psi + 0.5 * dt * k1)
             k3 = g[j, 0] @ (psi + 0.5 * dt * k2)
-            k4 = g[j, 1] @ (psi + dt * k3)
+            g_end = g[j, 1]
+            k4 = g_end @ (psi + dt * k3)
             psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            record(a + j + 1, psi, w[j], None if left is None else left[j])
+            states[a + j + 1] = psi
+        record(a + 1, b + 1, w, eig)
 
     for a in range(0, n_steps, _CHUNK):
         b = min(a + _CHUNK, n_steps)

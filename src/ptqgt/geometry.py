@@ -132,7 +132,7 @@ def param_derivatives(
     if np.any(eigs.unbroken != eigs.unbroken[0]):
         raise Degenerate("difference stencil straddles a PT-breaking (exceptional) point")
     eig0 = eigs[0]
-    ws = build_W(eigs).matrix
+    ws = build_W(eigs)
     fixed = gauge_fix(eig0, eigs[1:])
 
     return DerivativeBundle(

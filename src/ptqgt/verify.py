@@ -280,7 +280,7 @@ def check_w_identity(seed=42, trials=20) -> CheckResult:
         fam = dk_family(params, k)
         h = fam(lam)
         eig = biortho_eig(h)
-        w = build_W(eig).matrix
+        w = build_W(eig)
         scale = max(np.linalg.norm(h) * np.linalg.norm(w), 1e-300)
         worst = max(
             worst,

@@ -60,7 +60,7 @@ def test_stack_matches_per_matrix_calls():
     for n in (2, 3, 4, 8):
         hs = rng.normal(size=(3, 5, n, n)) + 1j * rng.normal(size=(3, 5, n, n))
         stacked = biortho_eig(hs)
-        w_stacked = build_W(stacked).matrix
+        w_stacked = build_W(stacked)
         assert stacked.energies.shape == (3, 5, n)
         assert stacked.unbroken.shape == (3, 5)
         for i in range(3):
@@ -70,7 +70,7 @@ def test_stack_matches_per_matrix_calls():
                 for a, b in ((single.energies, picked.energies),
                              (single.right, picked.right),
                              (single.left, picked.left),
-                             (build_W(single).matrix, w_stacked[i, j])):
+                             (build_W(single), w_stacked[i, j])):
                     assert np.max(np.abs(a - b)) <= 1e-14
                 assert picked.unbroken is single.unbroken
 
@@ -206,7 +206,7 @@ def test_build_w_hermitian_identity_case():
     a = random_matrix(rng, 4)
     h = a + a.conj().T
     eig = biortho_eig(h)
-    w = build_W(eig).matrix
+    w = build_W(eig)
     assert np.max(np.abs(w - np.eye(4))) < 1e-10
     assert np.max(np.abs(eig.left - eig.right)) < 1e-10
 
@@ -214,7 +214,7 @@ def test_build_w_hermitian_identity_case():
 def test_build_w_intertwines_dk():
     h = dk_matrix(ANISO, FieldPoint(h=0.5, eta=0.3), 0.7)
     eig = biortho_eig(h)
-    w = build_W(eig).matrix
+    w = build_W(eig)
     assert np.max(np.abs(w - w.conj().T)) < 1e-12
     assert np.min(np.linalg.eigvalsh(w)) > 0
     assert np.linalg.norm(w @ h - h.conj().T @ w) <= 1e-10 * np.linalg.norm(h) * np.linalg.norm(w)

@@ -117,7 +117,7 @@ def test_k_field_w_hermiticity():
     path = circle_path([0.3, 1.0], 0.1, 10.0)
     t = 2.7
     k = k_field(fam, path, t, 1e-4)
-    w = build_W(biortho_eig(fam(path.at(t)))).matrix
+    w = build_W(biortho_eig(fam(path.at(t))))
     x = w @ k
     assert np.max(np.abs(x - x.conj().T)) < 1e-8
     assert np.max(np.abs(k)) > 1e-4  # non-trivial on this path
@@ -146,7 +146,7 @@ def test_pairwise_w_inner_product_conserved():
     res1 = evolve(fam, path, eig0.right[:, 1], n_steps=2000)
     overlaps = []
     for i in (0, 500, 1000, 2000):
-        w = build_W(biortho_eig(fam(path.at(res0.times[i])))).matrix
+        w = build_W(biortho_eig(fam(path.at(res0.times[i]))))
         overlaps.append(np.vdot(res0.states[i], w @ res1.states[i]))
     spread = max(abs(o - overlaps[0]) for o in overlaps)
     assert abs(overlaps[0]) < 1e-6  # starts W-orthogonal
@@ -269,7 +269,7 @@ def evolve_per_step(family, path, psi0, n_steps, level):
         eig = biortho_eig(family(path.at(t)))
         eig = gauge_fix(anchor, eig) if t > 0 else eig
         states.append(psi)
-        w_norms.append(float(np.vdot(psi, build_W(eig).matrix @ psi).real))
+        w_norms.append(float(np.vdot(psi, build_W(eig) @ psi).real))
         alphas.append(np.angle(np.vdot(eig.left[:, level], psi)))
         energies.append(eig.energies[level].real)
 
@@ -277,12 +277,13 @@ def evolve_per_step(family, path, psi0, n_steps, level):
     k_start = k_field(family, path, 0.0, dt / 10.0)
     for i in range(n_steps):
         t = i * dt
-        k_mid, k_end = k_field(family, path, [t + 0.5 * dt, t + dt], dt / 10.0)
+        # the step end on the grid, (i + 1) dt, as the next step's start
+        k_mid, k_end = k_field(family, path, [t + 0.5 * dt, (i + 1) * dt], dt / 10.0)
         g_mid = -1j * family(path.at(t + 0.5 * dt)) + k_mid
         k1 = (-1j * family(path.at(t)) + k_start) @ psi
         k2 = g_mid @ (psi + 0.5 * dt * k1)
         k3 = g_mid @ (psi + 0.5 * dt * k2)
-        k4 = (-1j * family(path.at(t + dt)) + k_end) @ (psi + dt * k3)
+        k4 = (-1j * family(path.at((i + 1) * dt)) + k_end) @ (psi + dt * k3)
         psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         k_start = k_end
         record((i + 1) * dt, psi)
@@ -306,11 +307,17 @@ def test_evolve_matches_per_step_reference(n_steps):
 
 
 def test_eigensolves_per_chunk(monkeypatch):
+    # one stacked eigensolve at t = 0 and one per chunk, each over the
+    # instants and their two K probes: 3 matrices at t = 0 and 6 per step
+    # (half-step and step end); the path is sampled at exactly these times
     fam = pt_two_level_family()
-    path = circle_path([0.15, 0.85], 0.05, 20.0)
-    psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
-    calls, fixes = [], []
+    base = circle_path([0.15, 0.85], 0.05, 20.0)
+    samples, calls, fixes = [], [], []
     eig = np.linalg.eig
+
+    def curve(t):
+        samples.append(t)
+        return base.curve(t)
 
     def counted(a):
         calls.append(np.shape(a))
@@ -323,12 +330,19 @@ def test_eigensolves_per_chunk(monkeypatch):
     def no_assignment(*args, **kwargs):
         raise AssertionError("assignment solved on a collision-free loop")
 
+    path = PathSpec(curve=curve, duration=base.duration, closed=True)
+    psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
+    samples.clear()
     monkeypatch.setattr(np.linalg, "eig", counted)
     monkeypatch.setattr(dynamics, "gauge_fix", counted_gauge_fix)
     monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", no_assignment)
-    evolve(fam, path, psi0, n_steps=1000, track_level=0)
-    assert len(calls) <= 2 * math.ceil(1000 / dynamics._CHUNK) + 2
-    assert len(fixes) <= math.ceil(1000 / dynamics._CHUNK)
+    n_steps = 1000
+    evolve(fam, path, psi0, n_steps=n_steps, track_level=0)
+    chunks = math.ceil(n_steps / dynamics._CHUNK)
+    assert len(calls) == chunks + 1
+    assert sum(math.prod(shape[:-2]) for shape in calls) == 6 * n_steps + 3
+    assert len(samples) == 6 * n_steps + 3
+    assert len(fixes) == chunks
 
 
 def test_batched_gauge_fix_matches_gauge_fix():
@@ -352,6 +366,51 @@ def test_evolve_rejects_non_positive_n_steps(n_steps):
     path = circle_path([0.3, 1.0], 0.05, 1.0)
     with pytest.raises(ValueError, match="n_steps must be positive"):
         evolve(fam, path, [1.0, 0.0], n_steps=n_steps)
+
+
+@pytest.mark.parametrize("n_steps", [2.5, 10.0, True, np.float64(20.0)])
+def test_transport_refuses_a_non_integer_n_steps(n_steps):
+    fam = pt_two_level_family()
+    path = circle_path([0.15, 0.85], 0.05, 1.0)
+    psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        evolve(fam, path, psi0, n_steps=n_steps)
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        adiabatic_phase(fam, path, n=0, n_steps=n_steps)
+
+
+def test_evolve_takes_a_numpy_integer_n_steps():
+    fam = pt_two_level_family()
+    path = circle_path([0.15, 0.85], 0.05, 1.0)
+    psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
+    ref = evolve(fam, path, psi0, n_steps=200)
+    out = evolve(fam, path, psi0, n_steps=np.int64(200))
+    assert np.array_equal(out.states, ref.states)
+
+
+@pytest.mark.parametrize("duration", [np.nan, np.inf])
+def test_pathspec_refuses_a_non_finite_duration(duration):
+    with pytest.raises(ValueError, match="duration must be positive and finite"):
+        PathSpec(curve=lambda t: np.zeros(2), duration=duration)
+
+
+@pytest.mark.parametrize("dt_probe", [np.nan, np.inf, 0.0, -1e-3])
+def test_k_field_refuses_a_bad_dt_probe(dt_probe):
+    fam = flat_pt_family()
+    path = circle_path([0.3, 1.0], 0.1, 10.0)
+    with pytest.raises(ValueError, match="dt_probe must be positive and finite"):
+        k_field(fam, path, 2.7, dt_probe)
+
+
+@pytest.mark.parametrize("drift_tol", [float("nan"), np.float64("nan")],
+                         ids=["float", "float64"])
+def test_evolve_refuses_a_nan_drift_tol(drift_tol):
+    # a NaN tolerance would make every drift comparison false, so the
+    # check would pass silently; np.inf switches it off on purpose
+    fam = flat_pt_family()
+    path = circle_path([0.3, 1.0], 0.05, 1.0)
+    with pytest.raises(ValueError, match="drift_tol must not be NaN"):
+        evolve(fam, path, [1.0, 0.0], n_steps=10, drift_tol=drift_tol)
 
 
 @pytest.mark.parametrize("level", [5, -1])
@@ -414,9 +473,10 @@ def test_adiabatic_phase_evaluates_a_batched_family_once_per_stack():
     ref = adiabatic_phase(fam, path, n=0, n_steps=256)
     assert np.array_equal(out["result"].states, ref["result"].states)
     assert (out["gamma_sim"], out["gamma_line"]) == (ref["gamma_sim"], ref["gamma_line"])
-    # Per chunk: generator times, their K probes and the record times; then
-    # the start point twice, its K probes and the loop vertices. Called
-    # per point, the same transport makes one call per point, ~7 per step.
+    # One call per chunk for its half-steps, step ends and their K probes;
+    # then adiabatic_phase's start point, evolve's start with its K probes
+    # and the loop vertices. Called per point, the same transport makes one
+    # call per point: 6 per step, plus the start and the loop vertices.
     chunks = math.ceil(256 / dynamics._CHUNK)
     assert len(calls) <= 3 * chunks + 4
     assert sum(calls) > 7 * 256
