@@ -18,6 +18,8 @@ every eigenvalue of the stack is real, and complex otherwise.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -263,15 +265,24 @@ def build_W(eig: BiorthoEigensystem) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=None)
+def _permutations(n: int) -> np.ndarray:
+    """The n! permutations of range(n) as rows, built once per n, read-only."""
+    perms = np.array(list(itertools.permutations(range(n))))
+    perms.flags.writeable = False
+    return perms
+
+
 def gauge_fix(prev: BiorthoEigensystem, cur: BiorthoEigensystem) -> BiorthoEigensystem:
     """Align ``cur`` with ``prev``: reorder by maximal overlap, remove phases.
 
     ``cur`` may be a stack, each element aligned with the single ``prev``.
     After the fix, <Phi_n^prev|Psi_n^cur> is real positive for every n and
     <Phi_n|Psi_n> = 1 is preserved. States are matched by the permutation
-    maximizing the summed |overlap| (the row-wise argmax where that is one);
-    AmbiguousMatching is raised when a matched overlap vanishes (a
-    degeneracy was crossed between the two parameter points).
+    maximizing the summed |overlap|: the row-wise argmax where that is one,
+    else the best of all N! permutations, for N <= 8. AmbiguousMatching is
+    raised when a matched overlap vanishes (a degeneracy was crossed between
+    the two parameter points) or row-wise maxima collide among N > 8 levels.
     """
     n = cur.dim
     overlaps = (_dagger(prev.left) @ cur.right).reshape(-1, n, n)  # <Phi_n^prev|Psi_m^cur[j]>
@@ -279,12 +290,12 @@ def gauge_fix(prev: BiorthoEigensystem, cur: BiorthoEigensystem) -> BiorthoEigen
     assign = magnitudes.argmax(axis=-1)
     collided = (np.sort(assign, axis=-1) != np.arange(n)).any(axis=-1)
     if collided.any():
-        # Row-wise maxima collide (near-tied overlaps). Imported here: the
-        # scipy.optimize import costs ~0.2 s and ~20 MB at start-up.
-        from scipy.optimize import linear_sum_assignment
-
+        # Row-wise maxima collide (near-tied overlaps): try every permutation.
+        if n > 8:
+            raise AmbiguousMatching(f"overlap maxima collide among {n} > 8 levels")
+        perms = _permutations(n)
         for j in np.flatnonzero(collided):
-            assign[j] = linear_sum_assignment(magnitudes[j], maximize=True)[1]
+            assign[j] = perms[magnitudes[j][np.arange(n), perms].sum(-1).argmax()]
 
     rows = np.arange(assign.shape[0])[:, None]
     matched = overlaps[rows, np.arange(n), assign]

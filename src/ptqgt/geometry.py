@@ -288,16 +288,18 @@ def curvature_flux(
     eigensolve per grid row; no eigenvectors are differenced. A family
     without an analytic derivative is differenced with ``default_step`` at
     each grid point. Raises ValueError unless ``plane`` names two distinct
-    parameter axes, ``resolution`` is at least 1 and 0 <= n < N, and
-    Degenerate when the grid points do not all lie in the same PT phase
-    (the rectangle crosses an exceptional line) or when level ``n`` closes
-    its gap at a grid point.
+    parameter axes, ``resolution`` is an integer of at least 1 and
+    0 <= n < N, and Degenerate when the grid points do not all lie in the
+    same PT phase (the rectangle crosses an exceptional line) or when
+    level ``n`` closes its gap at a grid point.
     """
     mu, nu = plane
     if not (0 <= mu < family.dim_param and 0 <= nu < family.dim_param and mu != nu):
         raise ValueError(
             f"plane must name two distinct axes in 0..{family.dim_param - 1}, got {plane}"
         )
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 1:
         raise ValueError(f"resolution must be at least 1, got {resolution}")
     lam_min = np.asarray(lam_min, dtype=float)
@@ -333,8 +335,12 @@ def fidelity(eig_a: BiorthoEigensystem, eig_b: BiorthoEigensystem, n: int = 0) -
 
     F = sqrt(|<Phi_n(b)|Psi_n(a)><Phi_n(a)|Psi_n(b)>|); equals 1 when the
     eigensystems coincide and is invariant under gauge rescalings on
-    either side. Raises ValueError unless 0 <= n < N.
+    either side. Raises ValueError unless both are single eigensystems of
+    the same size and 0 <= n < N.
     """
+    if eig_a.energies.ndim != 1 or eig_a.energies.shape != eig_b.energies.shape:
+        raise ValueError("fidelity compares two single eigensystems of the same size, got "
+                         f"energies of shape {eig_a.energies.shape} and {eig_b.energies.shape}")
     _check_level(n, eig_a.dim)
     o_ba = np.vdot(eig_b.left[:, n], eig_a.right[:, n])
     o_ab = np.vdot(eig_a.left[:, n], eig_b.right[:, n])

@@ -357,8 +357,11 @@ def metric_intensity(
 
     With ``check_convergence`` the quadrature is repeated at 2*n_quad and
     QuadratureUnconverged is raised if any entry moves by more than 1e-4
-    relative.
+    relative. Raises ValueError unless ``n_quad`` is an integer of at
+    least 2.
     """
+    if isinstance(n_quad, bool) or not isinstance(n_quad, (int, np.integer)):
+        raise ValueError(f"n_quad must be an integer, got {n_quad!r}")
     if n_quad < 2:
         raise ValueError("n_quad must be at least 2")
     if method == "perturbative":

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from ptqgt import (
     AmbiguousMatching,
@@ -256,6 +257,40 @@ def test_gauge_fix_near_gap_closing():
     except AmbiguousMatching:
         return
     assert np.max(np.abs(fixed.overlap_matrix() - np.eye(4))) < 1e-9
+
+
+def _collided(prev, cur):
+    """Per stack element: do the row-wise overlap maxima collide?"""
+    assign = np.abs(prev.left.conj().T @ cur.right).argmax(axis=-1)
+    return np.array([len(set(row)) < cur.dim for row in assign.reshape(-1, cur.dim).tolist()])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gauge_fix_on_collisions_matches_linear_sum_assignment(n):
+    # unrelated random eigensystems: most row-wise maxima collide, and the
+    # exhaustive search must pick scipy's max-sum assignment
+    rng = np.random.default_rng(100 + n)
+    prev = biortho_eig(random_matrix(rng, n))
+    cur = biortho_eig(np.stack([random_matrix(rng, n) for _ in range(24)]))
+    assert _collided(prev, cur).sum() >= 8
+    magnitudes = np.abs(prev.left.conj().T @ cur.right)
+    fixed = gauge_fix(prev, cur)
+    for j, mag in enumerate(magnitudes):
+        col = linear_sum_assignment(mag, maximize=True)[1]
+        assert np.array_equal(fixed.energies[j], cur.energies[j, col]), j
+        assert np.array_equal(gauge_fix(prev, cur[j]).energies, cur.energies[j, col]), j
+
+
+def test_gauge_fix_refuses_a_collision_among_nine_levels():
+    rng = np.random.default_rng(9)
+    prev = biortho_eig(np.diag(np.arange(9.0)) + 0j)
+    cur = biortho_eig(random_matrix(rng, 9))
+    assert _collided(prev, cur).all()
+    with pytest.raises(AmbiguousMatching, match="among 9 > 8 levels"):
+        gauge_fix(prev, cur)
+    # without a collision nine levels are matched as before
+    fixed = gauge_fix(cur, cur)
+    assert np.array_equal(fixed.energies, cur.energies)
 
 
 def test_gauge_transform_roundtrip():

@@ -421,6 +421,18 @@ def test_curvature_flux_rejects_resolution_below_one(resolution):
         curvature_flux(pt_two_level_family(), [0.05, 0.8], [0.15, 0.9], resolution=resolution)
 
 
+@pytest.mark.parametrize("resolution", [2.5, 4.0, True, np.float64(4.0)])
+def test_curvature_flux_refuses_a_non_integer_resolution(resolution):
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        curvature_flux(pt_two_level_family(), [0.05, 0.8], [0.15, 0.9], resolution=resolution)
+
+
+def test_curvature_flux_takes_a_numpy_integer_resolution():
+    fam = pt_two_level_family()
+    ref = curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=4)
+    assert curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=np.int64(4)) == ref
+
+
 # -------------------------------------------------------------- fidelity
 
 
@@ -437,6 +449,17 @@ def test_fidelity_identity_and_gauge_invariance():
     scales += 2.0 * np.sign(scales.real)
     f_gauged = fidelity(gauge_transform(eig_a, scales), eig_b)
     assert abs(f - f_gauged) < 1e-12
+
+
+@pytest.mark.parametrize("a, b", [("stack", "single"), ("single", "stack"),
+                                  ("stack", "stack"), ("single", "two_level")])
+def test_fidelity_refuses_all_but_two_single_eigensystems_of_one_size(a, b):
+    fam = dk_family(ANISO, 0.8)
+    eigs = {"single": biortho_eig(fam([0.4, 0.2])),
+            "stack": biortho_eig(fam([[0.4, 0.2], [0.45, 0.18]])),
+            "two_level": biortho_eig(pt_two_level_family()([0.15, 0.85]))}
+    with pytest.raises(ValueError, match="two single eigensystems of the same size"):
+        fidelity(eigs[a], eigs[b])
 
 
 def test_fidelity_quadratic_expansion():

@@ -1,6 +1,9 @@
+import ast
 import importlib
 import os
+import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -23,12 +26,65 @@ def test_package_reexports_every_public_name(name):
     assert missing == []
 
 
-def test_import_loads_no_scipy():
-    code = ("import sys, ptqgt, ptqgt.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter that finds this ptqgt; its stdout."""
     src = os.path.dirname(os.path.dirname(ptqgt.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, ptqgt, ptqgt.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _run_python(code).strip() == "[]"
+
+
+def test_runs_with_scipy_unimportable():
+    # the fast suite and a gauge_fix whose row-wise maxima collide (the
+    # anchor and stack of test_batched_gauge_fix_matches_gauge_fix)
+    code = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from ptqgt import biortho_eig, gauge_fix, verify
+from ptqgt.families import pt_two_level_family
+assert all(r.passed for r in verify.run_suite("fast"))
+fam = pt_two_level_family()
+anchor = biortho_eig(fam([0.3, 0.5]))
+stack = biortho_eig(fam([[0.15, 0.85], [-0.46, 0.32], [0.3, 0.55], [0.32, 0.3], [0.0, 1.2]]))
+assign = np.abs(anchor.left.conj().T @ stack.right).argmax(axis=-1)
+assert (assign[:, 0] == assign[:, 1]).any()
+fixed = gauge_fix(anchor, stack)
+matched = np.diagonal(anchor.left.conj().T @ fixed.right, axis1=-2, axis2=-1)
+assert np.allclose(matched.imag, 0.0) and (matched.real > 0).all()
+print("ok")
+"""
+    assert _run_python(code).strip() == "ok"
+
+
+def _imported_top_level_names(path):
+    """Top-level module names ``path`` imports, lazy imports included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_dependencies_follow_the_imports():
+    tomllib = pytest.importorskip("tomllib")
+    package = pathlib.Path(ptqgt.__file__).parent
+    imported = set().union(*map(_imported_top_level_names, package.glob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - {"ptqgt"}
+    pyproject = package.parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        deps = tomllib.load(f)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+                for d in deps}
+    assert third_party == declared

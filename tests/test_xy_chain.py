@@ -406,3 +406,15 @@ def test_metric_intensity_argument_validation():
         metric_intensity(ANISO, f, n_quad=1)
     with pytest.raises(ValueError):
         metric_intensity(ANISO, f, method="nope")
+
+
+@pytest.mark.parametrize("n_quad", [65.0, 2.5, True, np.float64(65.0)])
+def test_metric_intensity_refuses_a_non_integer_n_quad(n_quad):
+    with pytest.raises(ValueError, match="n_quad must be an integer"):
+        metric_intensity(ANISO, FieldPoint(h=0.5, eta=0.3), n_quad=n_quad)
+
+
+def test_metric_intensity_takes_a_numpy_integer_n_quad():
+    f = FieldPoint(h=0.5, eta=0.3)
+    ref = metric_intensity(ANISO, f, n_quad=33)
+    assert np.array_equal(metric_intensity(ANISO, f, n_quad=np.int64(33)), ref)
