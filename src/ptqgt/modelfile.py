@@ -22,23 +22,25 @@ expressions use the grammar
 
 A number with a trailing ``i`` (or a bare ``i``) is an imaginary
 literal. Parsing is a hand-written recursive descent with line/column
-positions in error messages.
+positions in error messages. Each entry compiles to a closure over numpy
+ufuncs that evaluates a whole stack of points at once, so model-file
+families are batched.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .biortho import HamiltonianFamily
-from .errors import ParseError
+from .errors import NonFinite, ParseError
 
 __all__ = ["parse_expression", "parse_model", "load_model"]
 
-_FUNCS = {"sin": cmath.sin, "cos": cmath.cos, "exp": cmath.exp}
+_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?i?)"
@@ -73,7 +75,12 @@ def _tokenize(source: str, line: int):
 
 
 class _Parser:
-    """Recursive-descent parser producing a closure lam -> complex."""
+    """Recursive-descent parser producing a closure lam -> complex.
+
+    The closure takes complex parameters ``(..., d)`` and returns a value
+    of shape ``(...)``, or a numpy complex scalar when the expression holds
+    no parameter.
+    """
 
     def __init__(self, source: str, line: int, n_params: int):
         self.tokens = _tokenize(source, line)
@@ -141,11 +148,13 @@ class _Parser:
                 value = complex(0.0, float(tok.text[:-1]))
             else:
                 value = complex(float(tok.text), 0.0)
-            return lambda lam, v=value: v
+            # numpy scalars, so that arithmetic on constants alone also
+            # raises floating-point faults
+            return lambda lam, v=np.complex128(value): v
         if tok.kind == "name":
             name = tok.text
             if name == "i":
-                return lambda lam: 1j
+                return lambda lam, v=np.complex128(1j): v
             if name in _FUNCS:
                 self.expect_op("(")
                 inner = self.expr()
@@ -159,7 +168,7 @@ class _Parser:
                         f"parameter {name} out of range (params = {self.n_params})",
                         self.line, tok.col,
                     )
-                return lambda lam, j=idx - 1: complex(lam[j])
+                return lambda lam, j=idx - 1: lam[..., j]
             raise ParseError(f"unknown identifier {name!r}", self.line, tok.col)
         if tok.kind == "op" and tok.text == "(":
             inner = self.expr()
@@ -170,9 +179,32 @@ class _Parser:
         )
 
 
+def _checked(fn, lam):
+    """``fn`` at the parameters ``lam`` taken as complex. A zero divisor, an
+    overflow or an invalid operation raises NonFinite, not a RuntimeWarning
+    with an inf or NaN result."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return fn(np.asarray(lam, dtype=complex))
+    except FloatingPointError as exc:
+        raise NonFinite(f"model expression is not finite: {exc}") from exc
+
+
 def parse_expression(source: str, n_params: int, line: int = 1):
-    """Compile a single entry expression to a callable lam -> complex."""
-    return _Parser(source, line, n_params).parse()
+    """Compile a single entry expression to a callable.
+
+    The callable takes a point, a length-d sequence, and returns a complex
+    scalar, or a stack ``(P, d)`` and returns ``(P,)``; an expression
+    without parameters returns one scalar for any stack. Raises NonFinite
+    on a zero divisor, an overflow or an invalid operation.
+    """
+    tree = _Parser(source, line, n_params).parse()
+
+    def entry(lam):
+        value = _checked(tree, lam)
+        return value if np.ndim(value) else complex(value)
+
+    return entry
 
 
 _ENTRY_RE = re.compile(r"H\[(\d+)\s*,\s*(\d+)\]\s*=\s*(.+)")
@@ -209,19 +241,20 @@ def parse_model(text: str) -> HamiltonianFamily:
         if not (1 <= row <= dim and 1 <= col <= dim):
             raise ParseError(f"index [{row},{col}] outside a {dim}x{dim} matrix",
                              lineno, 1)
-        expr = parse_expression(m.group(3), n_params, line=lineno)
-        entries[(row - 1, col - 1)] = expr
+        entries[(row - 1, col - 1)] = _Parser(m.group(3), lineno, n_params).parse()
 
     if dim is None or n_params is None:
         raise ParseError("model must declare 'dim' and 'params'")
 
-    def evaluate(lam, _entries=entries, _dim=dim):
-        out = np.zeros((_dim, _dim), dtype=complex)
-        for (r, c), fn in _entries.items():
-            out[r, c] = fn(lam)
+    def matrices(lam):
+        """H at each point of the complex stack ``lam`` (P, d), as (P, N, N)."""
+        out = np.zeros(lam.shape[:-1] + (dim, dim), dtype=complex)
+        for (r, c), fn in entries.items():
+            out[..., r, c] = fn(lam)  # a constant entry broadcasts
         return out
 
-    return HamiltonianFamily(dim_hilbert=dim, dim_param=n_params, evaluate=evaluate)
+    return HamiltonianFamily(dim_hilbert=dim, dim_param=n_params,
+                             evaluate=functools.partial(_checked, matrices), batched=True)
 
 
 def load_model(path) -> HamiltonianFamily:

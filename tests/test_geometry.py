@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,19 +124,19 @@ def test_qgt_refuses_stencil_across_exceptional_point():
                                        ("spin_half", [0.3, -0.2, 0.7])])
 def test_qgt_evaluates_only_its_stencil(monkeypatch, name, lam):
     model = load_bundled_model(name)  # .model families have no analytic derivative
+    assert model.batched
     calls = []
 
-    def evaluate(point):
-        calls.append(point)
-        return model.evaluate(point)
+    def evaluate(points):
+        calls.append(len(points))
+        return model.evaluate(points)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("qgt must not differentiate H")
 
     monkeypatch.setattr(HamiltonianFamily, "deriv", forbidden)
-    fam = HamiltonianFamily(model.dim_hilbert, model.dim_param, evaluate)
-    qgt(fam, np.array(lam), n=0)
-    assert len(calls) == 2 * model.dim_param + 1
+    qgt(dataclasses.replace(model, evaluate=evaluate), np.array(lam), n=0)
+    assert calls == [2 * model.dim_param + 1]  # one call on the whole stencil
 
 
 @pytest.mark.parametrize("fam, lam", [
@@ -377,7 +378,7 @@ def test_curvature_flux_refuses_grid_across_exceptional_line(resolution):
         curvature_flux(fam, [0.05, 0.2], [0.25, 0.5], resolution=resolution)
 
 
-def test_curvature_flux_one_eigensolve_per_row(monkeypatch):
+def test_curvature_flux_one_eigensolve_per_block(monkeypatch):
     shapes = []
     eig = np.linalg.eig
 
@@ -391,11 +392,21 @@ def test_curvature_flux_one_eigensolve_per_row(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", counted)
     monkeypatch.setattr(geometry, "gauge_fix", forbidden)
     monkeypatch.setattr(geometry, "param_derivatives", forbidden)
-    curvature_flux(pt_two_level_family(), [0.05, 0.8], [0.15, 0.9], resolution=6)
+    fam = pt_two_level_family()
+    curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=6)
+    assert shapes == [(36, 2, 2)]  # the whole grid is one block
+    shapes.clear()
+    # 512 // 30 = 17 rows per block: a full block, then the 13 rows left
+    curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=30)
+    assert shapes == [(17 * 30, 2, 2), (13 * 30, 2, 2)]
+    shapes.clear()
+    # a row longer than a block is still solved whole
+    monkeypatch.setattr(geometry, "_BLOCK", 4)
+    curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=6)
     assert shapes == [(6, 2, 2)] * 6
 
 
-def test_curvature_flux_calls_default_step_once_per_row(monkeypatch):
+def test_curvature_flux_calls_default_step_once_per_block(monkeypatch):
     calls = []
     default_step = geometry.default_step
 
@@ -406,7 +417,55 @@ def test_curvature_flux_calls_default_step_once_per_row(monkeypatch):
     monkeypatch.setattr(geometry, "default_step", counted)
     fam = load_bundled_model("pt_two_level")  # no analytic derivative
     curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=6)
-    assert calls == [(6, 2)] * 6
+    assert calls == [(36, 2)]
+
+
+def _flux_per_row(family, lo, hi, resolution):
+    """curvature_flux as one stacked solve per grid row, in the (0, 1) plane."""
+    xs = np.linspace(lo[0], hi[0], resolution + 1)
+    ys = np.linspace(lo[1], hi[1], resolution + 1)
+    row = np.column_stack([np.zeros(resolution), 0.5 * (ys[:-1] + ys[1:])])
+    levels = np.arange(family.dim_hilbert) == 0
+    total = 0.0
+    for x in 0.5 * (xs[:-1] + xs[1:]):
+        row[:, 0] = x
+        eig = biortho_eig(family(row))
+        dh = np.stack([family.deriv(row, a) for a in (0, 1)], axis=-3)
+        total += 2.0 * float(np.sum(geometry._sos_qgt(eig, dh, levels)[:, 0, 1].imag))
+    return total * (xs[1] - xs[0]) * (ys[1] - ys[0])
+
+
+@pytest.mark.parametrize("resolution", [30, 100])
+def test_curvature_flux_in_blocks_matches_a_per_row_reference(resolution):
+    # at 30 the rows do not fill the last block (17 + 13 rows)
+    fam = pt_two_level_family()
+    lo, hi = [0.05, 0.8], [0.15, 0.9]
+    ref = _flux_per_row(fam, lo, hi, resolution)
+    flux = curvature_flux(fam, lo, hi, resolution=resolution)
+    assert abs(flux - ref) <= 1e-14 * abs(ref)
+
+
+def test_curvature_flux_of_the_model_file_matches_the_analytic_family():
+    # the .model family is differenced at each grid point; H is linear in
+    # lam, so only round-off separates it from the analytic derivative
+    lo, hi = [0.05, 0.8], [0.15, 0.9]
+    ref = curvature_flux(pt_two_level_family(), lo, hi, resolution=32)
+    flux = curvature_flux(load_bundled_model("pt_two_level"), lo, hi, resolution=32)
+    assert abs(flux - ref) <= 1e-10 * abs(ref)
+
+
+def test_curvature_flux_peak_memory_stays_bounded():
+    # one block of ~512 points at a time; a single stack over the grid
+    # would peak near 13 MB
+    fam = pt_two_level_family()
+    curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=8)  # warm caches
+    tracemalloc.start()
+    try:
+        curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("plane", [(0, 0), (1, 1), (0, 2), (2, 1), (-1, 0)])
@@ -548,7 +607,7 @@ def test_classify_interval():
     assert kind == "timelike"
 
 
-def test_curvature_flux_calls_a_batched_family_once_per_row():
+def test_curvature_flux_calls_a_batched_family_once_per_block():
     calls = []
     fam = pt_two_level_family()
 
@@ -563,4 +622,4 @@ def test_curvature_flux_calls_a_batched_family_once_per_row():
     counted = dataclasses.replace(fam, evaluate=evaluate, derivative=derivative)
     flux = curvature_flux(counted, [0.05, 0.8], [0.15, 0.9], resolution=6)
     assert flux == curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=6)
-    assert calls == [("evaluate", 6), ("derivative", 6), ("derivative", 6)] * 6
+    assert calls == [("evaluate", 36), ("derivative", 36), ("derivative", 36)]

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ptqgt import ParseError, parse_expression, parse_model
+from ptqgt import NonFinite, ParseError, parse_expression, parse_model
 from ptqgt.families import (
     load_bundled_model,
     pt_two_level_family,
@@ -35,6 +37,13 @@ def test_functions_and_params():
     fn = parse_expression("sin(l1)*cos(l2) + exp(i*l1)", n_params=2)
     expected = np.sin(0.3) * np.cos(1.2) + np.exp(0.3j)
     assert abs(fn(lam) - expected) < 1e-14
+    # a point gives a complex scalar, a stack (P, d) one value per point
+    lams = np.array([lam, [-0.7, 0.1], [2.0, -1.5]])
+    values = fn(lams)
+    assert values.shape == (3,)
+    for point, value in zip(lams, values):
+        assert type(fn(tuple(point))) is complex and type(fn(point)) is complex
+        assert fn(point) == value
 
 
 def test_error_positions():
@@ -113,3 +122,57 @@ def test_bundled_pt_two_level_matches_analytic():
     for _ in range(5):
         lam = rng.normal(size=2)
         assert np.max(np.abs(fam(lam) - ref(lam))) < 1e-14
+
+
+# The bundled models' entries as the per-point parser evaluated them, one
+# point at a time in Python complex arithmetic: the stacked route must
+# give the same bits, signed zeros included.
+def _per_point_reference(name, lam):
+    l = [complex(x) for x in lam]  # noqa: E741
+    if name == "spin_half":
+        return [[l[2], l[0] - 1j * l[1]], [l[0] + 1j * l[1], -l[2]]]
+    return [[0.3j, l[1] + l[0]], [l[1] - l[0], -0.3j]]
+
+
+@pytest.mark.parametrize("name", ["spin_half", "pt_two_level"])
+def test_model_family_evaluates_a_stack_in_one_call(name):
+    model = load_bundled_model(name)
+    assert model.batched
+    rng = np.random.default_rng(4)
+    lams = rng.normal(size=(500, model.dim_param)) * rng.choice([1e-3, 1.0, 1e3], size=(500, 1))
+    lams[:40] = rng.choice([0.0, -0.0, 1.0, -1.0], size=(40, model.dim_param))
+    calls = []
+
+    def evaluate(points):
+        calls.append(len(points))
+        return model.evaluate(points)
+
+    h = dataclasses.replace(model, evaluate=evaluate)(lams)
+    assert calls == [500]
+    ref = np.array([_per_point_reference(name, lam) for lam in lams])
+    assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
+
+
+def test_constant_entries_broadcast_over_a_stack():
+    assert parse_expression("2 - 3i", n_params=1)(np.zeros((4, 1))) == 2 - 3j
+    fam = parse_model("dim 2\nparams 1\nH[1,1] = 2 - 3i\nH[2,2] = -l1\n")
+    h = fam(np.array([[1.0], [2.0], [3.0]]))
+    assert np.array_equal(h[:, 0, 0], [2 - 3j] * 3)
+    assert np.array_equal(h[:, 1, 1], [-1.0, -2.0, -3.0])
+    assert np.count_nonzero(h[:, 0, 1]) == np.count_nonzero(h[:, 1, 0]) == 0
+
+
+@pytest.mark.parametrize("source, lam", [
+    ("1/l1", [0.0]),      # zero divisor
+    ("1/(l1 - l1)", [2.5]),
+    ("1/(2 - 2)", [2.5]),  # constants alone
+    ("exp(l1)", [1e3]),   # overflow
+    ("1e200*1e200", [2.5]),
+])
+def test_non_finite_values_raise_non_finite(source, lam):
+    # a RuntimeWarning and an inf would not do: the error is typed
+    with pytest.raises(NonFinite):
+        parse_expression(source, n_params=1)(lam)
+    fam = parse_model(f"dim 2\nparams 1\nH[1,1] = 1\nH[2,2] = {source}\n")
+    with pytest.raises(NonFinite):
+        fam(np.array([[1.0], lam]))

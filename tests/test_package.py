@@ -26,12 +26,12 @@ def test_package_reexports_every_public_name(name):
     assert missing == []
 
 
-def _run_python(code):
-    """Run ``code`` in a fresh interpreter that finds this ptqgt; its stdout."""
+def _run_python(*args):
+    """Run a fresh interpreter that finds this ptqgt with ``args``; its stdout."""
     src = os.path.dirname(os.path.dirname(ptqgt.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, *args], env=env, capture_output=True,
                          text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     return out.stdout
@@ -40,7 +40,7 @@ def _run_python(code):
 def test_import_loads_no_scipy():
     code = ("import sys, ptqgt, ptqgt.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert _run_python(code).strip() == "[]"
+    assert _run_python("-c", code).strip() == "[]"
 
 
 def test_runs_with_scipy_unimportable():
@@ -63,7 +63,7 @@ matched = np.diagonal(anchor.left.conj().T @ fixed.right, axis1=-2, axis2=-1)
 assert np.allclose(matched.imag, 0.0) and (matched.real > 0).all()
 print("ok")
 """
-    assert _run_python(code).strip() == "ok"
+    assert _run_python("-c", code).strip() == "ok"
 
 
 def _imported_top_level_names(path):
@@ -88,3 +88,8 @@ def test_dependencies_follow_the_imports():
     declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
                 for d in deps}
     assert third_party == declared
+
+
+def test_python_m_ptqgt_runs_the_cli():
+    out = _run_python("-m", "ptqgt", "verify", "--suite", "fast")  # exits 0 on success
+    assert "PASS" in out and "FAIL" not in out
