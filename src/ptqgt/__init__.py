@@ -20,7 +20,6 @@ from .errors import (
     DefectiveMatrix,
     Degenerate,
     GaplessPoint,
-    MetricSingular,
     NonFinite,
     NotAdiabatic,
     NotPositiveDefinite,

@@ -1,16 +1,16 @@
 """Metric-compatible time evolution along parameter paths.
 
 The evolution equation i d psi/dt = [H(t) + i K(t)] psi with the gauge
-field K(t) = -1/2 W^{-1} dW/dt preserves the time-dependent W inner
-product exactly; the integrator here is a fixed-step classical RK4 whose
-conservation is verified a posteriori rather than enforced structurally.
-The path is known before the loop starts, so ``evolve`` solves its
-instants in chunks of steps: one stacked eigensolve per chunk gives H, W
-and K at every half-step and step end (each step end is also the next
-step's start and a record time), the RK4 loop only multiplies matrices,
-and the chunk's records are formed once after it. A chunk whose stacked
-work fails is replayed one step at a time, so errors keep their time
-order.
+field K(t) = -1/2 W^{-1} dW/dt, where W^{-1} = Psi Psi^dag, preserves the
+time-dependent W inner product exactly; the integrator here is a
+fixed-step classical RK4 whose conservation is verified a posteriori
+rather than enforced structurally. The path is known before the loop
+starts, so ``evolve`` solves its instants in chunks of steps: one stacked
+eigensolve per chunk gives H, W and K at every half-step and step end
+(each step end is also the next step's start and a record time), the RK4
+loop only multiplies matrices, and the chunk's records are formed once
+after it. A chunk whose stacked work fails is replayed one step at a
+time, so errors keep their time order.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .biortho import HamiltonianFamily, biortho_eig, build_W, gauge_fix
-from .errors import MetricSingular, NotAdiabatic, StepTooLarge
+from .errors import NotAdiabatic, StepTooLarge
 from .geometry import LoopSpec, _check_level, berry_phase_loop
 
 __all__ = [
@@ -92,17 +92,16 @@ def _instants(
     family: HamiltonianFamily, path: PathSpec, t: np.ndarray, dt_probe: float
 ):
     """H, its eigensystem, W and K at the times ``t``, from one family call
-    and one stacked eigensolve over every time and its two K probes."""
+    and one stacked eigensolve over every time and its two K probes. As
+    W = Phi Phi^dag and Phi = Psi^{-dag}, W^{-1} = Psi Psi^dag needs no solve."""
     t_plus = np.minimum(t + dt_probe, path.duration)
     t_minus = np.maximum(t - dt_probe, 0.0)
     h = family(path.at(np.stack([t, t_plus, t_minus])))
     eig = biortho_eig(h)
     w = build_W(eig)
     dw = (w[1] - w[2]) / (t_plus - t_minus)[..., None, None]
-    try:
-        k = -0.5 * np.linalg.solve(w[0], dw)
-    except np.linalg.LinAlgError as exc:
-        raise MetricSingular("metric W is numerically singular") from exc
+    psi = eig.right[0]
+    k = -0.5 * (psi @ np.swapaxes(psi.conj(), -1, -2)) @ dw
     return h[0], eig[0], w[0], k
 
 

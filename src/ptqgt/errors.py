@@ -29,10 +29,6 @@ class Degenerate(PtqgtError):
     """Level gap below tolerance; geometric quantities are singular here."""
 
 
-class MetricSingular(PtqgtError):
-    """Inner-product metric W is numerically not invertible."""
-
-
 class OpenLoop(PtqgtError):
     """Loop specification is not closed (first vertex != last vertex)."""
 

@@ -7,7 +7,8 @@ part is the (real antisymmetric) Berry curvature, its real part the
 come from a gauge-invariant overlap-product estimator. Q also has a
 perturbative (sum-over-states) route, which the curvature flux and the
 perturbative metric use, and the metric a variance form built from the
-generator operators O_mu; both serve as independent cross-checks of the
+generator operators O_mu; both rest on one eigensolve and the first-order
+eigenvector response C_mu, and serve as independent cross-checks of the
 finite-difference route.
 """
 
@@ -25,7 +26,7 @@ from .biortho import (
     build_W,
     gauge_fix,
 )
-from .errors import Degenerate, MetricSingular, OpenLoop
+from .errors import Degenerate, OpenLoop
 
 __all__ = [
     "GeomTensor",
@@ -98,10 +99,8 @@ class DerivativeBundle:
     """
 
     eig: BiorthoEigensystem
-    w: np.ndarray  # metric W at the centre
     dpsi: np.ndarray  # (d, N, N)
     dphi: np.ndarray
-    dw: np.ndarray
 
 
 def default_step(lam):
@@ -117,13 +116,12 @@ def param_derivatives(
     """Central differences of the gauge-fixed eigensystem at ``lam``.
 
     The eigensystems at ``lam +/- step e_mu`` are gauge-fixed against the
-    centre so the raw solver phases difference away smoothly.
-
-    The 2d+1 stencil points are evaluated, decomposed and gauge-fixed as one stack.
+    centre so the raw solver phases difference away smoothly. The 2d+1
+    stencil points are evaluated, decomposed and gauge-fixed as one stack.
     Propagates DefectiveMatrix / AmbiguousMatching from the eigensolver
-    when ``lam`` sits too close to a critical point for the chosen step,
-    and raises Degenerate when a stencil point lies on the other side of
-    the PT-breaking boundary than ``lam``.
+    and NotPositiveDefinite from ``build_W`` when ``lam`` sits too close
+    to a critical point for the chosen step, and raises Degenerate when a
+    stencil point lies on the other side of the PT-breaking boundary.
     """
     lam = np.asarray(lam, dtype=float)
     if step is None:
@@ -138,15 +136,16 @@ def param_derivatives(
     if np.any(eigs.unbroken != eigs.unbroken[0]):
         raise Degenerate("difference stencil straddles a PT-breaking (exceptional) point")
     eig0 = eigs[0]
-    ws = build_W(eigs)
+    # Kept for its positivity check alone: qgt relies on it to refuse
+    # (NotPositiveDefinite) a stencil whose metric W is numerically
+    # singular, as it turns next to an exceptional point.
+    build_W(eigs)
     fixed = gauge_fix(eig0, eigs[1:])
 
     return DerivativeBundle(
         eig=eig0,
-        w=ws[0],
         dpsi=(fixed.right[:d] - fixed.right[d:]) / (2.0 * step),
         dphi=(fixed.left[:d] - fixed.left[d:]) / (2.0 * step),
-        dw=(ws[1:d + 1] - ws[d + 1:]) / (2.0 * step),
     )
 
 
@@ -215,28 +214,29 @@ def metric_tensor(q: GeomTensor) -> np.ndarray:
     return np.ascontiguousarray(q.q.real)
 
 
+def _coefficients(eig: BiorthoEigensystem, dh) -> np.ndarray:
+    """Eigenvector response C_mu[m, n] = (Phi^dag d_mu H Psi)[m, n] / (E_n - E_m),
+    (..., d, N, N), so that d_mu Psi = Psi C_mu off the diagonal. C is zero
+    wherever E_n = E_m, the diagonal included, never 0/0."""
+    e = eig.energies
+    gap = e[..., None, :] - e[..., :, None]  # E_n - E_m at [m, n]
+    inv_gap = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap != 0)
+    phi_dag = np.swapaxes(eig.left.conj(), -1, -2)
+    return (phi_dag[..., None, :, :] @ dh @ eig.right[..., None, :, :]) * inv_gap[..., None, :, :]
+
+
 def _sos_qgt(eig: BiorthoEigensystem, dh, levels) -> np.ndarray:
     """Sum-over-states Q summed over the levels selected by ``levels``.
 
-    Q_{mu nu} = sum_{n in levels} sum_{m != n} 1/2 [A_mu[n,m] A_nu[m,n]
-    / (E_n - E_m)^2 + conj(A_mu[m,n] A_nu[n,m] / (E_n - E_m)^2)] with
-    A_mu = Phi^dag d_mu H Psi. The squared difference, not |E_n - E_m|^2,
-    keeps the formula right when the spectrum is complex. ``eig`` may be a
-    stack (..., N); ``dh`` is (d, N, N) or (..., d, N, N) and ``levels`` a
-    boolean mask (..., N). Returns the complex (..., d, d). Callers check
-    the gaps of the selected levels first; no eigenvector differencing is
-    involved.
+    Q = x + x^dag with x_{mu nu} = -1/2 sum_{n in levels} (C_mu C_nu)_nn,
+    whose denominators (E_n - E_m)^2, not |E_n - E_m|^2, keep it right for
+    a complex spectrum. ``eig`` may be a stack (..., N); ``dh`` is
+    (d, N, N) or (..., d, N, N) and ``levels`` a boolean mask (..., N).
+    Returns the complex (..., d, d). Callers check the gaps of the
+    selected levels first.
     """
-    e = eig.energies
-    phi_dag = np.swapaxes(eig.left.conj(), -1, -2)
-    amp = phi_dag[..., None, :, :] @ dh @ eig.right[..., None, :, :]
-    off_diagonal = ~np.eye(eig.dim, dtype=bool)
-    pairs = levels[..., :, None] & off_diagonal
-    gap2 = (e[..., :, None] - e[..., None, :]) ** 2
-    weight = np.divide(0.5, gap2, out=np.zeros_like(gap2), where=pairs)
-    # x[mu, nu] = sum_{n,m} weight[n,m] A_mu[n,m] A_nu[m,n]; the second
-    # term of the formula is conj(x) with mu and nu exchanged.
-    x = np.einsum("...nm,...anm,...bmn->...ab", weight, amp, amp)
+    c = _coefficients(eig, dh)
+    x = -0.5 * np.einsum("...n,...anm,...bmn->...ab", levels, c, c)
     return x + np.swapaxes(x, -1, -2).conj()
 
 
@@ -357,15 +357,22 @@ def fidelity(eig_a: BiorthoEigensystem, eig_b: BiorthoEigensystem, n: int = 0) -
     return float(np.sqrt(np.abs(o_ba * o_ab)))
 
 
-def _operators(bundle: DerivativeBundle) -> OperatorPair:
-    """``o_operators`` from a bundle: one product and one solve over the
-    (d, N, N) stack of directions."""
-    try:
-        o_b = -0.5 * np.linalg.solve(bundle.w, bundle.dw)
-    except np.linalg.LinAlgError as exc:
-        raise MetricSingular("metric W is numerically singular") from exc
-    o_full = 1j * (bundle.dpsi @ bundle.eig.left.conj().T)
-    return OperatorPair(o_full=o_full, o_a=o_full - 1j * o_b, o_b=o_b)
+def _generators(family: HamiltonianFamily, lam) -> tuple[BiorthoEigensystem, OperatorPair]:
+    """The eigensystem at ``lam`` and ``o_operators`` there."""
+    lam = np.asarray(lam, dtype=float)
+    eig = biortho_eig(family(lam))
+    for n in range(eig.dim):
+        _check_gap(eig, n)
+    dh = np.stack([family.deriv(lam, mu, default_step(lam)) for mu in range(family.dim_param)])
+    c = _coefficients(eig, dh)
+    psi, phi_dag = eig.right, eig.left.conj().T
+    # The gauge of biortho_eig, unit-norm Psi_n and real <Phi_n|d Psi_n>,
+    # sets the diagonal: C_nn = -Re sum_{m != n} (Psi^dag Psi)_nm C_mn.
+    diag = np.arange(eig.dim)
+    c[:, diag, diag] = -np.einsum("nm,amn->an", psi.conj().T @ psi, c).real
+    o_full = 1j * (psi @ c @ phi_dag)
+    o_b = 0.5 * (psi @ (c + np.swapaxes(c, -1, -2).conj()) @ phi_dag)
+    return eig, OperatorPair(o_full=o_full, o_a=o_full - 1j * o_b, o_b=o_b)
 
 
 def o_operators(family: HamiltonianFamily, lam) -> OperatorPair:
@@ -373,24 +380,25 @@ def o_operators(family: HamiltonianFamily, lam) -> OperatorPair:
 
     O_B,mu = -1/2 W^{-1} d_mu W is (minus) the gauge field driving the
     inner-product drift; O_A,mu = O_mu - i O_B,mu. Both parts are
-    Hermitian in the W inner product. Each field is a (d, N, N) stack.
+    Hermitian in the W inner product. Each field is a (d, N, N) stack,
+    from one eigensolve: as d_mu Psi = Psi C_mu and W^{-1} = Psi Psi^dag,
+    O_mu = i Psi C_mu Phi^dag and O_B,mu = 1/2 Psi (C_mu + C_mu^dag) Phi^dag.
+    Raises Degenerate when any two levels meet.
     """
-    return _operators(param_derivatives(family, lam))
+    return _generators(family, lam)[1]
 
 
 def variance_metric(family: HamiltonianFamily, lam) -> np.ndarray:
     """Ground-state metric from centred anticommutators of O_A and O_B.
 
     g_{mu nu} = 1/2 (<{O_A,mu - <O_A,mu>, ...}> - <{O_B,mu - ..., ...}>)
-    with expectations <X> = <Phi_0|X|Psi_0>. Agrees with Re Q from the
-    differencing route up to the shared O(step^2) error.
+    with expectations <X> = <Phi_0|X|Psi_0>. Raises Degenerate when any
+    two levels meet.
     """
-    bundle = param_derivatives(family, lam)
-    _check_gap(bundle.eig, 0)
-    ops = _operators(bundle)
-    phi0 = bundle.eig.left[:, 0].conj()
-    psi0 = bundle.eig.right[:, 0]
-    eye = np.eye(bundle.eig.dim)
+    eig, ops = _generators(family, lam)
+    phi0 = eig.left[:, 0].conj()
+    psi0 = eig.right[:, 0]
+    eye = np.eye(eig.dim)
 
     def anticommutators(o):
         x = o - np.einsum("i,aij,j->a", phi0, o, psi0)[:, None, None] * eye

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, xy_chain
-from .biortho import biortho_eig, build_W
+from .biortho import HamiltonianFamily, biortho_eig, build_W
 from .dynamics import PathSpec, adiabatic_phase
 from .families import pt_two_level_family, spin_half_family
 from .geometry import LoopSpec, _fd_qgt, berry_phase_loop, curvature_flux
@@ -27,6 +27,14 @@ __all__ = ["CheckResult", "run_suite", "FAST_CHECKS", "FULL_CHECKS",
 
 ANISO = XYParams(J=1.0, Js=0.5, Gamma=1.0 / 3.0, Gammas=1.0 / 6.0)
 PSEUDO_ISO = XYParams(J=1.0, Js=0.5, Gamma=0.25, Gammas=0.5)
+
+# Check sizes: random cases per seeded check (fewer for the fidelity ratio
+# test), the coarser Stokes grid, the adiabatic loop times and steps per time.
+_TRIALS = 20
+_FIDELITY_TRIALS = 10
+_STOKES_RESOLUTION = 64
+_ADIABATIC_TAUS = (50.0, 100.0, 200.0)
+_STEPS_PER_TIME = 60
 
 
 @dataclass(frozen=True)
@@ -88,11 +96,11 @@ def _random_dk_cases(rng, trials):
     return cases
 
 
-def check_q_structure(seed=42, trials=20) -> CheckResult:
+def check_q_structure(seed=42) -> CheckResult:
     """Q Hermitian, Omega antisymmetric, g symmetric."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for params, lam, k in _random_dk_cases(rng, trials):
+    for params, lam, k in _random_dk_cases(rng, _TRIALS):
         fam = dk_family(params, k)
         q = geometry.qgt(fam, lam, n=0).q
         scale = max(np.linalg.norm(q), 1e-300)
@@ -105,12 +113,12 @@ def check_q_structure(seed=42, trials=20) -> CheckResult:
     return CheckResult("q_hermitian_structure", worst, 1e-9)
 
 
-def check_gauge_invariance(seed=42, trials=20) -> CheckResult:
+def check_gauge_invariance(seed=42) -> CheckResult:
     """Q is unchanged under smooth per-level rescalings f(lam), exactly
     transformed derivatives included."""
     rng = np.random.default_rng(seed + 1)
     worst = 0.0
-    for params, lam, k in _random_dk_cases(rng, trials):
+    for params, lam, k in _random_dk_cases(rng, _TRIALS):
         fam = dk_family(params, k)
         bundle = geometry.param_derivatives(fam, lam)
         n_dim = fam.dim_hilbert
@@ -130,11 +138,11 @@ def check_gauge_invariance(seed=42, trials=20) -> CheckResult:
     return CheckResult("gauge_invariance", worst, 1e-9)
 
 
-def check_perturbative_vs_fd(seed=42, trials=20) -> CheckResult:
+def check_perturbative_vs_fd(seed=42) -> CheckResult:
     """Sum-over-states ground metric vs Re Q from differencing, step 1e-5."""
     rng = np.random.default_rng(seed + 2)
     worst = 0.0
-    for params, lam, k in _random_dk_cases(rng, trials):
+    for params, lam, k in _random_dk_cases(rng, _TRIALS):
         fam = dk_family(params, k)
         eig = biortho_eig(fam(lam))
         dh = [fam.deriv(lam, mu) for mu in range(2)]
@@ -156,13 +164,13 @@ def _random_pt_points(rng, count):
     return pts
 
 
-def check_sos_vs_fd_qgt(seed=42, trials=20) -> CheckResult:
+def check_sos_vs_fd_qgt(seed=42) -> CheckResult:
     """Complex sum-over-states Q (metric and curvature) vs Q from
     differencing, on D_k blocks and on pt_two_level in both phases."""
     rng = np.random.default_rng(seed + 8)
-    cases = [(dk_family(params, k), lam) for params, lam, k in _random_dk_cases(rng, trials)]
+    cases = [(dk_family(params, k), lam) for params, lam, k in _random_dk_cases(rng, _TRIALS)]
     pt = pt_two_level_family()
-    cases += [(pt, lam) for lam in _random_pt_points(rng, trials // 2)]
+    cases += [(pt, lam) for lam in _random_pt_points(rng, _TRIALS // 2)]
     worst = 0.0
     for fam, lam in cases:
         eig = biortho_eig(fam(lam))
@@ -176,11 +184,11 @@ def check_sos_vs_fd_qgt(seed=42, trials=20) -> CheckResult:
     return CheckResult("sos_vs_fd_qgt", worst, 1e-6)
 
 
-def check_variance_vs_metric(seed=42, trials=20) -> CheckResult:
+def check_variance_vs_metric(seed=42) -> CheckResult:
     """Variance form of the ground metric vs Re Q."""
     rng = np.random.default_rng(seed + 3)
     worst = 0.0
-    for params, lam, k in _random_dk_cases(rng, trials):
+    for params, lam, k in _random_dk_cases(rng, _TRIALS):
         fam = dk_family(params, k)
         g_var = geometry.variance_metric(fam, lam)
         g_q = geometry.qgt(fam, lam, n=0).q.real
@@ -189,14 +197,14 @@ def check_variance_vs_metric(seed=42, trials=20) -> CheckResult:
     return CheckResult("variance_vs_metric", worst, 1e-8)
 
 
-def check_ob_identity(seed=42, trials=20) -> CheckResult:
+def check_ob_identity(seed=42) -> CheckResult:
     """O_B from the Hermitian-part decomposition of O equals -1/2 W^-1 dW."""
     rng = np.random.default_rng(seed + 4)
     worst = 0.0
-    for params, lam, k in _random_dk_cases(rng, trials):
+    for params, lam, k in _random_dk_cases(rng, _TRIALS):
         fam = dk_family(params, k)
         ops = geometry.o_operators(fam, lam)
-        w = geometry.param_derivatives(fam, lam).w
+        w = build_W(biortho_eig(fam(lam)))
         for mu in range(2):
             o = ops.o_full[mu]
             ob_dec = -0.5j * (o - np.linalg.solve(w, o.conj().T @ w))
@@ -205,7 +213,7 @@ def check_ob_identity(seed=42, trials=20) -> CheckResult:
     return CheckResult("o_b_gauge_field_identity", worst, 1e-7)
 
 
-def check_fidelity_expansion(seed=42, trials=10) -> CheckResult:
+def check_fidelity_expansion(seed=42) -> CheckResult:
     """2(1-F) matches g_{mu nu} d^mu d^nu with a third-order remainder.
 
     Ratio test: the remainder must shrink by at least ~2^3 = 8 (allowing
@@ -213,7 +221,7 @@ def check_fidelity_expansion(seed=42, trials=10) -> CheckResult:
     """
     rng = np.random.default_rng(seed + 5)
     worst_ratio_defect = 0.0
-    for params, lam, k in _random_dk_cases(rng, trials):
+    for params, lam, k in _random_dk_cases(rng, _FIDELITY_TRIALS):
         fam = dk_family(params, k)
         g = geometry.qgt(fam, lam, n=0).q.real
         direction = rng.normal(size=2)
@@ -244,27 +252,20 @@ def _hermitian_block_family(params):
     def evaluate(lam):
         return xy_chain.dk_matrix(params, FieldPoint(h=lam[0], eta=0.0), lam[1])
 
-    from .biortho import HamiltonianFamily
-
     return HamiltonianFamily(dim_hilbert=4, dim_param=2, evaluate=evaluate)
 
 
-def check_hermitian_reduction(seed=42, trials=20) -> CheckResult:
+def check_hermitian_reduction(seed=42) -> CheckResult:
     """For families that are Hermitian at every parameter value the
     extended Q equals the standard sum-over-states tensor."""
     rng = np.random.default_rng(seed + 6)
+    cases = [(spin_half_family(), lam / np.linalg.norm(lam))
+             for lam in rng.normal(size=(_TRIALS // 2, 3))]
+    block = _hermitian_block_family(ANISO)
+    cases += [(block, np.array([rng.uniform(0.2, 1.4), rng.uniform(0.3, np.pi / 2 - 0.3)]))
+              for _ in range(_TRIALS // 2)]
     worst = 0.0
-    for _ in range(trials // 2):
-        lam = rng.normal(size=3)
-        lam /= np.linalg.norm(lam)
-        fam = spin_half_family()
-        q = geometry.qgt(fam, lam, n=0).q
-        q_ref = standard_qgt_oracle(fam, lam, n=0)
-        scale = max(np.linalg.norm(q_ref), 1e-300)
-        worst = max(worst, float(np.max(np.abs(q - q_ref))) / scale)
-    for _ in range(trials // 2):
-        fam = _hermitian_block_family(ANISO)
-        lam = np.array([rng.uniform(0.2, 1.4), rng.uniform(0.3, np.pi / 2 - 0.3)])
+    for fam, lam in cases:
         q = geometry.qgt(fam, lam, n=0).q
         q_ref = standard_qgt_oracle(fam, lam, n=0)
         scale = max(np.linalg.norm(q_ref), 1e-300)
@@ -272,11 +273,11 @@ def check_hermitian_reduction(seed=42, trials=20) -> CheckResult:
     return CheckResult("hermitian_limit_reduction", worst, 1e-8)
 
 
-def check_w_identity(seed=42, trials=20) -> CheckResult:
+def check_w_identity(seed=42) -> CheckResult:
     """W H = H^dag W and <Psi_m|W|Psi_n> = delta for random blocks."""
     rng = np.random.default_rng(seed + 7)
     worst = 0.0
-    for params, lam, k in _random_dk_cases(rng, trials):
+    for params, lam, k in _random_dk_cases(rng, _TRIALS):
         fam = dk_family(params, k)
         h = fam(lam)
         eig = biortho_eig(h)
@@ -290,7 +291,7 @@ def check_w_identity(seed=42, trials=20) -> CheckResult:
     return CheckResult("metric_intertwining", worst, 1e-9)
 
 
-def check_real_basis_intensity(seed=42, trials=20) -> CheckResult:
+def check_real_basis_intensity(seed=42) -> CheckResult:
     """The intensity kernel, which solves U^dag D_k U in real arithmetic,
     against the same sum over states on the complex blocks D_k with the
     paper's dH, at the same quadrature nodes."""
@@ -299,7 +300,7 @@ def check_real_basis_intensity(seed=42, trials=20) -> CheckResult:
     dh = np.stack([xy_chain._DH, xy_chain._DETA])
     worst = 0.0
     for params in (ANISO, PSEUDO_ISO):
-        h, eta = np.array(_random_unbroken_points(rng, params, trials // 2)).T
+        h, eta = np.array(_random_unbroken_points(rng, params, _TRIALS // 2)).T
         g = xy_chain._intensity_perturbative(params, h, eta, 65)
         eig = biortho_eig(xy_chain.dk_blocks(params, h, eta, ks))
         q = geometry._sos_qgt(eig, dh, eig.energies.real < 0).real
@@ -309,7 +310,7 @@ def check_real_basis_intensity(seed=42, trials=20) -> CheckResult:
     return CheckResult("real_basis_intensity", worst, 1e-12)
 
 
-def check_stokes(resolution=64) -> CheckResult:
+def check_stokes() -> CheckResult:
     """Boundary Berry phase + enclosed curvature flux vanish, and the
     residual drops ~4x when the grid is refined 2x."""
     fam = pt_two_level_family()
@@ -317,14 +318,14 @@ def check_stokes(resolution=64) -> CheckResult:
     hi = np.array([0.25, 0.95])
     verts = _rectangle_loop(lo, hi, per_side=192)
     gamma = berry_phase_loop(fam, LoopSpec(vertices=verts, level=0))
-    err1 = abs(curvature_flux(fam, lo, hi, (0, 1), resolution, n=0) + gamma)
-    err2 = abs(curvature_flux(fam, lo, hi, (0, 1), 2 * resolution, n=0) + gamma)
+    err1 = abs(curvature_flux(fam, lo, hi, (0, 1), _STOKES_RESOLUTION, n=0) + gamma)
+    err2 = abs(curvature_flux(fam, lo, hi, (0, 1), 2 * _STOKES_RESOLUTION, n=0) + gamma)
     # encode both requirements: absolute residual and >= 2.5x improvement
     combined = max(err1 / 1e-4, err2 / (err1 / 2.5 + 1e-300))
     return CheckResult("stokes_consistency", combined, 1.0)
 
 
-def _rectangle_loop(lo, hi, per_side=64):
+def _rectangle_loop(lo, hi, per_side):
     xs = np.linspace(lo[0], hi[0], per_side, endpoint=False)
     ys = np.linspace(lo[1], hi[1], per_side, endpoint=False)
     bottom = np.stack([xs, np.full_like(xs, lo[1])], axis=1)
@@ -333,27 +334,21 @@ def _rectangle_loop(lo, hi, per_side=64):
                     np.full(per_side, hi[1])], axis=1)
     left = np.stack([np.full(per_side, lo[0]),
                      np.linspace(hi[1], lo[1], per_side, endpoint=False)], axis=1)
-    loop = np.concatenate([bottom, right, top, left, bottom[:1]], axis=0)
-    return loop
+    return np.concatenate([bottom, right, top, left, bottom[:1]], axis=0)
 
 
-def check_adiabatic(taus=(50.0, 100.0, 200.0), steps_per_time=60) -> CheckResult:
+def check_adiabatic() -> CheckResult:
     """|gamma_sim - gamma_line| shrinks monotonically with tau and is
     below 1e-2 at the largest tau."""
     fam = pt_two_level_family()
     center = np.array([0.15, 0.85])
     radius = 0.05
-
     diffs = []
-    for tau in taus:
-        path = PathSpec(
-            curve=lambda t, _tau=tau: center
-            + radius * np.array([np.cos(2 * np.pi * t / _tau),
-                                 np.sin(2 * np.pi * t / _tau)]),
-            duration=tau,
-            closed=True,
-        )
-        out = adiabatic_phase(fam, path, n=0, n_steps=int(steps_per_time * tau))
+    for tau in _ADIABATIC_TAUS:
+        path = PathSpec(curve=lambda t, _tau=tau: center + radius * np.array(
+            [np.cos(2 * np.pi * t / _tau), np.sin(2 * np.pi * t / _tau)]),
+            duration=tau, closed=True)
+        out = adiabatic_phase(fam, path, n=0, n_steps=int(_STEPS_PER_TIME * tau))
         diffs.append(abs(out["gamma_sim"] - out["gamma_line"]))
     monotone = all(b < a for a, b in zip(diffs, diffs[1:]))
     residual = diffs[-1] if monotone else float("inf")

@@ -13,6 +13,7 @@ from ptqgt import (
     berry_curvature,
     berry_phase_loop,
     biortho_eig,
+    build_W,
     classify_interval,
     curvature_flux,
     dk_family,
@@ -215,6 +216,28 @@ def test_metric_perturbative_matches_fd_on_dk():
     g_pert = metric_perturbative(eig, dh)
     g_fd = qgt(fam, lam, n=0).q.real
     assert np.max(np.abs(g_pert - g_fd)) < 1e-6 * np.linalg.norm(g_pert)
+
+
+def test_metric_perturbative_with_an_exactly_degenerate_pair_above_level_0():
+    # At b = 0 levels 1 and 2 meet exactly and level 0 stays clear. The
+    # pair's response to itself is 0/0; it must enter as zero, not as NaN.
+    def evaluate(lam):
+        a, b = lam
+        return np.array([[a - 2.0, b, b], [b, 1.0, 0.0], [b, 0.0, 1.0]])
+
+    def derivative(lam, mu):
+        return np.array([[1.0, 0, 0], [0, 0, 0], [0, 0, 0]]) if mu == 0 else \
+            np.array([[0.0, 1, 1], [1, 0, 0], [1, 0, 0]])
+
+    fam = HamiltonianFamily(dim_hilbert=3, dim_param=2, evaluate=evaluate,
+                            derivative=derivative)
+    lam = np.array([0.5, 0.0])
+    eig = biortho_eig(fam(lam))
+    assert eig.energies[1] == eig.energies[2]
+    g = metric_perturbative(eig, [fam.deriv(lam, mu) for mu in range(2)])
+    g_ref = standard_qgt_oracle(fam, lam, n=0).real
+    assert np.all(np.isfinite(g))
+    assert np.max(np.abs(g - g_ref)) < 1e-12 * np.linalg.norm(g_ref)
 
 
 def test_metric_perturbative_matches_fd_in_broken_phase():
@@ -541,22 +564,53 @@ def test_fidelity_quadratic_expansion():
 
 
 def test_o_operators_generate_derivatives():
+    # The closed-form generators against the difference route: the bundle
+    # differences gauge-fixed eigenvectors, in the gauge (unit-norm Psi_n,
+    # real <Phi_n|d Psi_n>) that fixes the diagonal of C_mu.
+    for fam, lam in ((dk_family(ANISO, 0.8), [0.4, 0.2]),
+                     (pt_two_level_family(), [0.4, 0.2])):  # broken PT phase
+        bundle = param_derivatives(fam, lam)
+        ops = o_operators(fam, lam)
+        # i d_mu Psi_n = O_mu Psi_n by construction of the generator
+        for mu in range(2):
+            lhs = 1j * bundle.dpsi[mu]
+            rhs = ops.o_full[mu] @ bundle.eig.right
+            assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(np.max(np.abs(lhs)), 1.0)
+
+
+def test_o_operators_and_variance_metric_solve_one_matrix(monkeypatch):
+    shapes = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eig(a)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the generators must not difference eigenvectors")
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    monkeypatch.setattr(geometry, "gauge_fix", forbidden)
+    monkeypatch.setattr(geometry, "param_derivatives", forbidden)
     fam = dk_family(ANISO, 0.8)
-    lam = np.array([0.4, 0.2])
-    bundle = param_derivatives(fam, lam)  # the same bits o_operators differences
-    ops = o_operators(fam, lam)
-    # i d_mu Psi_n = O_mu Psi_n by construction of the generator
-    for mu in range(2):
-        lhs = 1j * bundle.dpsi[mu]
-        rhs = ops.o_full[mu] @ bundle.eig.right
-        assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(np.max(np.abs(lhs)), 1.0)
+    for call in (o_operators, variance_metric):
+        shapes.clear()
+        call(fam, np.array([0.4, 0.2]))
+        assert shapes == [(1, 4, 4)]  # one matrix, as a stack of one
+
+
+@pytest.mark.parametrize("call", [o_operators, variance_metric])
+def test_generators_refuse_meeting_levels(call):
+    with pytest.raises(Degenerate):
+        call(spin_half_family(), np.zeros(3))
 
 
 def test_o_split_parts_w_hermitian():
     fam = dk_family(ANISO, 0.8)
     lam = np.array([0.4, 0.2])
     ops = o_operators(fam, lam)
-    w = param_derivatives(fam, lam).w
+    w = build_W(biortho_eig(fam(lam)))
     for mu in range(2):
         for part in (ops.o_a[mu], ops.o_b[mu]):
             x = w @ part
