@@ -4,12 +4,15 @@ The evolution equation i d psi/dt = [H(t) + i K(t)] psi with the gauge
 field K(t) = -1/2 W^{-1} dW/dt, where W^{-1} = Psi Psi^dag, preserves the
 time-dependent W inner product exactly; the integrator here is a
 fixed-step classical RK4 whose conservation is verified a posteriori
-rather than enforced structurally. The path is known before the loop
-starts, so ``evolve`` solves its instants in chunks of steps: one stacked
-eigensolve per chunk gives H, W and K at every half-step and step end
-(each step end is also the next step's start and a record time), the RK4
-loop only multiplies matrices, and the chunk's records are formed once
-after it. A chunk whose stacked work fails is replayed one step at a
+rather than enforced structurally. K is the generator O_B along the
+path's velocity, K = 1/2 Psi (C + C^dag) Phi^dag with C the eigenvector
+response to dH/dt, so it needs the eigensystem at its instant only and H
+at two probe times around it. The path is known before the loop starts,
+so ``evolve`` solves its instants in chunks of steps: one family call and
+one stacked eigensolve per chunk give H, W and K at every half-step and
+step end (each step end is also the next step's start and a record time),
+the RK4 loop only multiplies matrices, and the chunk's records are formed
+once after it. A chunk whose stacked work fails is replayed one step at a
 time, so errors keep their time order.
 """
 
@@ -21,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .biortho import HamiltonianFamily, biortho_eig, build_W, gauge_fix
-from .errors import NotAdiabatic, StepTooLarge
-from .geometry import LoopSpec, _check_level, berry_phase_loop
+from .errors import NonFinite, NotAdiabatic, StepTooLarge
+from .geometry import LoopSpec, _check_level, _gauged_coefficients, berry_phase_loop
 
 __all__ = [
     "PathSpec",
@@ -34,8 +37,8 @@ __all__ = [
 
 # RK4 steps whose eigensystems are stacked together. A hundred or so
 # steps amortize the per-call overhead; longer chunks gain little speed
-# but grow the transient stacks (for 2x2 families ~0.5 MB at 128 steps,
-# ~1 MB at 256), which then rival the evolution result itself.
+# but grow the transient stacks (for 2x2 families ~0.25 MB at 128 steps,
+# ~0.5 MB at 256), which then rival the evolution result itself.
 _CHUNK = 128
 
 
@@ -56,7 +59,7 @@ class PathSpec:
         ``t.shape + (d,)``, in a fresh array; ``curve`` is only ever given
         one scalar time."""
         t = np.asarray(t, dtype=float)
-        points = np.stack([np.asarray(self.curve(s), dtype=float) for s in t.ravel()])
+        points = np.array([self.curve(s) for s in t.ravel()], dtype=float)
         return points.reshape(t.shape + points.shape[1:])
 
     @classmethod
@@ -92,27 +95,36 @@ def _instants(
     family: HamiltonianFamily, path: PathSpec, t: np.ndarray, dt_probe: float
 ):
     """H, its eigensystem, W and K at the times ``t``, from one family call
-    and one stacked eigensolve over every time and its two K probes. As
-    W = Phi Phi^dag and Phi = Psi^{-dag}, W^{-1} = Psi Psi^dag needs no solve."""
+    over every time and its two K probes and one stacked eigensolve over
+    the times alone. dH/dt is the central difference of H over the probes;
+    as d Psi/dt = Psi C and W^{-1} = Psi Psi^dag, K = -1/2 W^{-1} dW/dt is
+    1/2 Psi (C + C^dag) Phi^dag. Raises NonFinite when H is NaN or Inf at
+    a time or a probe."""
     t_plus = np.minimum(t + dt_probe, path.duration)
     t_minus = np.maximum(t - dt_probe, 0.0)
     h = family(path.at(np.stack([t, t_plus, t_minus])))
-    eig = biortho_eig(h)
-    w = build_W(eig)
-    dw = (w[1] - w[2]) / (t_plus - t_minus)[..., None, None]
-    psi = eig.right[0]
-    k = -0.5 * (psi @ np.swapaxes(psi.conj(), -1, -2)) @ dw
-    return h[0], eig[0], w[0], k
+    if not np.isfinite(h).all():
+        raise NonFinite("H contains NaN or Inf entries at a time or its K probes")
+    h_dot = (h[1] - h[2]) / (t_plus - t_minus)[..., None, None]
+    eig = biortho_eig(h[0])
+    c = _gauged_coefficients(eig, h_dot[..., None, :, :])[..., 0, :, :]
+    phi_dag = np.swapaxes(eig.left.conj(), -1, -2)
+    k = 0.5 * eig.right @ (c + np.swapaxes(c.conj(), -1, -2)) @ phi_dag
+    return h[0], eig, build_W(eig), k
 
 
 def k_field(
     family: HamiltonianFamily, path: PathSpec, t, dt_probe: float
 ) -> np.ndarray:
-    """Gauge field K(t) = -1/2 W^{-1}(t) dW/dt by central differencing.
+    """Gauge field K(t) = -1/2 W^{-1}(t) dW/dt.
 
-    ``t`` may be an array of times; K then has shape ``t.shape + (N, N)``.
-    The metrics at every time and its two probes come from one stacked
-    eigensolve.
+    K = 1/2 Psi (C + C^dag) Phi^dag, the generator O_B along the path's
+    velocity, with C the eigenvector response to dH/dt; dH/dt is the
+    central difference of H over t +/- ``dt_probe``, one-sided where a
+    probe would leave [0, duration]. ``t`` may be an array of times; K
+    then has shape ``t.shape + (N, N)``. One family call covers every time
+    and its two probes, and one stacked eigensolve every time. Raises
+    NonFinite when H is NaN or Inf at a time or a probe.
     """
     if not (dt_probe > 0 and np.isfinite(dt_probe)):
         raise ValueError("dt_probe must be positive and finite")
@@ -135,8 +147,8 @@ def evolve(
     eigenstate is monitored (NotAdiabatic below 0.99) and the total /
     dynamical / geometric phases are extracted. Raises StepTooLarge when
     the W-norm drifts beyond ``drift_tol`` (``np.inf`` switches the check
-    off); ValueError unless ``n_steps`` is a positive integer, or for a NaN
-    ``drift_tol``.
+    off) and whenever a W-norm is not finite; ValueError unless ``n_steps``
+    is a positive integer, or for a NaN ``drift_tol``.
 
     The path is walked in chunks of steps on the grid ``times``, so a step
     starts exactly where the last one ended. Per chunk, one family call and
@@ -231,6 +243,8 @@ def evolve(
             advance(i, i + 1, chunk_work(i, i + 1))
 
     drift = float(np.max(np.abs(w_norms - w_norms[0])))
+    if not np.isfinite(drift):  # refused whatever drift_tol is, np.inf too
+        raise StepTooLarge(f"W-norm is not finite (drift {drift}); increase n_steps")
     if drift > drift_tol:
         raise StepTooLarge(
             f"W-norm drift {drift:.3e} exceeds {drift_tol:.1e}; increase n_steps"

@@ -225,6 +225,19 @@ def _coefficients(eig: BiorthoEigensystem, dh) -> np.ndarray:
     return (phi_dag[..., None, :, :] @ dh @ eig.right[..., None, :, :]) * inv_gap[..., None, :, :]
 
 
+def _gauged_coefficients(eig: BiorthoEigensystem, dh) -> np.ndarray:
+    """``_coefficients`` with the diagonal that biortho_eig's gauge sets,
+    so that d_mu Psi = Psi C_mu in full; ``eig`` may be a stack (..., N)
+    and ``dh`` is (..., d, N, N). Unit-norm Psi_n and real <Phi_n|d Psi_n>
+    give C_nn = -Re sum_{m != n} (Psi^dag Psi)_nm C_mn."""
+    c = _coefficients(eig, dh)
+    gram = np.swapaxes(eig.right.conj(), -1, -2) @ eig.right
+    diag = np.arange(eig.dim)
+    # The sum may include m = n: _coefficients leaves C_nn zero.
+    c[..., diag, diag] = -(gram[..., None, :, :] * np.swapaxes(c, -1, -2)).sum(-1).real
+    return c
+
+
 def _sos_qgt(eig: BiorthoEigensystem, dh, levels) -> np.ndarray:
     """Sum-over-states Q summed over the levels selected by ``levels``.
 
@@ -364,12 +377,8 @@ def _generators(family: HamiltonianFamily, lam) -> tuple[BiorthoEigensystem, Ope
     for n in range(eig.dim):
         _check_gap(eig, n)
     dh = np.stack([family.deriv(lam, mu, default_step(lam)) for mu in range(family.dim_param)])
-    c = _coefficients(eig, dh)
+    c = _gauged_coefficients(eig, dh)
     psi, phi_dag = eig.right, eig.left.conj().T
-    # The gauge of biortho_eig, unit-norm Psi_n and real <Phi_n|d Psi_n>,
-    # sets the diagonal: C_nn = -Re sum_{m != n} (Psi^dag Psi)_nm C_mn.
-    diag = np.arange(eig.dim)
-    c[:, diag, diag] = -np.einsum("nm,amn->an", psi.conj().T @ psi, c).real
     o_full = 1j * (psi @ c @ phi_dag)
     o_b = 0.5 * (psi @ (c + np.swapaxes(c, -1, -2).conj()) @ phi_dag)
     return eig, OperatorPair(o_full=o_full, o_a=o_full - 1j * o_b, o_b=o_b)

@@ -112,7 +112,7 @@ def test_one_eigensolve_per_call(monkeypatch):
                                                       n_quad=65), (65, 4, 4)),
         "qgt": (lambda: qgt(fam, [0.15, 0.85]), (5, 2, 2)),
         "berry_phase_loop": (lambda: berry_phase_loop(fam, loop), (32, 2, 2)),
-        "k_field": (lambda: k_field(fam, path, [0.2, 0.4], 1e-3), (6, 2, 2)),
+        "k_field": (lambda: k_field(fam, path, [0.2, 0.4], 1e-3), (2, 2, 2)),
     }
     for name, (call, stack) in calls.items():
         shapes.clear()

@@ -88,6 +88,13 @@ def test_pathspec_at_array_matches_per_time():
     assert np.array_equal(paths[0].at(np.asarray(0.37)), paths[0].at(0.37))
 
 
+def test_pathspec_at_refuses_a_ragged_curve():
+    path = PathSpec(curve=lambda t: np.zeros(2 if t < 0.5 else 3), duration=1.0)
+    assert path.at(np.array([0.1, 0.2])).shape == (2, 2)
+    with pytest.raises(ValueError):
+        path.at(np.array([0.1, 0.9]))
+
+
 # -------------------------------------------------------------- k field
 
 
@@ -109,6 +116,31 @@ def test_k_field_zero_for_static_path():
     path = PathSpec(curve=lambda t: np.array([0.3, 1.0]), duration=5.0)
     k = k_field(fam, path, 2.0, 1e-3)
     assert np.max(np.abs(k)) < 1e-10
+
+
+def differenced_k_field(family, path, t, dt_probe):
+    """K from the metrics themselves: -1/2 Psi Psi^dag dW/dt, with dW/dt the
+    central difference of W at t +/- dt_probe (interior times only)."""
+    t = np.asarray(t, dtype=float)
+    w_plus = build_W(biortho_eig(family(path.at(t + dt_probe))))
+    w_minus = build_W(biortho_eig(family(path.at(t - dt_probe))))
+    psi = biortho_eig(family(path.at(t))).right
+    return -0.5 * psi @ np.swapaxes(psi.conj(), -1, -2) @ ((w_plus - w_minus) / (2.0 * dt_probe))
+
+
+@pytest.mark.parametrize("family, center, unbroken", [
+    (pt_two_level_family(), [0.15, 0.85], True),
+    (pt_two_level_family(), [0.55, 0.3], False),
+    (flat_pt_family(), [0.3, 1.0], True),
+], ids=["pt_two_level-unbroken", "pt_two_level-broken", "flat_pt"])
+def test_k_field_matches_differenced_metric(family, center, unbroken):
+    path = circle_path(center, 0.05, 10.0)
+    t = np.linspace(0.5, 9.5, 19)
+    eig = biortho_eig(family(path.at(t)))
+    assert np.all(eig.unbroken == unbroken)
+    k = k_field(family, path, t, 1e-4)
+    assert np.max(np.abs(k)) > 1e-2  # non-trivial on this path
+    assert np.max(np.abs(k - differenced_k_field(family, path, t, 1e-4))) <= 1e-10
 
 
 def test_k_field_w_hermiticity():
@@ -258,6 +290,46 @@ def test_non_finite_raised_at_first_nan_step():
     assert round(seen[-1] / dt - 0.75) == expected
 
 
+def nan_near(s_nan, width):
+    """pt_two_level, but all-NaN wherever |s - s_nan| < width."""
+    fam = pt_two_level_family()
+
+    def evaluate(lam):
+        h = fam(lam)
+        return np.full_like(h, np.nan) if abs(lam[1] - s_nan) < width else h
+
+    return HamiltonianFamily(dim_hilbert=2, dim_param=2, evaluate=evaluate)
+
+
+def test_non_finite_raised_at_a_probe_time_only():
+    # s = 0.85 + 0.01 t is NaN only near t = 0.36, the upper K probe of the
+    # half-step 0.35 (dt 0.1, probes dt / 10 away); no instant is NaN, so
+    # the eigensolves never see it
+    path = PathSpec(curve=lambda t: np.array([0.15, 0.85 + 0.01 * t]), duration=1.0)
+    fam = nan_near(0.85 + 0.01 * 0.36, 0.01 * 0.002)
+    instants = path.at(np.arange(21) * 0.05)
+    assert np.isfinite(fam(instants)).all()
+    assert np.isfinite(k_field(fam, path, 0.35, 0.02)).all()
+    with pytest.raises(NonFinite):
+        k_field(fam, path, 0.35, 0.01)
+    psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
+    with pytest.raises(NonFinite):
+        evolve(fam, path, psi0, n_steps=10)
+
+
+@pytest.mark.parametrize("drift_tol", [1e-6, np.inf])
+@pytest.mark.parametrize("track_level", [None, 0])
+def test_evolve_refuses_a_non_finite_w_norm(track_level, drift_tol):
+    # H of order 1e160 overflows the RK4 states to NaN within 10 steps; a
+    # NaN drift is above no tolerance, so it needs a check of its own
+    fam = pt_two_level_family()
+    huge = dataclasses.replace(fam, evaluate=lambda lam: 1e160 * fam.evaluate(lam))
+    path = circle_path([0.15, 0.85], 0.05, 5.0)
+    psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
+    with np.errstate(all="ignore"), pytest.raises(StepTooLarge, match="not finite"):
+        evolve(huge, path, psi0, n_steps=10, track_level=track_level, drift_tol=drift_tol)
+
+
 def evolve_per_step(family, path, psi0, n_steps, level):
     """Reference RK4: k_field and gauge_fix once per step, no stacking."""
     psi = np.asarray(psi0, dtype=complex).copy()
@@ -308,8 +380,9 @@ def test_evolve_matches_per_step_reference(n_steps):
 
 def test_eigensolves_per_chunk(monkeypatch):
     # one stacked eigensolve at t = 0 and one per chunk, each over the
-    # instants and their two K probes: 3 matrices at t = 0 and 6 per step
-    # (half-step and step end); the path is sampled at exactly these times
+    # instants alone: 1 matrix at t = 0 and 2 per step (half-step and step
+    # end); the path is sampled at exactly these times and their two K
+    # probes, 3 times at t = 0 and 6 per step
     fam = pt_two_level_family()
     base = circle_path([0.15, 0.85], 0.05, 20.0)
     samples, calls, fixes = [], [], []
@@ -340,7 +413,7 @@ def test_eigensolves_per_chunk(monkeypatch):
     evolve(fam, path, psi0, n_steps=n_steps, track_level=0)
     chunks = math.ceil(n_steps / dynamics._CHUNK)
     assert len(calls) == chunks + 1
-    assert sum(math.prod(shape[:-2]) for shape in calls) == 6 * n_steps + 3
+    assert sum(math.prod(shape[:-2]) for shape in calls) == 2 * n_steps + 1
     assert len(samples) == 6 * n_steps + 3
     assert len(fixes) == chunks
 
