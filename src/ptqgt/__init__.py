@@ -10,6 +10,7 @@ from .biortho import (
     HamiltonianFamily,
     biortho_eig,
     build_W,
+    default_step,
     gauge_fix,
     gauge_transform,
 )
@@ -37,7 +38,6 @@ from .families import (
     spin_half_family,
 )
 from .geometry import (
-    DerivativeBundle,
     GeomTensor,
     LoopSpec,
     OperatorPair,
@@ -45,7 +45,6 @@ from .geometry import (
     berry_phase_loop,
     classify_interval,
     curvature_flux,
-    default_step,
     fidelity,
     metric_perturbative,
     metric_tensor,

@@ -10,8 +10,11 @@ Normalization convention: right vectors have unit 2-norm with their
 largest-magnitude component real positive; the left vectors are the dual
 basis ``left = inv(VR)^dag`` of the right-vector matrix VR, so that
 <Phi_m|Psi_n> = delta_mn by construction. Eigenvalues are sorted by
-(Re E, Im E) ascending. ``biortho_eig`` and ``build_W`` accept a single
-matrix or a stack ``(..., N, N)`` and decompose a stack in one call. A
+(Re E, Im E) ascending, real parts that differ by no more than the
+"real spectrum" band counting as equal, so that the two levels of a
+PT-broken pair come in the order of Im E. ``biortho_eig`` and
+``build_W`` accept a single matrix or a stack ``(..., N, N)`` and
+decompose a stack in one call. A
 real stack is decomposed in real arithmetic: its eigensystem is real when
 every eigenvalue of the stack is real, and complex otherwise.
 """
@@ -40,10 +43,13 @@ __all__ = [
     "build_W",
     "gauge_fix",
     "gauge_transform",
+    "default_step",
 ]
 
 _TOL_DEGENERATE = 1e-8  # eigenvalue distance that makes a cluster, times the scale
 _TOL_REAL = 1e-9  # largest |Im E| of a real (PT-unbroken) spectrum, times the scale
+# |H|^2 of an NxN matrix cannot overflow while N max|H_ij| stays below this
+_SQRT_MAX = np.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,8 @@ class HamiltonianFamily:
     derivative : callable, optional
         ``derivative(lam, mu) -> (N, N) complex ndarray`` giving the
         analytic partial derivative along direction ``mu``. When absent,
-        ``deriv`` falls back to central differences of ``evaluate``.
+        ``deriv`` takes central differences of ``evaluate`` at
+        ``default_step`` of each point.
     batched : bool
         When False (the default), ``evaluate`` and ``derivative`` see one
         point and are called once per point of a stack. When True, they
@@ -82,6 +89,9 @@ class HamiltonianFamily:
     batched: bool = False
 
     def __post_init__(self):
+        for dim in (self.dim_hilbert, self.dim_param):
+            if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+                raise ValueError(f"dimensions must be integers, got {dim!r}")
         if self.dim_hilbert < 1 or self.dim_param < 1:
             raise ValueError("dimensions must be positive")
 
@@ -89,9 +99,10 @@ class HamiltonianFamily:
         """H at a point ``(d,)`` or at each point of a stack ``(..., d)``."""
         return self._each(self.evaluate, lam)
 
-    def deriv(self, lam, mu: int, step=1e-6) -> np.ndarray:
-        """Partial derivative along ``mu`` at a point or a stack. ``step``,
-        a scalar or an array over the stack, serves the fallback."""
+    def deriv(self, lam, mu: int) -> np.ndarray:
+        """Partial derivative along ``mu`` at a point or a stack: the
+        analytic ``derivative`` when given, else the central difference
+        of ``evaluate`` over +/- ``default_step`` of each point."""
         if not 0 <= mu < self.dim_param:
             raise ValueError(f"mu must lie in 0..{self.dim_param - 1}, got {mu}")
         if self.derivative is not None:
@@ -99,7 +110,7 @@ class HamiltonianFamily:
         lam = self._points(lam)
         e = np.zeros(self.dim_param)
         e[mu] = 1.0
-        step = np.asarray(step, dtype=float)[..., None]
+        step = default_step(lam)[..., None]
         return (self(lam + step * e) - self(lam - step * e)) / (2.0 * step[..., None])
 
     def _points(self, lam) -> np.ndarray:
@@ -126,6 +137,13 @@ class HamiltonianFamily:
             raise ValueError(f"expected a result of shape {mat} at each point, "
                              f"a stack of {shape}, got {out.shape}")
         return out.reshape(lam.shape[:-1] + mat)
+
+
+def default_step(lam):
+    """Difference step 1e-5 (1 + |lam|) at a point ``(d,)``, or one per
+    point of a stack ``(..., d)``."""
+    lam = np.asarray(lam, dtype=float)
+    return 1e-5 * (1.0 + np.sqrt(np.vecdot(lam, lam)))
 
 
 @dataclass(frozen=True)
@@ -180,6 +198,11 @@ def biortho_eig(h) -> BiorthoEigensystem:
         to float and solved by a real ``eig``; as in numpy, the results
         are real arrays when every eigenvalue of the stack is real.
 
+    Levels are ordered by (Re E, Im E); real parts within the band
+    1e-9 times the spectral scale that decides "real spectrum" count as
+    equal, so a PT-broken pair is ordered by Im E (the -i|E| level
+    first) whatever the round-off in its real parts.
+
     Raises
     ------
     NonFinite
@@ -192,26 +215,43 @@ def biortho_eig(h) -> BiorthoEigensystem:
     h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if not np.isfinite(h).all():
+    big = np.abs(h).max(initial=0.0)  # NaN or Inf when an entry is
+    if not big < np.inf:
         raise NonFinite("matrix contains NaN or Inf entries")
     batch, n = h.shape[:-2], h.shape[-1]
     h = h.reshape(-1, n, n)
     rows, cols = np.arange(h.shape[0])[:, None], np.arange(n)
 
     w, vr = np.linalg.eig(h)
-    order = np.lexsort((w.imag, w.real))
-    w = w[rows, order]
-    vr = vr[rows, :, order].swapaxes(-1, -2)
-
     # Scale on the matrix norm, not the spectral radius: at an exceptional
     # point all eigenvalues can sit near zero while the matrix does not.
-    norm_scale = np.linalg.norm(h.reshape(h.shape[0], -1), axis=-1) / np.sqrt(n)
-    scale = np.maximum(np.abs(w).max(axis=-1), norm_scale)
+    # The norm squares the entries; where that could overflow, it is taken
+    # of each matrix divided by its largest entry.
+    flat = h.reshape(h.shape[0], -1)
+    if big * n < _SQRT_MAX:
+        norm = np.linalg.norm(flat, axis=-1)
+    else:
+        top = np.maximum(np.abs(flat).max(axis=-1), np.finfo(float).tiny)
+        norm = top * np.linalg.norm(flat / top[:, None], axis=-1)
+    scale = np.maximum(np.abs(w).max(axis=-1), norm / np.sqrt(n))
     tol = _TOL_DEGENERATE * scale
+
+    order = np.lexsort((w.imag, w.real))
+    w = w[rows, order]
+    dw = w[:, 1:] - w[:, :-1]  # between neighbours in the sorted order
+    tied = dw.real <= _TOL_REAL * scale[:, None]
+    if tied.any():
+        # A PT-broken pair has equal real parts up to round-off: order each
+        # run of real parts within the "real spectrum" band by Im E.
+        band = np.concatenate([np.zeros((len(w), 1), int), np.cumsum(~tied, axis=-1)], axis=-1)
+        perm = np.lexsort((w.imag, band))
+        order, w = order[rows, perm], w[rows, perm]
+        dw = w[:, 1:] - w[:, :-1]
+    vr = vr[rows, :, order].swapaxes(-1, -2)
 
     # Exceptional-point detection: clusters of sorted eigenvalues (neighbours
     # within tol) whose right vectors span less than the cluster size.
-    close = np.abs(w[:, 1:] - w[:, :-1]) <= tol[:, None]
+    close = np.abs(dw) <= tol[:, None]
     for i in np.flatnonzero(close.any(axis=-1)):
         for group in np.split(np.arange(n), np.flatnonzero(~close[i]) + 1):
             if len(group) < 2:

@@ -60,15 +60,14 @@ def _load_family(name_or_path: str):
     return load_model(name_or_path)
 
 
-def _parse_point(text: str) -> np.ndarray:
+def _point(text: str) -> np.ndarray:
     try:
         point = np.array([float(x) for x in text.split(",")], dtype=float)
     except ValueError:
         point = None
     if point is None or not np.all(np.isfinite(point)):
-        print(f"invalid point {text!r}: expected comma-separated finite numbers",
-              file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise argparse.ArgumentTypeError(
+            f"invalid point {text!r}: expected comma-separated finite numbers")
     return point
 
 
@@ -104,16 +103,16 @@ def _positive_float(text: str) -> float:
 
 
 class _UsageError(Exception):
-    """A command-line value that does not fit the model; exit code 1."""
+    """A command-line value that does not fit the model, or a bad scan
+    config; exit code 1."""
 
 
-def _model_at(args, text: str, min_params: int = 1):
-    """The model ``args.model``, and the point ``text`` checked against it."""
+def _model_at(args, point: np.ndarray, min_params: int = 1):
+    """The model ``args.model``, and ``point`` checked against it."""
     family = _load_family(args.model)
     if family.dim_param < min_params:
         raise _UsageError(f"this command needs a model with at least {min_params} "
                           f"parameters, got {family.dim_param}")
-    point = _parse_point(text)
     if point.shape[0] != family.dim_param:
         raise _UsageError(f"model expects {family.dim_param} parameters, got {point.shape[0]}")
     if not 0 <= args.level < family.dim_hilbert:
@@ -156,8 +155,7 @@ def cmd_scan(args) -> int:
     try:
         config = _scan_config(args)
     except (KeyError, TypeError, ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"config error: {exc}") from exc
     result = run_scan(config)
     out = config.out_path or "scan.csv"
     write_csv(result, out)
@@ -328,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qgt", help="geometric-tensor report for a model")
     p.add_argument("model", help="bundled model name or .model file path")
-    p.add_argument("--lam", required=True, help="comma-separated point")
+    p.add_argument("--lam", required=True, type=_point, help="comma-separated point")
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--step", type=_positive_float, default=None)
     p.set_defaults(func=cmd_qgt)
 
     p = sub.add_parser("berry", help="discrete loop Berry phase")
     p.add_argument("model")
-    p.add_argument("--center", required=True)
+    p.add_argument("--center", required=True, type=_point)
     p.add_argument("--radius", type=_finite_float, default=0.05)
     p.add_argument("--vertices", type=_vertex_count, default=256)
     p.add_argument("--level", type=int, default=0)
@@ -343,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="adiabatic transport around a loop")
     p.add_argument("model")
-    p.add_argument("--center", required=True)
+    p.add_argument("--center", required=True, type=_point)
     p.add_argument("--radius", type=_finite_float, default=0.05)
     p.add_argument("--tau", type=_positive_float, default=100.0)
     p.add_argument("--steps", type=_positive_int, default=6000)

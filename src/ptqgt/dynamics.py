@@ -25,7 +25,7 @@ import numpy as np
 
 from .biortho import HamiltonianFamily, biortho_eig, build_W, gauge_fix
 from .errors import NonFinite, NotAdiabatic, StepTooLarge
-from .geometry import LoopSpec, _check_level, _gauged_coefficients, berry_phase_loop
+from .geometry import LoopSpec, _check_level, _gauged_coefficients, _o_b, berry_phase_loop
 
 __all__ = [
     "PathSpec",
@@ -108,9 +108,7 @@ def _instants(
     h_dot = (h[1] - h[2]) / (t_plus - t_minus)[..., None, None]
     eig = biortho_eig(h[0])
     c = _gauged_coefficients(eig, h_dot[..., None, :, :])[..., 0, :, :]
-    phi_dag = np.swapaxes(eig.left.conj(), -1, -2)
-    k = 0.5 * eig.right @ (c + np.swapaxes(c.conj(), -1, -2)) @ phi_dag
-    return h[0], eig, build_W(eig), k
+    return h[0], eig, build_W(eig), _o_b(eig, c)
 
 
 def k_field(

@@ -24,6 +24,7 @@ from .biortho import (
     HamiltonianFamily,
     biortho_eig,
     build_W,
+    default_step,
     gauge_fix,
 )
 from .errors import Degenerate, OpenLoop
@@ -32,8 +33,6 @@ __all__ = [
     "GeomTensor",
     "LoopSpec",
     "OperatorPair",
-    "DerivativeBundle",
-    "default_step",
     "param_derivatives",
     "qgt",
     "berry_curvature",
@@ -90,37 +89,21 @@ class OperatorPair:
     o_b: np.ndarray
 
 
-@dataclass(frozen=True)
-class DerivativeBundle:
-    """Gauge-fixed central-difference derivatives at a parameter point.
-
-    ``dpsi[mu][:, n]`` approximates d Psi_n / d lambda^mu in the smooth
-    gauge anchored at the centre eigensystem ``eig``.
-    """
-
-    eig: BiorthoEigensystem
-    dpsi: np.ndarray  # (d, N, N)
-    dphi: np.ndarray
-
-
-def default_step(lam):
-    """Difference step 1e-5 (1 + |lam|) at a point ``(d,)``, or one per
-    point of a stack ``(..., d)``."""
-    lam = np.asarray(lam, dtype=float)
-    return 1e-5 * (1.0 + np.sqrt(np.vecdot(lam, lam)))
-
-
 def param_derivatives(
     family: HamiltonianFamily, lam, step: float | None = None
-) -> DerivativeBundle:
+) -> tuple[BiorthoEigensystem, np.ndarray, np.ndarray]:
     """Central differences of the gauge-fixed eigensystem at ``lam``.
 
-    The eigensystems at ``lam +/- step e_mu`` are gauge-fixed against the
-    centre so the raw solver phases difference away smoothly. The 2d+1
-    stencil points are evaluated, decomposed and gauge-fixed as one stack.
-    Propagates DefectiveMatrix / AmbiguousMatching from the eigensolver
-    and NotPositiveDefinite from ``build_W`` when ``lam`` sits too close
-    to a critical point for the chosen step, and raises Degenerate when a
+    Returns ``(eig, dpsi, dphi)``: the centre eigensystem and, as
+    ``(d, N, N)`` stacks, ``dpsi[mu][:, n]`` ~ d Psi_n / d lambda^mu and
+    likewise ``dphi``, in the smooth gauge anchored at ``eig``. The
+    eigensystems at ``lam +/- step e_mu`` (``step`` defaults to
+    ``default_step(lam)``) are gauge-fixed against the centre so the raw
+    solver phases difference away smoothly. The 2d+1 stencil points are
+    evaluated, decomposed and gauge-fixed as one stack. Propagates
+    DefectiveMatrix / AmbiguousMatching from the eigensolver and
+    NotPositiveDefinite from ``build_W`` when ``lam`` sits too close to a
+    critical point for the chosen step, and raises Degenerate when a
     stencil point lies on the other side of the PT-breaking boundary.
     """
     lam = np.asarray(lam, dtype=float)
@@ -142,36 +125,39 @@ def param_derivatives(
     build_W(eigs)
     fixed = gauge_fix(eig0, eigs[1:])
 
-    return DerivativeBundle(
-        eig=eig0,
-        dpsi=(fixed.right[:d] - fixed.right[d:]) / (2.0 * step),
-        dphi=(fixed.left[:d] - fixed.left[d:]) / (2.0 * step),
-    )
+    return (eig0, (fixed.right[:d] - fixed.right[d:]) / (2.0 * step),
+            (fixed.left[:d] - fixed.left[d:]) / (2.0 * step))
 
 
 def _check_level(n: int, dim: int):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"level must be an integer, got {n!r}")
     if not 0 <= n < dim:
         raise ValueError(f"level must lie in 0..{dim - 1}, got {n}")
 
 
-def _check_gap(eig: BiorthoEigensystem, n: int):
-    """Raise ValueError unless ``n`` names a level, then Degenerate at the
-    first stack element whose level ``n`` is closer to another level than
-    1e-8 times that element's spectral radius."""
-    _check_level(n, eig.dim)
+def _check_gap(eig: BiorthoEigensystem, levels: Sequence[int]):
+    """Raise ValueError unless every entry of ``levels`` names a level of
+    ``eig``, then Degenerate when one of them is closer to another level
+    than 1e-8 times the spectral radius, at any element of a stack. The
+    first offender is reported: the first such level in the order given,
+    at its first such stack element."""
+    for n in levels:
+        _check_level(n, eig.dim)
     if eig.dim < 2:
         return
     # Levels first: each reduction over them is then elementwise along the
     # stack, which numpy does far faster than a reduction over a short axis.
     e = eig.energies.reshape(-1, eig.dim).T.copy()
     tol = 1e-8 * np.maximum(np.abs(e).max(axis=0), 1e-300)
-    dist = np.abs(e - e[n])
-    dist[n] = np.inf  # the minimum runs over the other levels
-    gap = dist.min(axis=0)
-    bad = np.flatnonzero(gap < tol)
-    if bad.size:
-        i = bad[0]
-        raise Degenerate(f"level {n} gap {gap[i]:.3e} below tolerance {tol[i]:.3e}")
+    for n in levels:
+        dist = np.abs(e - e[n])
+        dist[n] = np.inf  # the minimum runs over the other levels
+        gap = dist.min(axis=0)
+        bad = np.flatnonzero(gap < tol)
+        if bad.size:
+            i = bad[0]
+            raise Degenerate(f"level {n} gap {gap[i]:.3e} below tolerance {tol[i]:.3e}")
 
 
 def _fd_qgt(psi, phi, dpsi, dphi) -> np.ndarray:
@@ -198,10 +184,9 @@ def qgt(family: HamiltonianFamily, lam, n: int = 0, step: float | None = None) -
     is below tolerance.
     """
     lam = np.asarray(lam, dtype=float)
-    bundle = param_derivatives(family, lam, step)
-    _check_gap(bundle.eig, n)
-    q = _fd_qgt(bundle.eig.right, bundle.eig.left, bundle.dpsi, bundle.dphi)[n]
-    return GeomTensor(level=n, point=lam, q=q)
+    eig, dpsi, dphi = param_derivatives(family, lam, step)
+    _check_gap(eig, [n])
+    return GeomTensor(level=n, point=lam, q=_fd_qgt(eig.right, eig.left, dpsi, dphi)[n])
 
 
 def berry_curvature(q: GeomTensor) -> np.ndarray:
@@ -238,6 +223,15 @@ def _gauged_coefficients(eig: BiorthoEigensystem, dh) -> np.ndarray:
     return c
 
 
+def _o_b(eig: BiorthoEigensystem, c) -> np.ndarray:
+    """O_B = 1/2 Psi (C + C^dag) Phi^dag = -1/2 W^{-1} dW for the gauged
+    response ``c`` (..., N, N) of ``_gauged_coefficients``, which
+    broadcasts against ``eig``: as d Psi = Psi C and W^{-1} = Psi Psi^dag,
+    this is the generator O_B, and K of ``dynamics`` along dH/dt."""
+    phi_dag = np.swapaxes(eig.left.conj(), -1, -2)
+    return 0.5 * eig.right @ (c + np.swapaxes(c.conj(), -1, -2)) @ phi_dag
+
+
 def _sos_qgt(eig: BiorthoEigensystem, dh, levels) -> np.ndarray:
     """Sum-over-states Q summed over the levels selected by ``levels``.
 
@@ -263,7 +257,7 @@ def metric_perturbative(eig: BiorthoEigensystem, dh: Sequence[np.ndarray]) -> np
     Raises Degenerate on a vanishing denominator -- that singularity is
     the critical-point signal.
     """
-    _check_gap(eig, 0)
+    _check_gap(eig, [0])
     return _sos_qgt(eig, np.asarray(dh), np.arange(eig.dim) == 0).real
 
 
@@ -279,7 +273,7 @@ def berry_phase_loop(family: HamiltonianFamily, loop: LoopSpec) -> float:
         raise OpenLoop("first and last loop vertices differ")
     n = loop.level
     eigs = biortho_eig(family(loop.vertices[:-1]))
-    _check_gap(eigs, n)
+    _check_gap(eigs, [n])
     links = np.einsum("ij,ij->i", eigs.left[:, :, n].conj(),
                       np.roll(eigs.right[:, :, n], -1, axis=0))
     prod = np.prod(links)
@@ -310,12 +304,12 @@ def curvature_flux(
     Omega = Im Q comes from the sum-over-states kernel; no eigenvectors are
     differenced. The grid is solved row-major in blocks of whole rows,
     about ``_BLOCK`` points each: one family call, one stacked eigensolve
-    and one ``default_step`` call (for a family without an analytic
-    derivative) per block. Raises ValueError unless ``plane`` names two
-    distinct parameter axes, ``resolution`` is an integer of at least 1
-    and 0 <= n < N, and Degenerate when a grid point lies in another PT
-    phase than the first (the rectangle crosses an exceptional line) or
-    when level ``n`` closes its gap at a grid point.
+    and one ``deriv`` call per axis per block. Raises ValueError unless
+    ``plane`` names two distinct parameter axes, ``resolution`` is an
+    integer of at least 1 and ``n`` names a level, and Degenerate when a
+    grid point lies in another PT phase than the first (the rectangle
+    crosses an exceptional line) or when level ``n`` closes its gap at a
+    grid point.
     """
     mu, nu = plane
     if not (0 <= mu < family.dim_param and 0 <= nu < family.dim_param and mu != nu):
@@ -346,9 +340,8 @@ def curvature_flux(
             unbroken = eig.unbroken[0]
         if np.any(eig.unbroken != unbroken):
             raise Degenerate("flux grid crosses a PT-breaking (exceptional) line")
-        _check_gap(eig, n)
-        steps = default_step(points)
-        dh = np.stack([family.deriv(points, a, steps) for a in (mu, nu)], axis=-3)
+        _check_gap(eig, [n])
+        dh = np.stack([family.deriv(points, a) for a in (mu, nu)], axis=-3)
         total += 2.0 * float(np.sum(_sos_qgt(eig, dh, levels)[:, 0, 1].imag)) * da
     return total
 
@@ -374,13 +367,11 @@ def _generators(family: HamiltonianFamily, lam) -> tuple[BiorthoEigensystem, Ope
     """The eigensystem at ``lam`` and ``o_operators`` there."""
     lam = np.asarray(lam, dtype=float)
     eig = biortho_eig(family(lam))
-    for n in range(eig.dim):
-        _check_gap(eig, n)
-    dh = np.stack([family.deriv(lam, mu, default_step(lam)) for mu in range(family.dim_param)])
+    _check_gap(eig, range(eig.dim))
+    dh = np.stack([family.deriv(lam, mu) for mu in range(family.dim_param)])
     c = _gauged_coefficients(eig, dh)
-    psi, phi_dag = eig.right, eig.left.conj().T
-    o_full = 1j * (psi @ c @ phi_dag)
-    o_b = 0.5 * (psi @ (c + np.swapaxes(c, -1, -2).conj()) @ phi_dag)
+    o_full = 1j * (eig.right @ c @ eig.left.conj().T)
+    o_b = _o_b(eig, c)
     return eig, OperatorPair(o_full=o_full, o_a=o_full - 1j * o_b, o_b=o_b)
 
 

@@ -120,18 +120,18 @@ def check_gauge_invariance(seed=42) -> CheckResult:
     worst = 0.0
     for params, lam, k in _random_dk_cases(rng, _TRIALS):
         fam = dk_family(params, k)
-        bundle = geometry.param_derivatives(fam, lam)
+        eig, dpsi, dphi = geometry.param_derivatives(fam, lam)
         n_dim = fam.dim_hilbert
         # f_n(lam) = f0_n * exp(c_n . (lam - lam0)) with complex c_n:
         # value and gradient at lam0 known in closed form.
         f0 = rng.normal(size=n_dim) + 1j * rng.normal(size=n_dim)
         f0 += 2.0 * np.sign(f0.real)  # keep away from zero
         c = rng.normal(size=(2, n_dim)) + 1j * rng.normal(size=(2, n_dim))
-        psi_t = bundle.eig.right * f0
-        phi_t = bundle.eig.left / f0.conj()
-        dpsi_t = bundle.dpsi * f0 + bundle.eig.right * (f0 * c)[:, None, :]
-        dphi_t = bundle.dphi / f0.conj() - bundle.eig.left * (c.conj() / f0.conj())[:, None, :]
-        q0 = _fd_qgt(bundle.eig.right, bundle.eig.left, bundle.dpsi, bundle.dphi)
+        psi_t = eig.right * f0
+        phi_t = eig.left / f0.conj()
+        dpsi_t = dpsi * f0 + eig.right * (f0 * c)[:, None, :]
+        dphi_t = dphi / f0.conj() - eig.left * (c.conj() / f0.conj())[:, None, :]
+        q0 = _fd_qgt(eig.right, eig.left, dpsi, dphi)
         q1 = _fd_qgt(psi_t, phi_t, dpsi_t, dphi_t)
         scale = np.maximum(np.linalg.norm(q0, axis=(1, 2)), 1e-300)
         worst = max(worst, float(np.max(np.max(np.abs(q1 - q0), axis=(1, 2)) / scale)))

@@ -159,21 +159,10 @@ _DETA = np.array(
 
 # U = diag(1, i, 1, i) makes D_k real: U^dag D_k U multiplies entry (i, j)
 # by _ROTATE[i, j] = conj(u_i) u_j, which is 1 or +-i, so the change is
-# exact. _DERIVS_U holds U^dag _DH U and U^dag _DETA U.
+# exact. _DERIVS_U holds U^dag _DH U and U^dag _DETA U, which are real.
 _U = np.array([1, 1j, 1, 1j])
 _ROTATE = np.outer(_U.conj(), _U)
-_DERIVS_U = np.array(
-    [
-        np.diag([1.0, -1.0, -1.0, 1.0]),
-        [
-            [0, 0, 0, 1],
-            [0, 0, 1, 0],
-            [0, -1, 0, 0],
-            [-1, 0, 0, 0],
-        ],
-    ],
-    dtype=float,
-)
+_DERIVS_U = (np.stack([_DH, _DETA]) * _ROTATE).real
 
 
 def dk_family(p: XYParams, k: float) -> HamiltonianFamily:
@@ -329,11 +318,10 @@ def _intensity_fd(p: XYParams, f: FieldPoint, n_quad: int) -> np.ndarray:
     total = np.zeros((2, 2))
     lam = np.array([f.h, f.eta])
     for k, w in zip(ks, wts):
-        bundle = geometry.param_derivatives(dk_family(p, k), lam, _FD_STEP)
-        occ = occupied_levels(bundle.eig)
-        for n in occ:
-            geometry._check_gap(bundle.eig, n)
-        q = geometry._fd_qgt(bundle.eig.right, bundle.eig.left, bundle.dpsi, bundle.dphi)
+        eig, dpsi, dphi = geometry.param_derivatives(dk_family(p, k), lam, _FD_STEP)
+        occ = occupied_levels(eig)
+        geometry._check_gap(eig, occ)
+        q = geometry._fd_qgt(eig.right, eig.left, dpsi, dphi)
         total += w * 2.0 * q[occ].real.sum(axis=0)
     return total / (4.0 * np.pi)
 

@@ -20,6 +20,7 @@ from ptqgt import (
     build_W,
     dispersion,
     dk_family,
+    default_step,
     dk_matrix,
     gauge_fix,
     gauge_transform,
@@ -160,6 +161,36 @@ def test_sorted_by_real_then_imag():
     eig = biortho_eig(h)
     assert np.allclose(eig.energies, [-1.0, 2.0 - 1j, 2.0 + 1j])
     assert not eig.unbroken
+
+
+def _broken_pt_points(count):
+    rng = np.random.default_rng(0)
+    lams = rng.uniform(-1.0, 1.0, size=(10 * count, 2))
+    return lams[lams[:, 1] ** 2 < lams[:, 0] ** 2 + 0.09 - 1e-3][:count]
+
+
+def test_broken_pair_ordered_by_imaginary_part():
+    # a broken pair's real parts are equal up to round-off, which must not
+    # decide the order: level 0 is the -i|E| level, alone or in a stack
+    fam = pt_two_level_family()
+    lams = _broken_pt_points(2000)
+    assert len(lams) == 2000
+    stacked = biortho_eig(fam(lams))
+    assert not stacked.unbroken.any()
+    assert np.all(stacked.energies[:, 0].imag < 0)
+    assert all(biortho_eig(fam(lam)).energies[0].imag < 0 for lam in lams)
+
+
+def test_huge_entries_keep_the_phase():
+    # the Frobenius norm squares the entries, which overflows from ~1e154
+    h = pt_two_level_family()([0.2, 0.2])  # broken: E = +-0.3i
+    for factor in (1e160, 1e300):
+        eig = biortho_eig(factor * h)  # warnings are errors in the tests
+        assert not eig.unbroken
+        assert np.allclose(eig.energies, [-0.3j * factor, 0.3j * factor], rtol=1e-12)
+    assert biortho_eig(1e160 * pt_two_level_family()([0.1, 0.9])).unbroken
+    # each element of a stack is scaled by itself, a zero matrix included
+    assert biortho_eig(np.stack([np.zeros((2, 2)), 1e160 * h])).unbroken.tolist() == [True, False]
 
 
 def test_real_stack_is_decomposed_in_real_arithmetic():
@@ -329,7 +360,7 @@ def test_family_derivative_matches_finite_difference():
         lam = rng.normal(size=2)
         for mu in range(2):
             exact = fam.deriv(lam, mu)
-            approx = fam_fd.deriv(lam, mu, step=1e-6)
+            approx = fam_fd.deriv(lam, mu)  # central difference at default_step(lam)
             assert np.max(np.abs(exact - approx)) < 1e-8
 
 
@@ -346,16 +377,18 @@ def test_family_stack_matches_per_point(make):
     fam = make()
     rng = np.random.default_rng(3)
     lams = rng.uniform(0.2, 1.0, size=(3, 4, fam.dim_param))
-    steps = rng.uniform(1e-6, 1e-4, size=(3, 4))
     h = fam(lams)
     assert h.shape == (3, 4, fam.dim_hilbert, fam.dim_hilbert)
     for mu in range(fam.dim_param):
-        dh = fam.deriv(lams, mu, steps)
+        dh = fam.deriv(lams, mu)
         for idx in np.ndindex(3, 4):
             assert np.array_equal(h[idx], fam(lams[idx]))
-            assert np.array_equal(dh[idx], fam.deriv(lams[idx], mu, steps[idx]))
-        # a scalar step serves the whole stack
-        assert np.array_equal(fam.deriv(lams, mu, 1e-5)[2, 1], fam.deriv(lams[2, 1], mu, 1e-5))
+            assert np.array_equal(dh[idx], fam.deriv(lams[idx], mu))
+            if fam.derivative is None:
+                # each point of the stack is differenced at its own step
+                step = default_step(lams[idx]) * np.eye(fam.dim_param)[mu]
+                fd = (fam(lams[idx] + step) - fam(lams[idx] - step)) / (2.0 * step[mu])
+                assert np.array_equal(dh[idx], fd)
 
 
 @pytest.mark.parametrize("make", [pt_two_level_family,
@@ -364,6 +397,15 @@ def test_family_stack_matches_per_point(make):
 def test_family_deriv_rejects_out_of_range_mu(make, mu):
     with pytest.raises(ValueError, match="mu must lie in 0..1"):
         make().deriv(np.array([0.1, 0.8]), mu)
+
+
+@pytest.mark.parametrize("dims", [(2.0, 1), (2, 1.0), (True, 1), (2, True), (np.bool_(True), 1)])
+def test_family_sizes_must_be_integers(dims):
+    with pytest.raises(ValueError, match="dimensions must be integers"):
+        HamiltonianFamily(*dims, evaluate=lambda lam: np.eye(2))
+    # numpy integers are sizes
+    fam = HamiltonianFamily(np.int64(2), np.int32(1), evaluate=lambda lam: np.eye(2))
+    assert fam([0.3]).shape == (2, 2)
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 1), (3,), ()])

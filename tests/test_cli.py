@@ -28,6 +28,17 @@ def test_usage_errors_exit_1(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+def test_critical_text(capsys):
+    code, out, _ = run(["critical"], capsys)
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "case:  anisotropic"
+    assert abs(float(lines[1].split()[1]) - np.sqrt(35.0) / 3.0) < 1e-12
+    assert abs(float(lines[2].split()[1]) - np.sqrt(5.0) / 3.0) < 1e-12
+    assert lines[3] == "eta_c: 1.0"
+    assert lines[4].startswith("QPT points on the circles")
+
+
 def test_critical_json(capsys):
     code, out, _ = run(["critical", "--json"], capsys)
     assert code == EXIT_OK
@@ -97,6 +108,15 @@ def test_bad_model_file_exits_1(tmp_path, capsys):
     code, _, err = run(["qgt", str(tmp_path / "missing.model"), "--lam", "1"],
                        capsys)
     assert code == EXIT_USAGE
+
+
+def test_berry_command_in_the_broken_phase(capsys):
+    # every vertex of the loop is PT-broken: level 0 must be the -i|E| level
+    # at each of them, or the links join different levels
+    code, out, _ = run(["berry", "pt_two_level", "--center", "0.1,0.1", "--radius", "0.05"],
+                       capsys)
+    assert code == EXIT_OK
+    assert "gamma_line" in out
 
 
 def test_berry_command(capsys):
@@ -245,6 +265,12 @@ def test_verify_subset_runs(capsys):
     assert code in (EXIT_OK, EXIT_NUMERICAL)
     assert "PASS" in out or "FAIL" in out
     assert code == EXIT_OK  # the suite is expected green at any seed
+
+
+@pytest.mark.parametrize("check", [verify.check_stokes, verify.check_adiabatic])
+def test_full_suite_only_checks_pass(check):
+    result = check()
+    assert result.passed, result
 
 
 def test_run_suite_dispatch(monkeypatch):

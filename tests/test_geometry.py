@@ -10,13 +10,17 @@ from ptqgt import (
     HamiltonianFamily,
     LoopSpec,
     OpenLoop,
+    PathSpec,
+    adiabatic_phase,
     berry_curvature,
     berry_phase_loop,
+    biortho,
     biortho_eig,
     build_W,
     classify_interval,
     curvature_flux,
     dk_family,
+    evolve,
     fidelity,
     gauge_transform,
     geometry,
@@ -154,12 +158,12 @@ def test_qgt_exactly_hermitian_at_every_level(fam, lam):
 
 def test_fd_qgt_matches_the_per_level_formula():
     fam = dk_family(ANISO, 0.8)
-    bundle = param_derivatives(fam, [0.4, 0.2])
-    psi, phi = bundle.eig.right, bundle.eig.left
-    q = geometry._fd_qgt(psi, phi, bundle.dpsi, bundle.dphi)
+    eig, dpsi_all, dphi_all = param_derivatives(fam, [0.4, 0.2])
+    psi, phi = eig.right, eig.left
+    q = geometry._fd_qgt(psi, phi, dpsi_all, dphi_all)
     assert q.shape == (4, 2, 2)
     for n in range(4):
-        dpsi, dphi = bundle.dpsi[:, :, n], bundle.dphi[:, :, n]
+        dpsi, dphi = dpsi_all[:, :, n], dphi_all[:, :, n]
         x = np.array([[np.vdot(dphi[mu], dpsi[nu])
                        - np.vdot(dphi[mu], psi[:, n]) * np.vdot(phi[:, n], dpsi[nu])
                        for nu in range(2)] for mu in range(2)])
@@ -193,6 +197,29 @@ def test_no_bundle_keyword(call):
 def test_level_index_out_of_range(call):
     with pytest.raises(ValueError, match="level must lie in"):
         call()
+
+
+def _pt_circle(tau=5.0):
+    return PathSpec(curve=lambda t: np.array([0.15, 0.85]) + 0.05 * np.array(
+        [np.cos(2 * np.pi * t / tau), np.sin(2 * np.pi * t / tau)]), duration=tau, closed=True)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: qgt(pt_two_level_family(), [0.15, 0.85], n=n),
+    lambda n: berry_phase_loop(pt_two_level_family(), pt_loop(level=n)),
+    lambda n: curvature_flux(pt_two_level_family(), [0.05, 0.8], [0.15, 0.9], resolution=4, n=n),
+    lambda n: fidelity(*[biortho_eig(pt_two_level_family()(lam))
+                         for lam in ([0.15, 0.85], [0.16, 0.85])], n=n),
+    lambda n: evolve(pt_two_level_family(), _pt_circle(),
+                     biortho_eig(pt_two_level_family()([0.2, 0.85])).right[:, 0],
+                     n_steps=300, track_level=n),
+    lambda n: adiabatic_phase(pt_two_level_family(), _pt_circle(), n=n, n_steps=300),
+])
+def test_level_must_be_an_integer(call):
+    for level in (0.0, 1.0, True, False, np.bool_(False), np.float64(0.0)):
+        with pytest.raises(ValueError, match="level must be an integer"):
+            call(level)
+    call(np.int64(0))  # numpy integers are levels
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -429,18 +456,18 @@ def test_curvature_flux_one_eigensolve_per_block(monkeypatch):
     assert shapes == [(6, 2, 2)] * 6
 
 
-def test_curvature_flux_calls_default_step_once_per_block(monkeypatch):
+def test_curvature_flux_steps_each_block_as_one_stack(monkeypatch):
     calls = []
-    default_step = geometry.default_step
+    default_step = biortho.default_step
 
     def counted(lam):
         calls.append(np.shape(lam))
         return default_step(lam)
 
-    monkeypatch.setattr(geometry, "default_step", counted)
+    monkeypatch.setattr(biortho, "default_step", counted)
     fam = load_bundled_model("pt_two_level")  # no analytic derivative
     curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=6)
-    assert calls == [(36, 2)]
+    assert calls == [(36, 2)] * 2  # one deriv call per axis on the whole block
 
 
 def _flux_per_row(family, lo, hi, resolution):
@@ -569,12 +596,12 @@ def test_o_operators_generate_derivatives():
     # real <Phi_n|d Psi_n>) that fixes the diagonal of C_mu.
     for fam, lam in ((dk_family(ANISO, 0.8), [0.4, 0.2]),
                      (pt_two_level_family(), [0.4, 0.2])):  # broken PT phase
-        bundle = param_derivatives(fam, lam)
+        eig, dpsi, _ = param_derivatives(fam, lam)
         ops = o_operators(fam, lam)
         # i d_mu Psi_n = O_mu Psi_n by construction of the generator
         for mu in range(2):
-            lhs = 1j * bundle.dpsi[mu]
-            rhs = ops.o_full[mu] @ bundle.eig.right
+            lhs = 1j * dpsi[mu]
+            rhs = ops.o_full[mu] @ eig.right
             assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(np.max(np.abs(lhs)), 1.0)
 
 

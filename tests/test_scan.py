@@ -89,7 +89,7 @@ def test_broken_rows_have_no_metric():
         assert rec.g11 is None and rec.g12 is None and rec.g22 is None
 
 
-def test_degenerate_cells_marked_inf(monkeypatch):
+def test_degenerate_cells_marked_inf(monkeypatch, tmp_path):
     # every eigensolve refuses: each chunk is replayed point by point, and
     # each point is refused in turn
     def boom(*args, **kwargs):
@@ -100,6 +100,11 @@ def test_degenerate_cells_marked_inf(monkeypatch):
     for rec in result.records:
         assert rec.status == "degenerate"
         assert rec.g11 == float("inf")
+    out = tmp_path / "deg.csv"
+    write_csv(result, str(out))
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == len(result.records)
+    assert all(row.endswith(",true,inf,inf,inf,degenerate") for row in rows)
 
 
 def test_refused_point_leaves_its_chunk_neighbours_ok(monkeypatch):

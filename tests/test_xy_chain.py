@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from ptqgt import (
     metric_intensity,
     occupied_levels,
     unbroken_at,
+    xy_chain,
 )
 from ptqgt.xy_chain import (
     _DERIVS_U,
@@ -389,6 +392,23 @@ def test_stacked_kernel_refuses_as_the_first_refused_point():
     assert str(stacked.value) == str(alone.value)
     with pytest.raises(Degenerate):  # complex block spectrum beyond eta_c
         _intensity_perturbative(ANISO, [0.5, 0.5], [0.3, 1.2], 65)
+
+
+def test_kernel_refuses_occupied_levels_that_cross_at_a_node(monkeypatch):
+    # D_k's occupied pair never meets on a real grid; a crafted eigensystem
+    # joins levels 0 and 1 at node 7 of the second point
+    real = xy_chain.biortho_eig
+
+    def crossing(blocks):
+        eig = real(blocks)
+        e = eig.energies.copy()
+        e[1, 7, 1] = e[1, 7, 0]
+        return dataclasses.replace(eig, energies=e)
+
+    monkeypatch.setattr(xy_chain, "biortho_eig", crossing)
+    k = _gl_nodes(65)[0][7]
+    with pytest.raises(Degenerate, match=f"level crossing at quadrature node k = {k:.6f}"):
+        _intensity_perturbative(ANISO, [0.5, 0.7], [0.3, 0.3], 65)
 
 
 def test_stacked_kernel_scales_each_point_by_itself():
