@@ -52,6 +52,13 @@ _TOL_REAL = 1e-9  # largest |Im E| of a real (PT-unbroken) spectrum, times the s
 _SQRT_MAX = np.sqrt(np.finfo(float).max)
 
 
+def _check_integer(value, name: str, noun: str = "an integer") -> None:
+    """Raise ValueError unless ``value`` is a Python or numpy integer; a
+    bool is not one. The message reads "<name> must be <noun>, got ..."."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HamiltonianFamily:
     """A smooth map from a real d-dimensional parameter point to an NxN matrix.
@@ -90,8 +97,7 @@ class HamiltonianFamily:
 
     def __post_init__(self):
         for dim in (self.dim_hilbert, self.dim_param):
-            if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
-                raise ValueError(f"dimensions must be integers, got {dim!r}")
+            _check_integer(dim, "dimensions", "integers")
         if self.dim_hilbert < 1 or self.dim_param < 1:
             raise ValueError("dimensions must be positive")
 
@@ -103,6 +109,7 @@ class HamiltonianFamily:
         """Partial derivative along ``mu`` at a point or a stack: the
         analytic ``derivative`` when given, else the central difference
         of ``evaluate`` over +/- ``default_step`` of each point."""
+        _check_integer(mu, "mu")
         if not 0 <= mu < self.dim_param:
             raise ValueError(f"mu must lie in 0..{self.dim_param - 1}, got {mu}")
         if self.derivative is not None:

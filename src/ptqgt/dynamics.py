@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .biortho import HamiltonianFamily, biortho_eig, build_W, gauge_fix
+from .biortho import HamiltonianFamily, _check_integer, biortho_eig, build_W, gauge_fix
 from .errors import NonFinite, NotAdiabatic, StepTooLarge
 from .geometry import LoopSpec, _check_level, _gauged_coefficients, _o_b, berry_phase_loop
 
@@ -56,10 +56,10 @@ class PathSpec:
 
     def at(self, t) -> np.ndarray:
         """lambda at a time, or at each time of an array ``t`` as
-        ``t.shape + (d,)``, in a fresh array; ``curve`` is only ever given
-        one scalar time."""
+        ``t.shape + (d,)``, in a fresh array; ``curve`` is called once per
+        time, with a Python float."""
         t = np.asarray(t, dtype=float)
-        points = np.array([self.curve(s) for s in t.ravel()], dtype=float)
+        points = np.array([self.curve(s) for s in t.ravel().tolist()], dtype=float)
         return points.reshape(t.shape + points.shape[1:])
 
     @classmethod
@@ -159,8 +159,7 @@ def evolve(
     first failure in time order wins: a NotAdiabatic is never pre-empted by
     a DefectiveMatrix or NonFinite further down the path.
     """
-    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
-        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
+    _check_integer(n_steps, "n_steps")
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     if np.isnan(drift_tol):
@@ -210,17 +209,21 @@ def evolve(
         end = eig[:, 1] if track_level is None else gauge_fix(anchor, eig[:, 1])
         return -1j * h + k, w[:, 1], end
 
+    # numpy would promote each float constant to complex on every product;
+    # formed once, and with .dot for @, each step keeps its bits.
+    half, full, sixth, two = (np.complex128(c) for c in (0.5 * dt, dt, dt / 6.0, 2.0))
+
     def advance(a, b, work):
         """RK4 steps a..b-1 on the generators from chunk_work, then their records."""
         nonlocal psi, g_end
         g, w, eig = work
         for j in range(b - a):
-            k1 = g_end @ psi
-            k2 = g[j, 0] @ (psi + 0.5 * dt * k1)
-            k3 = g[j, 0] @ (psi + 0.5 * dt * k2)
+            k1 = g_end.dot(psi)
+            k2 = g[j, 0].dot(psi + half * k1)
+            k3 = g[j, 0].dot(psi + half * k2)
             g_end = g[j, 1]
-            k4 = g_end @ (psi + dt * k3)
-            psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k4 = g_end.dot(psi + full * k3)
+            psi = psi + sixth * (k1 + two * k2 + two * k3 + k4)
             states[a + j + 1] = psi
         record(a + 1, b + 1, w, eig)
 

@@ -22,6 +22,7 @@ import numpy as np
 from .biortho import (
     BiorthoEigensystem,
     HamiltonianFamily,
+    _check_integer,
     biortho_eig,
     build_W,
     default_step,
@@ -130,8 +131,7 @@ def param_derivatives(
 
 
 def _check_level(n: int, dim: int):
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"level must be an integer, got {n!r}")
+    _check_integer(n, "level")
     if not 0 <= n < dim:
         raise ValueError(f"level must lie in 0..{dim - 1}, got {n}")
 
@@ -183,6 +183,7 @@ def qgt(family: HamiltonianFamily, lam, n: int = 0, step: float | None = None) -
     Raises ValueError unless 0 <= n < N, and Degenerate when the level gap
     is below tolerance.
     """
+    _check_level(n, family.dim_hilbert)
     lam = np.asarray(lam, dtype=float)
     eig, dpsi, dphi = param_derivatives(family, lam, step)
     _check_gap(eig, [n])
@@ -316,10 +317,10 @@ def curvature_flux(
         raise ValueError(
             f"plane must name two distinct axes in 0..{family.dim_param - 1}, got {plane}"
         )
-    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
-        raise ValueError(f"resolution must be an integer, got {resolution!r}")
+    _check_integer(resolution, "resolution")
     if resolution < 1:
         raise ValueError(f"resolution must be at least 1, got {resolution}")
+    _check_level(n, family.dim_hilbert)
     lam_min = np.asarray(lam_min, dtype=float)
     lam_max = np.asarray(lam_max, dtype=float)
     xs = np.linspace(lam_min[mu], lam_max[mu], resolution + 1)

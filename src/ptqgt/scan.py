@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import xy_chain
+from .biortho import _check_integer
 from .errors import Degenerate, GaplessPoint
 from .xy_chain import XYParams
 
@@ -33,9 +34,8 @@ class ScanConfig:
 
     def __post_init__(self):
         (h_lo, h_hi, n_h), (eta_lo, eta_hi, n_eta) = self.h_range, self.eta_range
-        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-                   for n in (n_h, n_eta, self.n_quad, self.workers)):
-            raise ValueError("grid counts, n_quad and workers must be integers")
+        for n in (n_h, n_eta, self.n_quad, self.workers):
+            _check_integer(n, "grid counts, n_quad and workers", "integers")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if n_h < 2 or n_eta < 2:

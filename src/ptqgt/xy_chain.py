@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import geometry
-from .biortho import BiorthoEigensystem, HamiltonianFamily, biortho_eig
+from .biortho import BiorthoEigensystem, HamiltonianFamily, _check_integer, biortho_eig
 from .errors import (
     CaseUnsupported,
     DefectiveMatrix,
@@ -348,8 +348,7 @@ def metric_intensity(
     relative. Raises ValueError unless ``n_quad`` is an integer of at
     least 2.
     """
-    if isinstance(n_quad, bool) or not isinstance(n_quad, (int, np.integer)):
-        raise ValueError(f"n_quad must be an integer, got {n_quad!r}")
+    _check_integer(n_quad, "n_quad")
     if n_quad < 2:
         raise ValueError("n_quad must be at least 2")
     if method == "perturbative":

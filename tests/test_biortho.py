@@ -399,6 +399,17 @@ def test_family_deriv_rejects_out_of_range_mu(make, mu):
         make().deriv(np.array([0.1, 0.8]), mu)
 
 
+@pytest.mark.parametrize("make", [pt_two_level_family,
+                                  lambda: _no_derivative(pt_two_level_family())])
+@pytest.mark.parametrize("mu", [True, np.bool_(True), 1.0, 0.5])
+def test_family_deriv_rejects_a_non_integer_mu(make, mu):
+    # a bool mu indexed the difference direction as a mask: True stepped
+    # along every axis at once
+    with pytest.raises(ValueError, match="mu must be an integer"):
+        make().deriv(np.array([0.1, 0.8]), mu)
+    assert make().deriv(np.array([0.1, 0.8]), np.int64(1)).shape == (2, 2)
+
+
 @pytest.mark.parametrize("dims", [(2.0, 1), (2, 1.0), (True, 1), (2, True), (np.bool_(True), 1)])
 def test_family_sizes_must_be_integers(dims):
     with pytest.raises(ValueError, match="dimensions must be integers"):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ptqgt import verify
+from ptqgt import cli, verify
 from ptqgt.cli import (
     EXIT_DEGENERATE,
     EXIT_NUMERICAL,
@@ -26,6 +26,22 @@ def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_parser_is_built_once_and_dispatch_is_late(monkeypatch, capsys):
+    assert run(["critical"], capsys)[0] == EXIT_OK
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()  # still a fresh parser per call
+    seen = []
+
+    def fake_critical(args):
+        seen.append(args.command)
+        return EXIT_DEGENERATE
+
+    # the parser above was built with the original cmd_critical bound
+    monkeypatch.setattr(cli, "cmd_critical", fake_critical)
+    assert run(["critical", "--json"], capsys)[0] == EXIT_DEGENERATE
+    assert seen == ["critical"]
 
 
 def test_critical_text(capsys):

@@ -19,6 +19,7 @@ from ptqgt import (
     gauge_fix,
     k_field,
 )
+from ptqgt.cli import _circle_path
 from ptqgt.families import pt_two_level_family, spin_half_family
 
 
@@ -78,14 +79,33 @@ def test_pathspec_at_returns_a_fresh_array():
 def test_pathspec_at_array_matches_per_time():
     times = np.linspace(0.0, 2.0, 21)
     paths = [circle_path([0.15, 0.85], 0.05, 2.0),
+             _circle_path(np.array([0.15, 0.85, 0.3]), 0.05, 2.0),
              PathSpec.from_samples(times, np.stack([times, times**2, -times], axis=1))]
     ts = np.array([[0.0, 0.37, 1.05], [1.5, 1.999, 2.0]])
     for path in paths:
-        points = path.at(ts)
-        assert points.shape == ts.shape + path.at(0.0).shape
-        for idx in np.ndindex(ts.shape):
-            assert np.array_equal(points[idx], path.at(ts[idx]))
-    assert np.array_equal(paths[0].at(np.asarray(0.37)), paths[0].at(0.37))
+        for t in (ts, ts[1], np.asarray(ts[0, 1])):
+            points = path.at(t)
+            assert points.shape == t.shape + path.at(0.0).shape
+            for idx in np.ndindex(t.shape):
+                # bit for bit; a numpy scalar gives the curve the bits a float does
+                assert points[idx].tobytes() == path.at(float(t[idx])).tobytes()
+                assert points[idx].tobytes() == np.asarray(path.curve(t[idx]), float).tobytes()
+
+
+def test_pathspec_at_hands_curve_python_floats():
+    seen = []
+
+    def curve(t):
+        seen.append(t)
+        return np.array([t, 2.0 * t])
+
+    path = PathSpec(curve=curve, duration=2.0)
+    path.at(0.5)
+    path.at(np.float64(0.25))
+    path.at(np.array([[0.0, 1.0], [1.5, 2.0]]))
+    path.at(np.arange(3, dtype=np.float32))
+    assert len(seen) == 9
+    assert all(type(t) is float for t in seen)
 
 
 def test_pathspec_at_refuses_a_ragged_curve():
@@ -376,6 +396,21 @@ def test_evolve_matches_per_step_reference(n_steps):
     assert abs(res.dynamical_phase - beta) <= 1e-14
     assert abs(np.angle(np.exp(1j * (res.geometric_phase - gamma)))) <= 1e-14
     assert abs(res.geometric_phase) > 1e-6  # a non-trivial phase is compared
+
+
+def test_evolve_leaves_psi0_untouched_and_repeats_bitwise():
+    fam = pt_two_level_family()
+    path = circle_path([0.15, 0.85], 0.05, 5.0)
+    psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
+    kept = psi0.copy()
+    runs = [evolve(fam, path, psi0, n_steps=dynamics._CHUNK + 3, track_level=0)
+            for _ in range(2)]
+    assert psi0.tobytes() == kept.tobytes()
+    assert runs[0].states[0].tobytes() == kept.tobytes()
+    assert not np.shares_memory(runs[0].states, runs[1].states)
+    for field in ("states", "w_norms", "times"):
+        assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
+    assert runs[0].geometric_phase == runs[1].geometric_phase
 
 
 def test_eigensolves_per_chunk(monkeypatch):

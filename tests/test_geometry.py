@@ -199,6 +199,27 @@ def test_level_index_out_of_range(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: curvature_flux(pt_two_level_family(), [0.05, 0.8], [0.15, 0.9], resolution=64, n=3),
+    lambda: qgt(pt_two_level_family(), [0.15, 0.85], n=7),
+])
+def test_level_checked_before_any_eigensolve(monkeypatch, call):
+    shapes = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    with pytest.raises(ValueError, match="level must lie in"):
+        call()
+    assert shapes == []
+    # a valid level still takes the one stacked solve of the 2d+1 stencil
+    qgt(pt_two_level_family(), [0.15, 0.85], n=1)
+    assert shapes == [(5, 2, 2)]
+
+
 def _pt_circle(tau=5.0):
     return PathSpec(curve=lambda t: np.array([0.15, 0.85]) + 0.05 * np.array(
         [np.cos(2 * np.pi * t / tau), np.sin(2 * np.pi * t / tau)]), duration=tau, closed=True)
