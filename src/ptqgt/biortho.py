@@ -2,9 +2,9 @@
 
 Provides the eigensystem (right vectors of H, left vectors of H^dag,
 biorthonormalized), the positive-definite inner-product metric W built
-from the left vectors, and the gauge bookkeeping (smooth gauge fixing
-along parameter paths, explicit gauge transformations) that downstream
-geometric quantities rely on.
+from the left vectors, and the gauge bookkeeping (gauge fixing against
+a reference point, which the difference stencil of ``param_derivatives``
+needs, and explicit gauge transformations).
 
 Normalization convention: right vectors have unit 2-norm with their
 largest-magnitude component real positive; the left vectors are the dual
@@ -366,10 +366,13 @@ def gauge_fix(prev: BiorthoEigensystem, cur: BiorthoEigensystem) -> BiorthoEigen
 
 
 def gauge_transform(eig: BiorthoEigensystem, f) -> BiorthoEigensystem:
-    """Scale Psi_n by f_n and Phi_n by 1/f_n^*; biorthonormality is exact."""
+    """Scale Psi_n by f_n and Phi_n by 1/f_n^*; biorthonormality is exact.
+    Raises NonFinite for a NaN or Inf factor and ZeroScale for a zero one."""
     f = np.asarray(f, dtype=complex)
     if f.shape != (eig.dim,):
         raise ValueError(f"expected {eig.dim} scale factors, got shape {f.shape}")
+    if not np.isfinite(f).all():
+        raise NonFinite("gauge scale factors must be finite")
     if np.any(f == 0):
         raise ZeroScale("gauge scale factors must be nonzero")
     return BiorthoEigensystem(

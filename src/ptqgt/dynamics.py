@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .biortho import HamiltonianFamily, _check_integer, biortho_eig, build_W, gauge_fix
-from .errors import NonFinite, NotAdiabatic, StepTooLarge
+from .biortho import HamiltonianFamily, _check_integer, biortho_eig, build_W
+from .errors import AmbiguousMatching, NonFinite, NotAdiabatic, StepTooLarge
 from .geometry import LoopSpec, _check_level, _gauged_coefficients, _o_b, berry_phase_loop
 
 __all__ = [
@@ -141,20 +141,22 @@ def evolve(
 
     ``psi0`` must be normalized in the initial inner product,
     <psi0|W(lambda_0)|psi0> = 1. When ``track_level`` is given (a level
-    in 0..N-1, else ValueError), the instantaneous overlap with that
-    eigenstate is monitored (NotAdiabatic below 0.99) and the total /
-    dynamical / geometric phases are extracted. Raises StepTooLarge when
-    the W-norm drifts beyond ``drift_tol`` (``np.inf`` switches the check
-    off) and whenever a W-norm is not finite; ValueError unless ``n_steps``
-    is a positive integer, or for a NaN ``drift_tol``.
+    in 0..N-1 of biortho_eig's order, else ValueError), the overlap with
+    that instantaneous eigenstate is monitored (NotAdiabatic below 0.99)
+    and the total / dynamical / geometric phases are extracted; gamma is
+    arg<Phi_n(0)|P_n(tau)|psi(tau)> - arg<Phi_n(0)|psi(0)> - beta, which
+    no gauge changes (AmbiguousMatching where <Phi_n(0)|Psi_n(tau)> = 0).
+    Raises StepTooLarge when the W-norm drifts beyond ``drift_tol``
+    (``np.inf`` switches the check off) and whenever a W-norm is not
+    finite; ValueError unless ``n_steps`` is a positive integer, or for a
+    NaN ``drift_tol``.
 
     The path is walked in chunks of steps on the grid ``times``, so a step
     starts exactly where the last one ended. Per chunk, one family call and
     one stacked eigensolve give H, W and K at every half-step and step end;
-    the step ends serve the generators and the records, whose eigensystems
-    are gauge-fixed against the t = 0 anchor in one batch. The RK4 loop only
-    multiplies matrices; the W-norms, overlap checks and phases of the
-    chunk's states follow it at once. When a chunk's stacked work raises,
+    the step ends serve the generators and the records. The RK4 loop only
+    multiplies matrices; the W-norms and overlap checks of the chunk's
+    states follow it at once. When a chunk's stacked work raises,
     the chunk is replayed one step at a time from its start state, so the
     first failure in time order wins: a NotAdiabatic is never pre-empted by
     a DefectiveMatrix or NonFinite further down the path.
@@ -173,12 +175,11 @@ def evolve(
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, psi.shape[0]), dtype=complex)
     w_norms = np.empty(n_steps + 1)
-    alphas = np.empty(n_steps + 1)
     energies = np.empty(n_steps + 1)
 
     def record(lo, hi, w, eig):
-        """W-norms of states[lo:hi]; with a tracked level, check and phase
-        them against its left vectors in the eigensystems ``eig``."""
+        """W-norms of states[lo:hi]; with a tracked level, check them against
+        its left vectors in ``eig`` and return the last eig and overlap."""
         kets = states[lo:hi]
         w_norms[lo:hi] = np.einsum("ni,nij,nj->n", kets.conj(), w, kets).real
         if track_level is None:
@@ -191,23 +192,19 @@ def evolve(
                 f"instantaneous overlap {np.abs(ov[i]):.4f} dropped below 0.99 "
                 f"at t={times[lo + i]:.4g}"
             )
-        alphas[lo:hi] = np.angle(ov)
         energies[lo:hi] = eig.energies[..., track_level].real
+        return eig[-1], ov[-1]
 
     h, eig, w, k = _instants(family, path, times[:1], dt_probe)
-    # Anchor the gauge at t = 0 (not chained): a chained fix is the
-    # parallel-transport gauge and would absorb the geometric phase.
-    anchor = eig[0]
     states[0] = psi
-    record(0, 1, w, eig)
+    first = last = record(0, 1, w, eig)
     g_end = -1j * h[0] + k[0]  # the generator at the last step's end
 
     def chunk_work(a, b):
         """Generators and step-end records for steps a..b-1; writes no state."""
         h, eig, w, k = _instants(family, path, np.stack(
             [times[a:b] + 0.5 * dt, times[a + 1 : b + 1]], axis=-1), dt_probe)
-        end = eig[:, 1] if track_level is None else gauge_fix(anchor, eig[:, 1])
-        return -1j * h + k, w[:, 1], end
+        return -1j * h + k, w[:, 1], eig[:, 1]
 
     # numpy would promote each float constant to complex on every product;
     # formed once, and with .dot for @, each step keeps its bits.
@@ -215,7 +212,7 @@ def evolve(
 
     def advance(a, b, work):
         """RK4 steps a..b-1 on the generators from chunk_work, then their records."""
-        nonlocal psi, g_end
+        nonlocal psi, g_end, last
         g, w, eig = work
         for j in range(b - a):
             k1 = g_end.dot(psi)
@@ -225,7 +222,7 @@ def evolve(
             k4 = g_end.dot(psi + full * k3)
             psi = psi + sixth * (k1 + two * k2 + two * k3 + k4)
             states[a + j + 1] = psi
-        record(a + 1, b + 1, w, eig)
+        last = record(a + 1, b + 1, w, eig)
 
     for a in range(0, n_steps, _CHUNK):
         b = min(a + _CHUNK, n_steps)
@@ -251,19 +248,20 @@ def evolve(
             f"W-norm drift {drift:.3e} exceeds {drift_tol:.1e}; increase n_steps"
         )
 
-    total = beta = gamma = 0.0
+    beta = gamma = 0.0
     if track_level is not None:
-        alpha = np.unwrap(alphas)
-        total = float(alpha[-1] - alpha[0])
+        (eig0, ov0), (eig1, ov1) = first, last
+        link = np.vdot(eig0.left[:, track_level], eig1.right[:, track_level])
+        if abs(link) < 1e-12:
+            raise AmbiguousMatching("tracked level's end state has no overlap with its start")
         beta = -float(np.trapezoid(energies, times))
-        gamma = _principal(total - beta)
-        total = beta + gamma  # keep the split identity after branch reduction
+        gamma = _principal(float(np.angle(link * ov1) - np.angle(ov0)) - beta)
 
     return EvolutionResult(
         times=times,
         states=states,
         w_norms=w_norms,
-        total_phase=total,
+        total_phase=beta + gamma,
         dynamical_phase=beta,
         geometric_phase=gamma,
     )

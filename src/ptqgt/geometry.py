@@ -105,9 +105,10 @@ def param_derivatives(
     DefectiveMatrix / AmbiguousMatching from the eigensolver and
     NotPositiveDefinite from ``build_W`` when ``lam`` sits too close to a
     critical point for the chosen step, and raises Degenerate when a
-    stencil point lies on the other side of the PT-breaking boundary.
+    stencil point lies on the other side of the PT-breaking boundary;
+    ValueError unless ``lam`` has shape ``(d,)``.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = _as_point(lam, family.dim_param)
     if step is None:
         step = default_step(lam)
     if step <= 0:
@@ -128,6 +129,14 @@ def param_derivatives(
 
     return (eig0, (fixed.right[:d] - fixed.right[d:]) / (2.0 * step),
             (fixed.left[:d] - fixed.left[d:]) / (2.0 * step))
+
+
+def _as_point(lam, d: int, name: str = "point") -> np.ndarray:
+    """``lam`` as a float array; ValueError unless its shape is ``(d,)``."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (d,):
+        raise ValueError(f"{name} must have shape ({d},), got {lam.shape}")
+    return lam
 
 
 def _check_level(n: int, dim: int):
@@ -180,8 +189,8 @@ def _fd_qgt(psi, phi, dpsi, dphi) -> np.ndarray:
 def qgt(family: HamiltonianFamily, lam, n: int = 0, step: float | None = None) -> GeomTensor:
     """Extended geometric tensor of level ``n`` at ``lam`` by differencing.
 
-    Raises ValueError unless 0 <= n < N, and Degenerate when the level gap
-    is below tolerance.
+    Raises ValueError unless 0 <= n < N and ``lam`` has shape ``(d,)``,
+    and Degenerate when the level gap is below tolerance.
     """
     _check_level(n, family.dim_hilbert)
     lam = np.asarray(lam, dtype=float)
@@ -307,12 +316,17 @@ def curvature_flux(
     about ``_BLOCK`` points each: one family call, one stacked eigensolve
     and one ``deriv`` call per axis per block. Raises ValueError unless
     ``plane`` names two distinct parameter axes, ``resolution`` is an
-    integer of at least 1 and ``n`` names a level, and Degenerate when a
+    integer of at least 1, ``n`` names a level and ``lam_min`` and
+    ``lam_max`` have shape ``(d,)``, and Degenerate when a
     grid point lies in another PT phase than the first (the rectangle
     crosses an exceptional line) or when level ``n`` closes its gap at a
     grid point.
     """
+    if np.shape(plane) != (2,):
+        raise ValueError(f"plane must name two axes, got {plane!r}")
     mu, nu = plane
+    for axis in plane:
+        _check_integer(axis, "plane axes", "integers")
     if not (0 <= mu < family.dim_param and 0 <= nu < family.dim_param and mu != nu):
         raise ValueError(
             f"plane must name two distinct axes in 0..{family.dim_param - 1}, got {plane}"
@@ -321,8 +335,8 @@ def curvature_flux(
     if resolution < 1:
         raise ValueError(f"resolution must be at least 1, got {resolution}")
     _check_level(n, family.dim_hilbert)
-    lam_min = np.asarray(lam_min, dtype=float)
-    lam_max = np.asarray(lam_max, dtype=float)
+    lam_min = _as_point(lam_min, family.dim_param, "lam_min")
+    lam_max = _as_point(lam_max, family.dim_param, "lam_max")
     xs = np.linspace(lam_min[mu], lam_max[mu], resolution + 1)
     ys = np.linspace(lam_min[nu], lam_max[nu], resolution + 1)
     da = (xs[1] - xs[0]) * (ys[1] - ys[0])

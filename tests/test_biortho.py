@@ -342,6 +342,13 @@ def test_gauge_transform_roundtrip():
         gauge_transform(eig, np.array([1.0, 0.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.inf), complex(np.nan, 0.0)])
+def test_gauge_transform_refuses_a_non_finite_factor(bad):
+    eig = biortho_eig(random_matrix(np.random.default_rng(11), 4))
+    with np.errstate(all="raise"), pytest.raises(NonFinite, match="must be finite"):
+        gauge_transform(eig, np.array([1.0, bad, 1.0, 1.0]))
+
+
 def test_family_derivative_matches_finite_difference():
     def evaluate(lam):
         return np.array([[lam[0] ** 2, np.sin(lam[1])], [np.sin(lam[1]), -lam[0]]],

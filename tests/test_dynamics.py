@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ptqgt import (
+    AmbiguousMatching,
     HamiltonianFamily,
     NonFinite,
     NotAdiabatic,
@@ -17,6 +18,7 @@ from ptqgt import (
     dynamics,
     evolve,
     gauge_fix,
+    geometry,
     k_field,
 )
 from ptqgt.cli import _circle_path
@@ -417,7 +419,8 @@ def test_eigensolves_per_chunk(monkeypatch):
     # one stacked eigensolve at t = 0 and one per chunk, each over the
     # instants alone: 1 matrix at t = 0 and 2 per step (half-step and step
     # end); the path is sampled at exactly these times and their two K
-    # probes, 3 times at t = 0 and 6 per step
+    # probes, 3 times at t = 0 and 6 per step; the phase needs no gauge, so
+    # no eigensystem is gauge-fixed
     fam = pt_two_level_family()
     base = circle_path([0.15, 0.85], 0.05, 20.0)
     samples, calls, fixes = [], [], []
@@ -435,22 +438,50 @@ def test_eigensolves_per_chunk(monkeypatch):
         fixes.append(np.shape(cur.energies))
         return gauge_fix(prev, cur)
 
-    def no_assignment(n):
-        raise AssertionError("tied matching searched on a collision-free loop")
-
     path = PathSpec(curve=curve, duration=base.duration, closed=True)
     psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
     samples.clear()
     monkeypatch.setattr(np.linalg, "eig", counted)
-    monkeypatch.setattr(dynamics, "gauge_fix", counted_gauge_fix)
-    monkeypatch.setattr(biortho, "_permutations", no_assignment)
+    for module in (biortho, geometry):
+        monkeypatch.setattr(module, "gauge_fix", counted_gauge_fix)
     n_steps = 1000
     evolve(fam, path, psi0, n_steps=n_steps, track_level=0)
     chunks = math.ceil(n_steps / dynamics._CHUNK)
     assert len(calls) == chunks + 1
     assert sum(math.prod(shape[:-2]) for shape in calls) == 2 * n_steps + 1
     assert len(samples) == 6 * n_steps + 3
-    assert len(fixes) == chunks
+    assert fixes == [] and not hasattr(dynamics, "gauge_fix")
+
+
+@pytest.mark.parametrize("z", [0.1, 0.5])
+def test_spin_half_cone_transport_gives_half_the_solid_angle(z):
+    # Berry's spin-1/2: the field (cos wt, sin wt, z) runs around a cone of
+    # half-angle theta, and the lower level gains pi (1 - cos theta). The
+    # adiabatic error is O(1/tau); bounds set before measuring: gamma_sim
+    # within 8/tau of it, the error at least halving from tau = 100 to 400,
+    # and gamma_line (512 vertices) within 1e-4.
+    fam = spin_half_family()
+    exact = np.pi * (1.0 - z / np.hypot(1.0, z))
+    errors = []
+    for tau in (100.0, 400.0):
+        path = _circle_path(np.array([0.0, 0.0, z]), 1.0, tau)
+        out = adiabatic_phase(fam, path, n=0, n_steps=int(60 * tau))
+        errors.append(abs(out["gamma_sim"] - exact))
+        assert errors[-1] <= 8.0 / tau
+        assert abs(out["gamma_line"] - exact) <= 1e-4
+    assert errors[1] <= 0.5 * errors[0]
+
+
+def test_open_path_to_the_flipped_field_has_no_geometric_phase():
+    # the field turns from +z to -z through +x, so the lower level ends as
+    # the spin state orthogonal to its start: <Phi_0(0)|Psi_0(tau)> vanishes
+    # and no phase relates the ends
+    fam = spin_half_family()
+    path = PathSpec(curve=lambda t: np.array([np.sin(np.pi * t / 50.0), 0.0,
+                                              np.cos(np.pi * t / 50.0)]), duration=50.0)
+    psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
+    with pytest.raises(AmbiguousMatching, match="no overlap with its start"):
+        evolve(fam, path, psi0, n_steps=3000, track_level=0)
 
 
 def test_batched_gauge_fix_matches_gauge_fix():

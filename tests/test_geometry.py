@@ -220,6 +220,29 @@ def test_level_checked_before_any_eigensolve(monkeypatch, call):
     assert shapes == [(5, 2, 2)]
 
 
+@pytest.mark.parametrize("fam, lam", [
+    (pt_two_level_family(), [0.8]),
+    (pt_two_level_family(), 0.8),
+    (pt_two_level_family(), [[0.15, 0.85]]),
+    (load_bundled_model("spin_half"), [1.0]),
+    (spin_half_family(), [0.3, -0.2]),
+])
+def test_qgt_refuses_a_point_of_the_wrong_shape(monkeypatch, fam, lam):
+    # a short point used to broadcast against the stencil and answer for
+    # another point: [0.8] for (0.8, 0.8), [1.0] for (1, 1, 1)
+    shapes = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    with pytest.raises(ValueError, match=rf"point must have shape \({fam.dim_param},\)"):
+        qgt(fam, lam)
+    assert shapes == []
+
+
 def _pt_circle(tau=5.0):
     return PathSpec(curve=lambda t: np.array([0.15, 0.85]) + 0.05 * np.array(
         [np.cos(2 * np.pi * t / tau), np.sin(2 * np.pi * t / tau)]), duration=tau, closed=True)
@@ -543,6 +566,29 @@ def test_curvature_flux_peak_memory_stays_bounded():
 def test_curvature_flux_rejects_bad_plane(plane):
     with pytest.raises(ValueError, match="plane must name two distinct axes"):
         curvature_flux(pt_two_level_family(), [0.05, 0.8], [0.15, 0.9], plane, resolution=4)
+
+
+@pytest.mark.parametrize("plane, match", [
+    ((0.0, 1), "plane axes must be integers"),
+    ((True, 0), "plane axes must be integers"),
+    ((0, np.float64(1.0)), "plane axes must be integers"),
+    ((0, 1, 2), "plane must name two axes"),
+    (0, "plane must name two axes"),
+])
+def test_curvature_flux_refuses_a_plane_not_of_two_integer_axes(plane, match):
+    with pytest.raises(ValueError, match=match):
+        curvature_flux(pt_two_level_family(), [0.05, 0.8], [0.15, 0.9], plane, resolution=4)
+
+
+@pytest.mark.parametrize("lo, hi, name", [
+    ([0.1], [0.15, 0.9], "lam_min"),
+    ([0.05, 0.8], [0.15], "lam_max"),
+    ([0.05, 0.8, 0.0], [0.15, 0.9], "lam_min"),
+    (0.05, [0.15, 0.9], "lam_min"),
+])
+def test_curvature_flux_refuses_corners_of_the_wrong_shape(lo, hi, name):
+    with pytest.raises(ValueError, match=rf"{name} must have shape \(2,\)"):
+        curvature_flux(pt_two_level_family(), lo, hi, resolution=4)
 
 
 @pytest.mark.parametrize("resolution", [0, -3])
