@@ -11,7 +11,6 @@ from .biortho import (
     biortho_eig,
     build_W,
     default_step,
-    gauge_fix,
     gauge_transform,
 )
 from .dynamics import EvolutionResult, PathSpec, adiabatic_phase, evolve, k_field
@@ -46,7 +45,6 @@ from .geometry import (
     classify_interval,
     curvature_flux,
     fidelity,
-    metric_perturbative,
     metric_tensor,
     o_operators,
     param_derivatives,

@@ -2,9 +2,10 @@
 
 Provides the eigensystem (right vectors of H, left vectors of H^dag,
 biorthonormalized), the positive-definite inner-product metric W built
-from the left vectors, and the gauge bookkeeping (gauge fixing against
-a reference point, which the difference stencil of ``param_derivatives``
-needs, and explicit gauge transformations).
+from the left vectors, and explicit gauge transformations. Nothing here
+aligns the gauges of eigensystems at different parameter points: the
+quantities built on them (projectors, overlap products, the end-point
+phase of transport) need no such alignment.
 
 Normalization convention: right vectors have unit 2-norm with their
 largest-magnitude component real positive; the left vectors are the dual
@@ -21,15 +22,12 @@ every eigenvalue of the stack is real, and complex otherwise.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import (
-    AmbiguousMatching,
     DefectiveMatrix,
     NonFinite,
     NotPositiveDefinite,
@@ -41,7 +39,6 @@ __all__ = [
     "BiorthoEigensystem",
     "biortho_eig",
     "build_W",
-    "gauge_fix",
     "gauge_transform",
     "default_step",
 ]
@@ -310,59 +307,6 @@ def build_W(eig: BiorthoEigensystem) -> np.ndarray:
             f"smallest/largest eigenvalue of W is {ratio:.3e}; eigensystem is broken"
         )
     return w
-
-
-@functools.lru_cache(maxsize=None)
-def _permutations(n: int) -> np.ndarray:
-    """The n! permutations of range(n) as rows, built once per n, read-only."""
-    perms = np.array(list(itertools.permutations(range(n))))
-    perms.flags.writeable = False
-    return perms
-
-
-def gauge_fix(prev: BiorthoEigensystem, cur: BiorthoEigensystem) -> BiorthoEigensystem:
-    """Align ``cur`` with ``prev``: reorder by maximal overlap, remove phases.
-
-    ``cur`` may be a stack, each element aligned with the single ``prev``.
-    After the fix, <Phi_n^prev|Psi_n^cur> is real positive for every n and
-    <Phi_n|Psi_n> = 1 is preserved. States are matched by the permutation
-    maximizing the summed |overlap|: the row-wise argmax where that is one,
-    else the best of all N! permutations, for N <= 8. AmbiguousMatching is
-    raised when a matched overlap vanishes (a degeneracy was crossed between
-    the two parameter points) or row-wise maxima collide among N > 8 levels.
-    """
-    n = cur.dim
-    overlaps = (_dagger(prev.left) @ cur.right).reshape(-1, n, n)  # <Phi_n^prev|Psi_m^cur[j]>
-    magnitudes = np.abs(overlaps)
-    assign = magnitudes.argmax(axis=-1)
-    collided = (np.sort(assign, axis=-1) != np.arange(n)).any(axis=-1)
-    if collided.any():
-        # Row-wise maxima collide (near-tied overlaps): try every permutation.
-        if n > 8:
-            raise AmbiguousMatching(f"overlap maxima collide among {n} > 8 levels")
-        perms = _permutations(n)
-        for j in np.flatnonzero(collided):
-            assign[j] = perms[magnitudes[j][np.arange(n), perms].sum(-1).argmax()]
-
-    rows = np.arange(assign.shape[0])[:, None]
-    matched = overlaps[rows, np.arange(n), assign]
-    if np.any(np.abs(matched) < 1e-12):
-        raise AmbiguousMatching("matched overlap is numerically zero")
-    # Unit phase s makes <Phi^prev|s Psi^cur> real positive; scaling both
-    # Psi and Phi by s keeps <Phi|Psi> = 1.
-    s = (matched.conj() / np.abs(matched))[..., None]
-
-    # Gathered as biortho_eig gathers columns: the column-major layout keeps
-    # the round-off of downstream products.
-    def columns(v):
-        return (v.reshape(-1, n, n)[rows, :, assign] * s).swapaxes(-1, -2).reshape(v.shape)
-
-    return BiorthoEigensystem(
-        energies=cur.energies.reshape(-1, n)[rows, assign].reshape(cur.energies.shape),
-        right=columns(cur.right),
-        left=columns(cur.left),
-        unbroken=cur.unbroken,
-    )
 
 
 def gauge_transform(eig: BiorthoEigensystem, f) -> BiorthoEigensystem:

@@ -148,8 +148,8 @@ def evolve(
     no gauge changes (AmbiguousMatching where <Phi_n(0)|Psi_n(tau)> = 0).
     Raises StepTooLarge when the W-norm drifts beyond ``drift_tol``
     (``np.inf`` switches the check off) and whenever a W-norm is not
-    finite; ValueError unless ``n_steps`` is a positive integer, or for a
-    NaN ``drift_tol``.
+    finite; ValueError unless ``n_steps`` is a positive integer and
+    ``psi0`` has shape ``(N,)``, or for a NaN ``drift_tol``.
 
     The path is walked in chunks of steps on the grid ``times``, so a step
     starts exactly where the last one ended. Per chunk, one family call and
@@ -169,6 +169,8 @@ def evolve(
     if track_level is not None:
         _check_level(track_level, family.dim_hilbert)
     psi = np.asarray(psi0, dtype=complex).copy()
+    if psi.shape != (family.dim_hilbert,):
+        raise ValueError(f"psi0 must have shape ({family.dim_hilbert},), got {psi.shape}")
     dt = path.duration / n_steps
     dt_probe = dt / 10.0
 

@@ -18,7 +18,9 @@ class NotPositiveDefinite(PtqgtError):
 
 
 class AmbiguousMatching(PtqgtError):
-    """Eigenstate matching between nearby parameter points is not a permutation."""
+    """A level has numerically no overlap with its counterpart at another
+    parameter point: with every stencil level in ``param_derivatives``, or
+    the tracked level's end state with its start in ``evolve``."""
 
 
 class ZeroScale(PtqgtError):

@@ -4,11 +4,12 @@ Everything here is derived from one object: the complex Hermitian tensor
 ``Q_{n,mu nu}`` attached to level n at a parameter point. Its imaginary
 part is the (real antisymmetric) Berry curvature, its real part the
 (real symmetric, possibly pseudo-Riemannian) metric tensor. Berry phases
-come from a gauge-invariant overlap-product estimator. Q also has a
-perturbative (sum-over-states) route, which the curvature flux and the
-perturbative metric use, and the metric a variance form built from the
-generator operators O_mu; both rest on one eigensolve and the first-order
-eigenvector response C_mu, and serve as independent cross-checks of the
+come from a gauge-invariant overlap-product estimator. ``qgt`` differences
+the level projectors P_n = |Psi_n><Phi_n|, which no gauge changes. Q also
+has a perturbative (sum-over-states) route, which the curvature flux
+uses, and the metric a variance form built from the generator operators
+O_mu; both rest on one eigensolve and the first-order eigenvector
+response C_mu, and serve as independent cross-checks of the
 finite-difference route.
 """
 
@@ -26,9 +27,8 @@ from .biortho import (
     biortho_eig,
     build_W,
     default_step,
-    gauge_fix,
 )
-from .errors import Degenerate, OpenLoop
+from .errors import AmbiguousMatching, Degenerate, OpenLoop
 
 __all__ = [
     "GeomTensor",
@@ -38,7 +38,6 @@ __all__ = [
     "qgt",
     "berry_curvature",
     "metric_tensor",
-    "metric_perturbative",
     "berry_phase_loop",
     "curvature_flux",
     "fidelity",
@@ -92,17 +91,19 @@ class OperatorPair:
 
 def param_derivatives(
     family: HamiltonianFamily, lam, step: float | None = None
-) -> tuple[BiorthoEigensystem, np.ndarray, np.ndarray]:
-    """Central differences of the gauge-fixed eigensystem at ``lam``.
+) -> tuple[BiorthoEigensystem, np.ndarray]:
+    """Central differences of the level projectors at ``lam``.
 
-    Returns ``(eig, dpsi, dphi)``: the centre eigensystem and, as
-    ``(d, N, N)`` stacks, ``dpsi[mu][:, n]`` ~ d Psi_n / d lambda^mu and
-    likewise ``dphi``, in the smooth gauge anchored at ``eig``. The
+    Returns ``(eig, dp)``: the centre eigensystem and the ``(d, N, N, N)``
+    stack ``dp[mu, n]`` ~ d P_n / d lambda^mu of the biorthogonal
+    projector P_n = |Psi_n><Phi_n|. No gauge changes a projector, so the
     eigensystems at ``lam +/- step e_mu`` (``step`` defaults to
-    ``default_step(lam)``) are gauge-fixed against the centre so the raw
-    solver phases difference away smoothly. The 2d+1 stencil points are
-    evaluated, decomposed and gauge-fixed as one stack. Propagates
-    DefectiveMatrix / AmbiguousMatching from the eigensolver and
+    ``default_step(lam)``) are differenced without any phase alignment:
+    each centre level n is matched, on its own, to the stencil level m
+    with the largest |<Phi_n|Psi_m>|. The 2d+1 stencil points are
+    evaluated and decomposed as one stack. Raises AmbiguousMatching when a
+    matched overlap is below 1e-12 (a degeneracy lies between the
+    points), propagates DefectiveMatrix from the eigensolver and
     NotPositiveDefinite from ``build_W`` when ``lam`` sits too close to a
     critical point for the chosen step, and raises Degenerate when a
     stencil point lies on the other side of the PT-breaking boundary;
@@ -125,10 +126,16 @@ def param_derivatives(
     # (NotPositiveDefinite) a stencil whose metric W is numerically
     # singular, as it turns next to an exceptional point.
     build_W(eigs)
-    fixed = gauge_fix(eig0, eigs[1:])
+    overlaps = np.abs(eig0.left.conj().T @ eigs.right[1:])  # |<Phi_n(lam)|Psi_m>|
+    if overlaps.max(axis=-1).min() < 1e-12:
+        raise AmbiguousMatching("matched overlap is numerically zero")
+    p = _projectors(eigs[1:])[np.arange(2 * d)[:, None], overlaps.argmax(axis=-1)]
+    return eig0, (p[:d] - p[d:]) / (2.0 * step)
 
-    return (eig0, (fixed.right[:d] - fixed.right[d:]) / (2.0 * step),
-            (fixed.left[:d] - fixed.left[d:]) / (2.0 * step))
+
+def _projectors(eig: BiorthoEigensystem) -> np.ndarray:
+    """P_n = |Psi_n><Phi_n| of every level n, as ``[..., n, :, :]``."""
+    return np.einsum("...in,...jn->...nij", eig.right, eig.left.conj())
 
 
 def _as_point(lam, d: int, name: str = "point") -> np.ndarray:
@@ -169,34 +176,30 @@ def _check_gap(eig: BiorthoEigensystem, levels: Sequence[int]):
             raise Degenerate(f"level {n} gap {gap[i]:.3e} below tolerance {tol[i]:.3e}")
 
 
-def _fd_qgt(psi, phi, dpsi, dphi) -> np.ndarray:
-    """Q of every level, (N, d, d), from the eigenvectors and their
-    parameter derivatives.
+def _fd_qgt(eig: BiorthoEigensystem, dp) -> np.ndarray:
+    """Q of every level, (N, d, d), from the eigensystem and the projector
+    derivatives ``dp`` (d, N, N, N) of ``param_derivatives``.
 
-    ``psi`` and ``phi`` are (N, N) with levels as columns; ``dpsi[mu]``
-    and ``dphi[mu]`` are their derivatives along direction mu, (d, N, N).
-    x[n, mu, nu] = <d_mu Phi_n|d_nu Psi_n> - <d_mu Phi_n|Psi_n><Phi_n|d_nu Psi_n>
-    and Q = 1/2 (x + x^dag), exactly Hermitian by construction.
+    Q = 1/2 (x + x^dag) with x_{mu nu} = Tr(P_n d_mu P_n d_nu P_n), which
+    is <d_mu Phi_n|(1 - |Psi_n><Phi_n|)|d_nu Psi_n> as <Phi_n|Psi_n> = 1;
+    exactly Hermitian by construction.
     """
-    dphi_h = dphi.conj()
-    x = np.einsum("ain,bin->nab", dphi_h, dpsi) - (
-        np.einsum("ain,in->na", dphi_h, psi)[:, :, None]
-        * np.einsum("in,bin->nb", phi.conj(), dpsi)[:, None, :]
-    )
+    x = np.einsum("nij,anjk,bnki->nab", _projectors(eig), dp, dp)
     return 0.5 * (x + np.swapaxes(x, -1, -2).conj())
 
 
 def qgt(family: HamiltonianFamily, lam, n: int = 0, step: float | None = None) -> GeomTensor:
-    """Extended geometric tensor of level ``n`` at ``lam`` by differencing.
+    """Extended geometric tensor of level ``n`` at ``lam`` by differencing
+    the projector P_n over the stencil of ``param_derivatives``.
 
     Raises ValueError unless 0 <= n < N and ``lam`` has shape ``(d,)``,
     and Degenerate when the level gap is below tolerance.
     """
     _check_level(n, family.dim_hilbert)
     lam = np.asarray(lam, dtype=float)
-    eig, dpsi, dphi = param_derivatives(family, lam, step)
+    eig, dp = param_derivatives(family, lam, step)
     _check_gap(eig, [n])
-    return GeomTensor(level=n, point=lam, q=_fd_qgt(eig.right, eig.left, dpsi, dphi)[n])
+    return GeomTensor(level=n, point=lam, q=_fd_qgt(eig, dp)[n])
 
 
 def berry_curvature(q: GeomTensor) -> np.ndarray:
@@ -255,20 +258,6 @@ def _sos_qgt(eig: BiorthoEigensystem, dh, levels) -> np.ndarray:
     c = _coefficients(eig, dh)
     x = -0.5 * np.einsum("...n,...anm,...bmn->...ab", levels, c, c)
     return x + np.swapaxes(x, -1, -2).conj()
-
-
-def metric_perturbative(eig: BiorthoEigensystem, dh: Sequence[np.ndarray]) -> np.ndarray:
-    """Ground-state metric Re Q from the sum-over-states formula.
-
-    ``dh[mu]`` is the analytic (or independently differenced) matrix
-    derivative of H along direction mu. The ground state is the lowest
-    level in the (Re E, Im E) ordering. Valid in both PT phases: the
-    energy denominators are (E_n - E_m)^2, complex in the broken phase.
-    Raises Degenerate on a vanishing denominator -- that singularity is
-    the critical-point signal.
-    """
-    _check_gap(eig, [0])
-    return _sos_qgt(eig, np.asarray(dh), np.arange(eig.dim) == 0).real
 
 
 def berry_phase_loop(family: HamiltonianFamily, loop: LoopSpec) -> float:
@@ -379,8 +368,9 @@ def fidelity(eig_a: BiorthoEigensystem, eig_b: BiorthoEigensystem, n: int = 0) -
 
 
 def _generators(family: HamiltonianFamily, lam) -> tuple[BiorthoEigensystem, OperatorPair]:
-    """The eigensystem at ``lam`` and ``o_operators`` there."""
-    lam = np.asarray(lam, dtype=float)
+    """The eigensystem at ``lam`` and ``o_operators`` there; ValueError
+    unless ``lam`` has shape ``(d,)``."""
+    lam = _as_point(lam, family.dim_param)
     eig = biortho_eig(family(lam))
     _check_gap(eig, range(eig.dim))
     dh = np.stack([family.deriv(lam, mu) for mu in range(family.dim_param)])

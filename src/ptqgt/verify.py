@@ -19,7 +19,7 @@ from . import geometry, xy_chain
 from .biortho import HamiltonianFamily, biortho_eig, build_W
 from .dynamics import PathSpec, adiabatic_phase
 from .families import pt_two_level_family, spin_half_family
-from .geometry import LoopSpec, _fd_qgt, berry_phase_loop, curvature_flux
+from .geometry import LoopSpec, berry_phase_loop, curvature_flux
 from .xy_chain import FieldPoint, XYParams, dk_family
 
 __all__ = ["CheckResult", "run_suite", "FAST_CHECKS", "FULL_CHECKS",
@@ -113,14 +113,37 @@ def check_q_structure(seed=42) -> CheckResult:
     return CheckResult("q_hermitian_structure", worst, 1e-9)
 
 
+def _eigenvector_qgt(psi, phi, dpsi, dphi) -> np.ndarray:
+    """Q of every level, (N, d, d), from the eigenvectors and their
+    parameter derivatives.
+
+    ``psi`` and ``phi`` are (N, N) with levels as columns; ``dpsi[mu]``
+    and ``dphi[mu]`` are their derivatives along direction mu, (d, N, N).
+    x[n, mu, nu] = <d_mu Phi_n|d_nu Psi_n> - <d_mu Phi_n|Psi_n><Phi_n|d_nu Psi_n>
+    and Q = 1/2 (x + x^dag).
+    """
+    dphi_h = dphi.conj()
+    x = np.einsum("ain,bin->nab", dphi_h, dpsi) - (
+        np.einsum("ain,in->na", dphi_h, psi)[:, :, None]
+        * np.einsum("in,bin->nb", phi.conj(), dpsi)[:, None, :]
+    )
+    return 0.5 * (x + np.swapaxes(x, -1, -2).conj())
+
+
 def check_gauge_invariance(seed=42) -> CheckResult:
-    """Q is unchanged under smooth per-level rescalings f(lam), exactly
-    transformed derivatives included."""
+    """The eigenvector form of Q is unchanged under smooth per-level
+    rescalings f(lam), exactly transformed derivatives included. The
+    derivatives are exact, from one eigensolve: d Psi = Psi C_mu and
+    d Phi = -Phi C_mu^dag."""
     rng = np.random.default_rng(seed + 1)
     worst = 0.0
     for params, lam, k in _random_dk_cases(rng, _TRIALS):
         fam = dk_family(params, k)
-        eig, dpsi, dphi = geometry.param_derivatives(fam, lam)
+        eig = biortho_eig(fam(lam))
+        resp = geometry._gauged_coefficients(
+            eig, np.stack([fam.deriv(lam, mu) for mu in range(2)]))
+        dpsi = eig.right @ resp
+        dphi = -eig.left @ np.swapaxes(resp.conj(), -1, -2)
         n_dim = fam.dim_hilbert
         # f_n(lam) = f0_n * exp(c_n . (lam - lam0)) with complex c_n:
         # value and gradient at lam0 known in closed form.
@@ -131,8 +154,8 @@ def check_gauge_invariance(seed=42) -> CheckResult:
         phi_t = eig.left / f0.conj()
         dpsi_t = dpsi * f0 + eig.right * (f0 * c)[:, None, :]
         dphi_t = dphi / f0.conj() - eig.left * (c.conj() / f0.conj())[:, None, :]
-        q0 = _fd_qgt(eig.right, eig.left, dpsi, dphi)
-        q1 = _fd_qgt(psi_t, phi_t, dpsi_t, dphi_t)
+        q0 = _eigenvector_qgt(eig.right, eig.left, dpsi, dphi)
+        q1 = _eigenvector_qgt(psi_t, phi_t, dpsi_t, dphi_t)
         scale = np.maximum(np.linalg.norm(q0, axis=(1, 2)), 1e-300)
         worst = max(worst, float(np.max(np.max(np.abs(q1 - q0), axis=(1, 2)) / scale)))
     return CheckResult("gauge_invariance", worst, 1e-9)
@@ -145,8 +168,9 @@ def check_perturbative_vs_fd(seed=42) -> CheckResult:
     for params, lam, k in _random_dk_cases(rng, _TRIALS):
         fam = dk_family(params, k)
         eig = biortho_eig(fam(lam))
-        dh = [fam.deriv(lam, mu) for mu in range(2)]
-        g_pert = geometry.metric_perturbative(eig, dh)
+        dh = np.stack([fam.deriv(lam, mu) for mu in range(2)])
+        geometry._check_gap(eig, [0])
+        g_pert = geometry._sos_qgt(eig, dh, np.arange(4) == 0).real
         g_fd = geometry.qgt(fam, lam, n=0, step=1e-5).q.real
         scale = max(np.linalg.norm(g_pert), 1e-300)
         worst = max(worst, float(np.max(np.abs(g_pert - g_fd))) / scale)

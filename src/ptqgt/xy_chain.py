@@ -318,10 +318,10 @@ def _intensity_fd(p: XYParams, f: FieldPoint, n_quad: int) -> np.ndarray:
     total = np.zeros((2, 2))
     lam = np.array([f.h, f.eta])
     for k, w in zip(ks, wts):
-        eig, dpsi, dphi = geometry.param_derivatives(dk_family(p, k), lam, _FD_STEP)
+        eig, dp = geometry.param_derivatives(dk_family(p, k), lam, _FD_STEP)
         occ = occupied_levels(eig)
         geometry._check_gap(eig, occ)
-        q = geometry._fd_qgt(eig.right, eig.left, dpsi, dphi)
+        q = geometry._fd_qgt(eig, dp)
         total += w * 2.0 * q[occ].real.sum(axis=0)
     return total / (4.0 * np.pi)
 

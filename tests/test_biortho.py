@@ -2,10 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 
 from ptqgt import (
-    AmbiguousMatching,
     DefectiveMatrix,
     FieldPoint,
     HamiltonianFamily,
@@ -22,7 +20,6 @@ from ptqgt import (
     dk_family,
     default_step,
     dk_matrix,
-    gauge_fix,
     gauge_transform,
     k_field,
     metric_intensity,
@@ -261,67 +258,6 @@ def test_build_w_rejects_broken_eigensystem():
     # blowing up one right vector shrinks its left partner; W loses rank
     with pytest.raises(NotPositiveDefinite):
         build_W(bad)
-
-
-def test_gauge_fix_identity_and_phase():
-    h = dk_matrix(ANISO, FieldPoint(h=0.5, eta=0.3), 0.7)
-    eig = biortho_eig(h)
-    same = gauge_fix(eig, eig)
-    assert np.max(np.abs(same.right - eig.right)) < 1e-12
-
-    theta = 0.4
-    rotated = gauge_transform(eig, np.full(4, np.exp(1j * theta)))
-    fixed = gauge_fix(eig, rotated)
-    assert np.max(np.abs(fixed.right - eig.right)) < 1e-12
-    assert np.max(np.abs(fixed.left - eig.left)) < 1e-12
-
-
-def test_gauge_fix_near_gap_closing():
-    # straddling the critical circle at eta = 0: either a clean match or an
-    # explicit AmbiguousMatching, never a silent mislabeling
-    r_c1 = 2.0 * np.sqrt(ANISO.J**2 - ANISO.Gammas**2)
-    k = 1e-3
-    a = biortho_eig(dk_matrix(ANISO, FieldPoint(h=r_c1 - 5e-4, eta=0.0), k))
-    b = biortho_eig(dk_matrix(ANISO, FieldPoint(h=r_c1 + 5e-4, eta=0.0), k))
-    try:
-        fixed = gauge_fix(a, b)
-    except AmbiguousMatching:
-        return
-    assert np.max(np.abs(fixed.overlap_matrix() - np.eye(4))) < 1e-9
-
-
-def _collided(prev, cur):
-    """Per stack element: do the row-wise overlap maxima collide?"""
-    assign = np.abs(prev.left.conj().T @ cur.right).argmax(axis=-1)
-    return np.array([len(set(row)) < cur.dim for row in assign.reshape(-1, cur.dim).tolist()])
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_gauge_fix_on_collisions_matches_linear_sum_assignment(n):
-    # unrelated random eigensystems: most row-wise maxima collide, and the
-    # exhaustive search must pick scipy's max-sum assignment
-    rng = np.random.default_rng(100 + n)
-    prev = biortho_eig(random_matrix(rng, n))
-    cur = biortho_eig(np.stack([random_matrix(rng, n) for _ in range(24)]))
-    assert _collided(prev, cur).sum() >= 8
-    magnitudes = np.abs(prev.left.conj().T @ cur.right)
-    fixed = gauge_fix(prev, cur)
-    for j, mag in enumerate(magnitudes):
-        col = linear_sum_assignment(mag, maximize=True)[1]
-        assert np.array_equal(fixed.energies[j], cur.energies[j, col]), j
-        assert np.array_equal(gauge_fix(prev, cur[j]).energies, cur.energies[j, col]), j
-
-
-def test_gauge_fix_refuses_a_collision_among_nine_levels():
-    rng = np.random.default_rng(9)
-    prev = biortho_eig(np.diag(np.arange(9.0)) + 0j)
-    cur = biortho_eig(random_matrix(rng, 9))
-    assert _collided(prev, cur).all()
-    with pytest.raises(AmbiguousMatching, match="among 9 > 8 levels"):
-        gauge_fix(prev, cur)
-    # without a collision nine levels are matched as before
-    fixed = gauge_fix(cur, cur)
-    assert np.array_equal(fixed.energies, cur.energies)
 
 
 def test_gauge_transform_roundtrip():

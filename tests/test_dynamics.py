@@ -12,13 +12,10 @@ from ptqgt import (
     PathSpec,
     StepTooLarge,
     adiabatic_phase,
-    biortho,
     biortho_eig,
     build_W,
     dynamics,
     evolve,
-    gauge_fix,
-    geometry,
     k_field,
 )
 from ptqgt.cli import _circle_path
@@ -353,7 +350,9 @@ def test_evolve_refuses_a_non_finite_w_norm(track_level, drift_tol):
 
 
 def evolve_per_step(family, path, psi0, n_steps, level):
-    """Reference RK4: k_field and gauge_fix once per step, no stacking."""
+    """Reference RK4: k_field once per step, no stacking; the phase of each
+    record is arg(<Phi_n(0)|Psi_n(t)><Phi_n(t)|psi>), which no gauge of
+    the record's eigensystem changes."""
     psi = np.asarray(psi0, dtype=complex).copy()
     dt = path.duration / n_steps
     anchor = biortho_eig(family(path.at(0.0)))
@@ -361,10 +360,10 @@ def evolve_per_step(family, path, psi0, n_steps, level):
 
     def record(t, psi):
         eig = biortho_eig(family(path.at(t)))
-        eig = gauge_fix(anchor, eig) if t > 0 else eig
         states.append(psi)
         w_norms.append(float(np.vdot(psi, build_W(eig) @ psi).real))
-        alphas.append(np.angle(np.vdot(eig.left[:, level], psi)))
+        alphas.append(np.angle(np.vdot(anchor.left[:, level], eig.right[:, level])
+                               * np.vdot(eig.left[:, level], psi)))
         energies.append(eig.energies[level].real)
 
     record(0.0, psi)
@@ -419,11 +418,10 @@ def test_eigensolves_per_chunk(monkeypatch):
     # one stacked eigensolve at t = 0 and one per chunk, each over the
     # instants alone: 1 matrix at t = 0 and 2 per step (half-step and step
     # end); the path is sampled at exactly these times and their two K
-    # probes, 3 times at t = 0 and 6 per step; the phase needs no gauge, so
-    # no eigensystem is gauge-fixed
+    # probes, 3 times at t = 0 and 6 per step
     fam = pt_two_level_family()
     base = circle_path([0.15, 0.85], 0.05, 20.0)
-    samples, calls, fixes = [], [], []
+    samples, calls = [], []
     eig = np.linalg.eig
 
     def curve(t):
@@ -434,23 +432,16 @@ def test_eigensolves_per_chunk(monkeypatch):
         calls.append(np.shape(a))
         return eig(a)
 
-    def counted_gauge_fix(prev, cur):
-        fixes.append(np.shape(cur.energies))
-        return gauge_fix(prev, cur)
-
     path = PathSpec(curve=curve, duration=base.duration, closed=True)
     psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
     samples.clear()
     monkeypatch.setattr(np.linalg, "eig", counted)
-    for module in (biortho, geometry):
-        monkeypatch.setattr(module, "gauge_fix", counted_gauge_fix)
     n_steps = 1000
     evolve(fam, path, psi0, n_steps=n_steps, track_level=0)
     chunks = math.ceil(n_steps / dynamics._CHUNK)
     assert len(calls) == chunks + 1
     assert sum(math.prod(shape[:-2]) for shape in calls) == 2 * n_steps + 1
     assert len(samples) == 6 * n_steps + 3
-    assert fixes == [] and not hasattr(dynamics, "gauge_fix")
 
 
 @pytest.mark.parametrize("z", [0.1, 0.5])
@@ -484,27 +475,25 @@ def test_open_path_to_the_flipped_field_has_no_geometric_phase():
         evolve(fam, path, psi0, n_steps=3000, track_level=0)
 
 
-def test_batched_gauge_fix_matches_gauge_fix():
-    fam = pt_two_level_family()
-    anchor = biortho_eig(fam([0.3, 0.5]))
-    lams = [[0.15, 0.85], [-0.46, 0.32], [0.3, 0.55], [0.32, 0.3], [0.0, 1.2]]
-    stack = biortho_eig(fam(lams))
-    assign = np.abs(anchor.left.conj().T @ stack.right).argmax(axis=-1)
-    collided = [len(set(row)) < 2 for row in assign.tolist()]
-    assert any(collided) and not all(collided)  # both routes are compared
-    fixed = gauge_fix(anchor, stack)
-    for j in range(len(lams)):
-        ref = gauge_fix(anchor, stack[j])
-        for name in ("energies", "right", "left"):
-            assert np.array_equal(getattr(fixed, name)[j], getattr(ref, name)), (j, name)
-
-
 @pytest.mark.parametrize("n_steps", [0, -3])
 def test_evolve_rejects_non_positive_n_steps(n_steps):
     fam = flat_pt_family()
     path = circle_path([0.3, 1.0], 0.05, 1.0)
     with pytest.raises(ValueError, match="n_steps must be positive"):
         evolve(fam, path, [1.0, 0.0], n_steps=n_steps)
+
+
+@pytest.mark.parametrize("psi0", [np.ones(3), np.eye(2), 1.0], ids=["length-3", "2x2", "scalar"])
+def test_evolve_refuses_a_psi0_of_the_wrong_shape(psi0):
+    # these ended in numpy's broadcast ValueError, "could not broadcast" and
+    # an IndexError; now refused before the family is called
+    fam = pt_two_level_family()
+    calls = []
+    counted = dataclasses.replace(fam, evaluate=lambda lam: calls.append(lam) or fam.evaluate(lam))
+    path = circle_path([0.15, 0.85], 0.05, 1.0)
+    with pytest.raises(ValueError, match=r"psi0 must have shape \(2,\)"):
+        evolve(counted, path, psi0, n_steps=10)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n_steps", [2.5, 10.0, True, np.float64(20.0)])

@@ -19,12 +19,12 @@ from ptqgt import (
     build_W,
     classify_interval,
     curvature_flux,
+    default_step,
     dk_family,
     evolve,
     fidelity,
     gauge_transform,
     geometry,
-    metric_perturbative,
     metric_tensor,
     o_operators,
     param_derivatives,
@@ -158,17 +158,36 @@ def test_qgt_exactly_hermitian_at_every_level(fam, lam):
 
 def test_fd_qgt_matches_the_per_level_formula():
     fam = dk_family(ANISO, 0.8)
-    eig, dpsi_all, dphi_all = param_derivatives(fam, [0.4, 0.2])
-    psi, phi = eig.right, eig.left
-    q = geometry._fd_qgt(psi, phi, dpsi_all, dphi_all)
-    assert q.shape == (4, 2, 2)
+    eig, dp = param_derivatives(fam, [0.4, 0.2])
+    q = geometry._fd_qgt(eig, dp)
+    assert dp.shape == (2, 4, 4, 4) and q.shape == (4, 2, 2)
     for n in range(4):
-        dpsi, dphi = dpsi_all[:, :, n], dphi_all[:, :, n]
-        x = np.array([[np.vdot(dphi[mu], dpsi[nu])
-                       - np.vdot(dphi[mu], psi[:, n]) * np.vdot(phi[:, n], dpsi[nu])
-                       for nu in range(2)] for mu in range(2)])
+        p = np.outer(eig.right[:, n], eig.left[:, n].conj())
+        x = np.array([[np.trace(p @ dp[mu, n] @ dp[nu, n]) for nu in range(2)]
+                      for mu in range(2)])
         ref = 0.5 * (x + x.conj().T)
         assert np.max(np.abs(q[n] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_qgt_follows_levels_that_swap_order_across_the_stencil():
+    # H = [[l1 + i, l2], [l2, -l1 - i]] has E = +-sqrt((l1 + i)^2 + l2^2),
+    # whose real parts change sign with l1: at l1 = 1e-7 the stencil's
+    # (Re E, Im E) order flips between l1 - step and l1 + step
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    fam = HamiltonianFamily(dim_hilbert=2, dim_param=2,
+                            evaluate=lambda lam: (lam[0] + 1j) * sz + lam[1] * sx,
+                            derivative=lambda lam, mu: sz if mu == 0 else sx)
+    lam = np.array([1e-7, 0.1])
+    step = default_step(lam)
+    lo, hi = (biortho_eig(fam(lam + s * np.array([1.0, 0.0]))) for s in (-step, step))
+    assert np.argmax(lo.energies.imag) != np.argmax(hi.energies.imag)
+    eig = biortho_eig(fam(lam))
+    dh = np.stack([fam.deriv(lam, mu) for mu in range(2)])
+    for n in range(2):
+        q_sos = geometry._sos_qgt(eig, dh, np.arange(2) == n)
+        q = qgt(fam, lam, n=n).q
+        assert np.max(np.abs(q - q_sos)) <= 1e-8 * np.linalg.norm(q_sos)
 
 
 @pytest.mark.parametrize("call", [
@@ -283,8 +302,9 @@ def test_metric_perturbative_matches_fd_on_dk():
     fam = dk_family(ANISO, 0.8)
     lam = np.array([0.4, 0.2])
     eig = biortho_eig(fam(lam))
-    dh = [fam.deriv(lam, mu) for mu in range(2)]
-    g_pert = metric_perturbative(eig, dh)
+    dh = np.stack([fam.deriv(lam, mu) for mu in range(2)])
+    geometry._check_gap(eig, [0])
+    g_pert = geometry._sos_qgt(eig, dh, np.arange(4) == 0).real
     g_fd = qgt(fam, lam, n=0).q.real
     assert np.max(np.abs(g_pert - g_fd)) < 1e-6 * np.linalg.norm(g_pert)
 
@@ -305,7 +325,9 @@ def test_metric_perturbative_with_an_exactly_degenerate_pair_above_level_0():
     lam = np.array([0.5, 0.0])
     eig = biortho_eig(fam(lam))
     assert eig.energies[1] == eig.energies[2]
-    g = metric_perturbative(eig, [fam.deriv(lam, mu) for mu in range(2)])
+    geometry._check_gap(eig, [0])
+    dh = np.stack([fam.deriv(lam, mu) for mu in range(2)])
+    g = geometry._sos_qgt(eig, dh, np.arange(3) == 0).real
     g_ref = standard_qgt_oracle(fam, lam, n=0).real
     assert np.all(np.isfinite(g))
     assert np.max(np.abs(g - g_ref)) < 1e-12 * np.linalg.norm(g_ref)
@@ -317,7 +339,9 @@ def test_metric_perturbative_matches_fd_in_broken_phase():
     lam = np.array([0.4, 0.2])
     eig = biortho_eig(fam(lam))
     assert not eig.unbroken
-    g_pert = metric_perturbative(eig, [fam.deriv(lam, mu) for mu in range(2)])
+    geometry._check_gap(eig, [0])
+    dh = np.stack([fam.deriv(lam, mu) for mu in range(2)])
+    g_pert = geometry._sos_qgt(eig, dh, np.arange(2) == 0).real
     g_fd = qgt(fam, lam, n=0).q.real
     assert np.max(np.abs(g_pert - g_fd)) < 1e-6 * np.linalg.norm(g_pert)
 
@@ -484,7 +508,6 @@ def test_curvature_flux_one_eigensolve_per_block(monkeypatch):
         raise AssertionError("curvature_flux must not difference eigenvectors")
 
     monkeypatch.setattr(np.linalg, "eig", counted)
-    monkeypatch.setattr(geometry, "gauge_fix", forbidden)
     monkeypatch.setattr(geometry, "param_derivatives", forbidden)
     fam = pt_two_level_family()
     curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=6)
@@ -658,18 +681,20 @@ def test_fidelity_quadratic_expansion():
 
 
 def test_o_operators_generate_derivatives():
-    # The closed-form generators against the difference route: the bundle
-    # differences gauge-fixed eigenvectors, in the gauge (unit-norm Psi_n,
-    # real <Phi_n|d Psi_n>) that fixes the diagonal of C_mu.
+    # The closed-form generators against the difference route: as
+    # i d_mu Psi_n = O_mu Psi_n and -i d_mu <Phi_n| = <Phi_n| O_mu, the
+    # projector moves as d_mu P_n = -i [O_mu, P_n]. The central difference
+    # of P_n is off by h^2/6 |d^3 P_n|, 2.1e-9 at the default step in the
+    # broken phase; a quarter of that step brings it to 1.2e-10.
     for fam, lam in ((dk_family(ANISO, 0.8), [0.4, 0.2]),
                      (pt_two_level_family(), [0.4, 0.2])):  # broken PT phase
-        eig, dpsi, _ = param_derivatives(fam, lam)
+        eig, dp = param_derivatives(fam, lam, default_step(lam) / 4.0)
         ops = o_operators(fam, lam)
-        # i d_mu Psi_n = O_mu Psi_n by construction of the generator
         for mu in range(2):
-            lhs = 1j * dpsi[mu]
-            rhs = ops.o_full[mu] @ eig.right
-            assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(np.max(np.abs(lhs)), 1.0)
+            for n in range(fam.dim_hilbert):
+                p = np.outer(eig.right[:, n], eig.left[:, n].conj())
+                rhs = -1j * (ops.o_full[mu] @ p - p @ ops.o_full[mu])
+                assert np.max(np.abs(dp[mu, n] - rhs)) < 1e-9 * max(np.max(np.abs(rhs)), 1.0)
 
 
 def test_o_operators_and_variance_metric_solve_one_matrix(monkeypatch):
@@ -685,13 +710,29 @@ def test_o_operators_and_variance_metric_solve_one_matrix(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", counted)
     monkeypatch.setattr(np.linalg, "solve", forbidden)
-    monkeypatch.setattr(geometry, "gauge_fix", forbidden)
     monkeypatch.setattr(geometry, "param_derivatives", forbidden)
     fam = dk_family(ANISO, 0.8)
     for call in (o_operators, variance_metric):
         shapes.clear()
         call(fam, np.array([0.4, 0.2]))
         assert shapes == [(1, 4, 4)]  # one matrix, as a stack of one
+
+
+@pytest.mark.parametrize("call", [o_operators, variance_metric])
+def test_generators_refuse_a_stack_of_points(monkeypatch, call):
+    # a 2-point stack gave o_operators fields of shape (2, 2, 2, 2) and
+    # variance_metric an untyped einsum error
+    shapes = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    with pytest.raises(ValueError, match=r"point must have shape \(2,\)"):
+        call(pt_two_level_family(), [[0.15, 0.85], [0.2, 0.9]])
+    assert shapes == []
 
 
 @pytest.mark.parametrize("call", [o_operators, variance_metric])

@@ -44,23 +44,17 @@ def test_import_loads_no_scipy():
 
 
 def test_runs_with_scipy_unimportable():
-    # the fast suite and a gauge_fix whose row-wise maxima collide (the
-    # anchor and stack of test_batched_gauge_fix_matches_gauge_fix)
+    # the fast suite and qgt where the stencil's level order flips (the
+    # family of test_qgt_follows_levels_that_swap_order_across_the_stencil)
     code = """
 import sys
 sys.modules["scipy"] = None
 import numpy as np
-from ptqgt import biortho_eig, gauge_fix, verify
-from ptqgt.families import pt_two_level_family
+from ptqgt import HamiltonianFamily, qgt, verify
 assert all(r.passed for r in verify.run_suite("fast"))
-fam = pt_two_level_family()
-anchor = biortho_eig(fam([0.3, 0.5]))
-stack = biortho_eig(fam([[0.15, 0.85], [-0.46, 0.32], [0.3, 0.55], [0.32, 0.3], [0.0, 1.2]]))
-assign = np.abs(anchor.left.conj().T @ stack.right).argmax(axis=-1)
-assert (assign[:, 0] == assign[:, 1]).any()
-fixed = gauge_fix(anchor, stack)
-matched = np.diagonal(anchor.left.conj().T @ fixed.right, axis1=-2, axis2=-1)
-assert np.allclose(matched.imag, 0.0) and (matched.real > 0).all()
+sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+fam = HamiltonianFamily(2, 2, lambda lam: (lam[0] + 1j) * sz + lam[1] * sx)
+assert all(np.isfinite(qgt(fam, [1e-7, 0.1], n=n).q).all() for n in range(2))
 print("ok")
 """
     assert _run_python("-c", code).strip() == "ok"
