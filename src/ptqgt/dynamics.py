@@ -6,14 +6,18 @@ time-dependent W inner product exactly; the integrator here is a
 fixed-step classical RK4 whose conservation is verified a posteriori
 rather than enforced structurally. K is the generator O_B along the
 path's velocity, K = 1/2 Psi (C + C^dag) Phi^dag with C the eigenvector
-response to dH/dt, so it needs the eigensystem at its instant only and H
-at two probe times around it. The path is known before the loop starts,
-so ``evolve`` solves its instants in chunks of steps: one family call and
-one stacked eigensolve per chunk give H, W and K at every half-step and
-step end (each step end is also the next step's start and a record time),
-the RK4 loop only multiplies matrices, and the chunk's records are formed
-once after it. A chunk whose stacked work fails is replayed one step at a
-time, so errors keep their time order.
+response to dH/dt, so it needs the eigensystem at its instant only. RK4
+needs H at the step starts, half-steps and step ends: the uniform grid
+t_k = k dt/2, k = 0..2n. dH/dt at each node is a five-node difference of
+H over its neighbouring nodes, so the path is sampled on the grid alone.
+The path is known before the loop starts, so ``evolve`` solves its nodes
+in chunks of steps: one family call over the chunk's nodes and the few
+around them its stencils reach, and one stacked eigensolve over its own
+nodes, give H, W and K at every half-step and step end (each step end is
+also the next step's start and a record time). The RK4 loop only
+multiplies matrices, and the chunk's records are formed once after it. A
+chunk whose stacked work fails is replayed one step at a time, so errors
+keep their time order.
 """
 
 from __future__ import annotations
@@ -36,10 +40,24 @@ __all__ = [
 ]
 
 # RK4 steps whose eigensystems are stacked together. A hundred or so
-# steps amortize the per-call overhead; longer chunks gain little speed
-# but grow the transient stacks (for 2x2 families ~0.25 MB at 128 steps,
-# ~0.5 MB at 256), which then rival the evolution result itself.
+# steps amortize the per-call overhead and the nodes that neighbouring
+# chunks' stencils both sample (four per chunk boundary, ~1.6 % of the
+# family points at 128 steps); longer chunks gain little speed but grow
+# the transient stacks (for 2x2 families ~0.25 MB at 128 steps, ~0.5 MB at
+# 256), which then rival the evolution result itself.
 _CHUNK = 128
+
+# First-derivative rows over five equally spaced nodes, in units of
+# 1/(12 h): row p gives dH/dt at the window's p-th node. Row 2 is the
+# central (1, -8, 0, 8, -1); rows 0, 1, 3 and 4 serve the two nodes
+# nearest each end of the path, where a centred window would leave it.
+# Every row is exact for quartics. A grid of three nodes (one RK4 step)
+# takes the three-node rows, in units of 1/(2 h).
+_STENCILS = {
+    5: (np.array([[-25, 48, -36, 16, -3], [-3, -10, 18, -6, 1], [1, -8, 0, 8, -1],
+                  [-1, 6, -18, 10, 3], [3, -16, 36, -48, 25]], dtype=float), 12.0),
+    3: (np.array([[-3, 4, -1], [-1, 0, 1], [1, -4, 3]], dtype=float), 2.0),
+}
 
 
 @dataclass(frozen=True)
@@ -64,12 +82,16 @@ class PathSpec:
 
     @classmethod
     def from_samples(cls, times, points, closed: bool = False) -> "PathSpec":
-        """Linear interpolation through dense (t, lambda) samples; the
-        times must be strictly increasing."""
+        """Linear interpolation through dense (t, lambda) samples: ``points``
+        is ``(T, d)`` and the T times run strictly increasing from 0."""
         times = np.asarray(times, dtype=float)
         points = np.asarray(points, dtype=float)
+        if points.ndim != 2:
+            raise ValueError(f"points must have shape (T, d), got {points.shape}")
         if times.ndim != 1 or points.shape[0] != times.shape[0]:
             raise ValueError("times and points must have matching leading length")
+        if times.size == 0 or times[0] != 0.0:
+            raise ValueError(f"times must start at 0, got {times[:1]}")
         if not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
 
@@ -91,24 +113,32 @@ class EvolutionResult:
     geometric_phase: float = 0.0
 
 
-def _instants(
-    family: HamiltonianFamily, path: PathSpec, t: np.ndarray, dt_probe: float
-):
-    """H, its eigensystem, W and K at the times ``t``, from one family call
-    over every time and its two K probes and one stacked eigensolve over
-    the times alone. dH/dt is the central difference of H over the probes;
-    as d Psi/dt = Psi C and W^{-1} = Psi Psi^dag, K = -1/2 W^{-1} dW/dt is
-    1/2 Psi (C + C^dag) Phi^dag. Raises NonFinite when H is NaN or Inf at
-    a time or a probe."""
-    t_plus = np.minimum(t + dt_probe, path.duration)
-    t_minus = np.maximum(t - dt_probe, 0.0)
-    h = family(path.at(np.stack([t, t_plus, t_minus])))
+def _stencil(k, last):
+    """First node and weights (in units of 1/h) of the window that gives
+    dH/dt at the nodes ``k`` of a uniform grid 0..``last`` spaced h: five
+    nodes, centred on k where they fit in the grid and else the five at its
+    end, or the grid's three nodes when it has only three."""
+    weights, denom = _STENCILS[5 if np.all(last >= 4) else 3]
+    first = np.clip(k - len(weights) // 2, 0, last + 1 - len(weights))
+    return first, weights[k - first] / denom
+
+
+def _instants(family, path, s, inst, first, rows, spacing):
+    """H, its eigensystem, W and K at the instants ``s[inst]``, from one
+    family call over the sample times ``s`` and one stacked eigensolve over
+    the instants alone. dH/dt at an instant is its stencil row ``rows``
+    (..., m), in units of 1/``spacing``, over the m samples from
+    ``first`` on; as d Psi/dt = Psi C and W^{-1} = Psi Psi^dag,
+    K = -1/2 W^{-1} dW/dt is 1/2 Psi (C + C^dag) Phi^dag. Raises NonFinite
+    when H is NaN or Inf at any sample."""
+    h = family(path.at(s))
     if not np.isfinite(h).all():
-        raise NonFinite("H contains NaN or Inf entries at a time or its K probes")
-    h_dot = (h[1] - h[2]) / (t_plus - t_minus)[..., None, None]
-    eig = biortho_eig(h[0])
+        raise NonFinite("H contains NaN or Inf entries at an instant or a node of its stencil")
+    window = h[first[..., None] + np.arange(rows.shape[-1])]
+    h_dot = np.einsum("...j,...jab->...ab", rows, window) / spacing
+    eig = biortho_eig(h[inst])
     c = _gauged_coefficients(eig, h_dot[..., None, :, :])[..., 0, :, :]
-    return h[0], eig, build_W(eig), _o_b(eig, c)
+    return h[inst], eig, build_W(eig), _o_b(eig, c)
 
 
 def k_field(
@@ -117,16 +147,41 @@ def k_field(
     """Gauge field K(t) = -1/2 W^{-1}(t) dW/dt.
 
     K = 1/2 Psi (C + C^dag) Phi^dag, the generator O_B along the path's
-    velocity, with C the eigenvector response to dH/dt; dH/dt is the
-    central difference of H over t +/- ``dt_probe``, one-sided where a
-    probe would leave [0, duration]. ``t`` may be an array of times; K
-    then has shape ``t.shape + (N, N)``. One family call covers every time
-    and its two probes, and one stacked eigensolve every time. Raises
-    NonFinite when H is NaN or Inf at a time or a probe.
+    velocity, with C the eigenvector response to dH/dt. dH/dt is the
+    five-node difference of H over t + j ``dt_probe``, the window centred
+    on t where it fits in [0, duration] and else shifted to end there: the
+    stencil ``evolve`` takes over its nodes at ``dt_probe`` = dt/2. ``t``
+    may be an array of times; K then has shape ``t.shape + (N, N)``. One
+    family call covers every time and its window, and one stacked
+    eigensolve every time. Raises NonFinite when H is NaN or Inf at a time
+    or a node of its window; ValueError unless ``dt_probe`` is positive and
+    finite, every time lies in [0, duration], and five nodes spaced
+    ``dt_probe`` fit in [0, duration] around each time (always so when
+    5 ``dt_probe`` <= duration).
     """
     if not (dt_probe > 0 and np.isfinite(dt_probe)):
         raise ValueError("dt_probe must be positive and finite")
-    return _instants(family, path, np.asarray(t, dtype=float), dt_probe)[3]
+    t = np.asarray(t, dtype=float)
+    # Whole steps of dt_probe that fit before and after each time; a time
+    # within 1e-9 dt_probe of the grid k dt_probe counts as on it, so that
+    # its rounding does not change the window.
+    before = np.floor(t / dt_probe + 1e-9)
+    after = np.floor((path.duration - t) / dt_probe + 1e-9)
+    if not (np.all(before >= 0) and np.all(after >= 0)):
+        raise ValueError("every time must lie in [0, duration]")
+    if np.any(before + after < 4):
+        raise ValueError("five nodes spaced dt_probe must fit in [0, duration] around each time")
+    before, after = before.astype(int), after.astype(int)
+    first, rows = _stencil(before, before + after)
+    # The window is the grid k dt_probe shifted by t's offset from it. The
+    # offset is exact, so the window holds t itself; it is 0 for a time on
+    # the grid, whose window is then the nodes evolve samples, bit for bit.
+    offset = t - before * dt_probe
+    m = rows.shape[-1]
+    s = np.clip((first[..., None] + np.arange(m)) * dt_probe + offset[..., None],
+                0.0, path.duration)
+    base = m * np.arange(t.size).reshape(t.shape)
+    return _instants(family, path, s.ravel(), base + before - first, base, rows, dt_probe)[3]
 
 
 def evolve(
@@ -152,11 +207,17 @@ def evolve(
     ``psi0`` has shape ``(N,)``, or for a NaN ``drift_tol``.
 
     The path is walked in chunks of steps on the grid ``times``, so a step
-    starts exactly where the last one ended. Per chunk, one family call and
-    one stacked eigensolve give H, W and K at every half-step and step end;
-    the step ends serve the generators and the records. The RK4 loop only
-    multiplies matrices; the W-norms and overlap checks of the chunk's
-    states follow it at once. When a chunk's stacked work raises,
+    starts exactly where the last one ended. Its nodes are the step ends and
+    half-steps, t_k = k dt/2, and dH/dt at a node is the five-node stencil
+    of ``k_field`` at ``dt_probe`` = dt/2 over the nodes around it (three
+    nodes when ``n_steps`` is 1), so the path is sampled at nodes only and
+    H is checked up to one step ahead of the steps it serves. Per chunk, one
+    family call over the nodes the chunk's stencils span (its own, and at
+    most two more on each side, three before a chunk that is the last step
+    alone) and one stacked eigensolve over its own nodes give H, W and K at
+    every half-step and step end; the step ends serve the generators and
+    the records. The RK4 loop only multiplies matrices; the W-norms and
+    overlap checks of the chunk's states follow it at once. When a chunk's stacked work raises,
     the chunk is replayed one step at a time from its start state, so the
     first failure in time order wins: a NotAdiabatic is never pre-empted by
     a DefectiveMatrix or NonFinite further down the path.
@@ -172,9 +233,10 @@ def evolve(
     if psi.shape != (family.dim_hilbert,):
         raise ValueError(f"psi0 must have shape ({family.dim_hilbert},), got {psi.shape}")
     dt = path.duration / n_steps
-    dt_probe = dt / 10.0
-
     times = np.arange(n_steps + 1) * dt
+    # t_k = k dt/2: step ends at even k (the times above, bit for bit, but
+    # the last held to the duration, as k_field holds it), half-steps at odd k
+    nodes = np.minimum(np.arange(2 * n_steps + 1) * (0.5 * dt), path.duration)
     states = np.empty((n_steps + 1, psi.shape[0]), dtype=complex)
     w_norms = np.empty(n_steps + 1)
     energies = np.empty(n_steps + 1)
@@ -197,15 +259,20 @@ def evolve(
         energies[lo:hi] = eig.energies[..., track_level].real
         return eig[-1], ov[-1]
 
-    h, eig, w, k = _instants(family, path, times[:1], dt_probe)
+    def solve(k):
+        """_instants at the nodes k, sampling only the nodes their stencils span."""
+        start, rows = _stencil(k, 2 * n_steps)
+        lo, hi = start.min(), start.max() + rows.shape[-1]
+        return _instants(family, path, nodes[lo:hi], k - lo, start - lo, rows, 0.5 * dt)
+
+    h, eig, w, k = solve(np.zeros(1, dtype=int))
     states[0] = psi
     first = last = record(0, 1, w, eig)
     g_end = -1j * h[0] + k[0]  # the generator at the last step's end
 
     def chunk_work(a, b):
         """Generators and step-end records for steps a..b-1; writes no state."""
-        h, eig, w, k = _instants(family, path, np.stack(
-            [times[a:b] + 0.5 * dt, times[a + 1 : b + 1]], axis=-1), dt_probe)
+        h, eig, w, k = solve(np.arange(2 * a + 1, 2 * b + 1).reshape(b - a, 2))
         return -1j * h + k, w[:, 1], eig[:, 1]
 
     # numpy would promote each float constant to complex on every product;

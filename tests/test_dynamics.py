@@ -16,6 +16,7 @@ from ptqgt import (
     build_W,
     dynamics,
     evolve,
+    geometry,
     k_field,
 )
 from ptqgt.cli import _circle_path
@@ -65,6 +66,21 @@ def test_pathspec_validation_and_sampling():
 def test_pathspec_from_samples_refuses_unordered_times(times):
     with pytest.raises(ValueError, match="strictly increasing"):
         PathSpec.from_samples(times, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("times", [[1.0, 2.0, 3.0], [-1.0, 0.0, 1.0], [np.nan, 1.0, 2.0]])
+def test_pathspec_from_samples_refuses_times_not_starting_at_zero(times):
+    # [1, 2, 3] used to give duration 3 with the path resting at its first
+    # point over [0, 1)
+    with pytest.raises(ValueError, match="times must start at 0"):
+        PathSpec.from_samples(times, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("points", [np.zeros(3), np.zeros((3, 2, 1))], ids=["1-D", "3-D"])
+def test_pathspec_from_samples_refuses_points_not_t_by_d(points):
+    # 1-D points used to fail only at the first ``at``, inside numpy
+    with pytest.raises(ValueError, match=r"points must have shape \(T, d\)"):
+        PathSpec.from_samples([0.0, 1.0, 2.0], points)
 
 
 def test_pathspec_at_returns_a_fresh_array():
@@ -162,6 +178,42 @@ def test_k_field_matches_differenced_metric(family, center, unbroken):
     assert np.max(np.abs(k - differenced_k_field(family, path, t, 1e-4))) <= 1e-10
 
 
+@pytest.mark.parametrize("last", [2, 4, 5, 9])
+def test_stencil_rows_are_exact_for_their_polynomials(last):
+    # five-node rows are exact for quartics, the three-node ones (a grid of
+    # three nodes) for quadratics; every window lies inside the grid
+    k = np.arange(last + 1)
+    first, rows = dynamics._stencil(k, last)
+    m = rows.shape[-1]
+    assert np.all(first >= 0) and np.all(first + m - 1 <= last)
+    assert np.all(first <= k) and np.all(k < first + m)
+    degree = m - 1
+    coef = np.arange(1.0, degree + 2.0)
+    f = np.polynomial.polynomial.polyval(k, coef)
+    exact = np.polynomial.polynomial.polyval(k, np.polynomial.polynomial.polyder(coef))
+    h_dot = (rows * f[first[:, None] + np.arange(m)]).sum(-1)
+    assert np.max(np.abs(h_dot - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("t", [-0.1, 10.1, np.nan])
+def test_k_field_refuses_a_time_off_the_path(t):
+    fam = flat_pt_family()
+    path = circle_path([0.3, 1.0], 0.1, 10.0)
+    with pytest.raises(ValueError, match=r"every time must lie in \[0, duration\]"):
+        k_field(fam, path, [2.7, t], 1e-3)
+
+
+def test_k_field_refuses_a_dt_probe_leaving_fewer_than_five_nodes():
+    fam = flat_pt_family()
+    path = circle_path([0.3, 1.0], 0.1, 10.0)
+    # 5 dt_probe = duration fits five nodes around every time; at 2.4 they
+    # fit around 0, 5 and 10, but the window at t = 0.5 would reach 10.1
+    assert np.isfinite(k_field(fam, path, [0.0, 0.5, 5.0, 9.9, 10.0], 2.0)).all()
+    assert np.isfinite(k_field(fam, path, [0.0, 5.0, 10.0], 2.4)).all()
+    with pytest.raises(ValueError, match="five nodes spaced dt_probe"):
+        k_field(fam, path, [0.0, 0.5], 2.4)
+
+
 def test_k_field_w_hermiticity():
     # W K = -1/2 dW/dt is Hermitian, so W K - K^dag W = 0
     fam = flat_pt_family()
@@ -226,8 +278,8 @@ def test_rk4_order_of_convergence():
 
 
 def test_evolution_converges_with_k_field():
-    # on a non-Hermitian loop the K probe adds an O(dt^2) term; the
-    # end state still converges as the step shrinks
+    # on a non-Hermitian loop K comes from an O(dt^4) difference stencil;
+    # the end state still converges as the step shrinks
     fam = pt_two_level_family()
     path = circle_path([0.15, 0.85], 0.05, 5.0)
     psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
@@ -287,7 +339,8 @@ def test_not_adiabatic_wins_over_later_nan():
 def test_non_finite_raised_at_first_nan_step():
     # the same loop with NaN from t ~ 0.215 on, before the NotAdiabatic
     # point: NonFinite at the first step whose stack holds a NaN, which is
-    # the first step whose latest K probe, i dt + dt + dt/10, has s < s_min
+    # the first step whose latest stencil node, i dt + 2 dt (the window of
+    # its step end reaches two nodes of dt/2 past it), has s < s_min
     s_min, n_steps = 0.4055, 2000
     fam = nan_below(s_min)
     base = circle_path([0.3, 0.65], 0.25, 0.3)
@@ -303,10 +356,10 @@ def test_non_finite_raised_at_first_nan_step():
     with pytest.raises(NonFinite):
         evolve(fam, path, eig0.right[:, 0], n_steps=n_steps, track_level=0,
                drift_tol=np.inf)
-    latest = np.arange(n_steps) * dt + dt + dt / 10.0
+    latest = np.arange(n_steps) * dt + 2.0 * dt
     expected = next(i for i, t in enumerate(latest) if base.at(t)[1] < s_min)
-    # every time step i evaluates lies in [i + 0.4, i + 1.1] dt
-    assert round(seen[-1] / dt - 0.75) == expected
+    # step i samples the nodes from (i - 0.5) dt to (i + 2) dt in order
+    assert round(seen[-1] / dt) - 2 == expected
 
 
 def nan_near(s_nan, width):
@@ -320,20 +373,29 @@ def nan_near(s_nan, width):
     return HamiltonianFamily(dim_hilbert=2, dim_param=2, evaluate=evaluate)
 
 
-def test_non_finite_raised_at_a_probe_time_only():
-    # s = 0.85 + 0.01 t is NaN only near t = 0.36, the upper K probe of the
-    # half-step 0.35 (dt 0.1, probes dt / 10 away); no instant is NaN, so
-    # the eigensolves never see it
+def test_non_finite_raised_at_a_probe_time_only(monkeypatch):
+    # s = 0.85 + 0.01 t is NaN only near t = 0.36, a node of k_field's
+    # stencil at 0.35 with spacing 0.01 (0.33..0.37) but not with 0.02
+    # (0.31..0.39); the time 0.35 itself is finite
     path = PathSpec(curve=lambda t: np.array([0.15, 0.85 + 0.01 * t]), duration=1.0)
     fam = nan_near(0.85 + 0.01 * 0.36, 0.01 * 0.002)
-    instants = path.at(np.arange(21) * 0.05)
-    assert np.isfinite(fam(instants)).all()
+    assert np.isfinite(fam(path.at(0.35))).all()
     assert np.isfinite(k_field(fam, path, 0.35, 0.02)).all()
     with pytest.raises(NonFinite):
         k_field(fam, path, 0.35, 0.01)
+    # evolve (dt 0.1) samples its nodes, the multiples of 0.05. A NaN near
+    # the node 0.4 lies in the stencils of the step ending at 0.3, so
+    # NonFinite comes before the step whose instant it is: no eigensolve
+    # sees it
+    fam = nan_near(0.85 + 0.01 * 0.4, 0.01 * 0.002)
+    solved = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: solved.append(a.copy()) or eig(a))
     psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
     with pytest.raises(NonFinite):
         evolve(fam, path, psi0, n_steps=10)
+    assert len(solved) == 4  # psi0, evolve's start and steps 0 and 1
+    assert all(np.isfinite(a).all() for a in solved)
 
 
 @pytest.mark.parametrize("drift_tol", [1e-6, np.inf])
@@ -367,12 +429,13 @@ def evolve_per_step(family, path, psi0, n_steps, level):
         energies.append(eig.energies[level].real)
 
     record(0.0, psi)
-    k_start = k_field(family, path, 0.0, dt / 10.0)
+    k_start = k_field(family, path, 0.0, dt / 2.0)
     for i in range(n_steps):
-        t = i * dt
-        # the step end on the grid, (i + 1) dt, as the next step's start
-        k_mid, k_end = k_field(family, path, [t + 0.5 * dt, (i + 1) * dt], dt / 10.0)
-        g_mid = -1j * family(path.at(t + 0.5 * dt)) + k_mid
+        t, mid = i * dt, (i + 0.5) * dt
+        # the half-step and step end on the grid of nodes k dt/2 that
+        # evolve's stencil spans, (i + 1) dt also as the next step's start
+        k_mid, k_end = k_field(family, path, [mid, (i + 1) * dt], dt / 2.0)
+        g_mid = -1j * family(path.at(mid)) + k_mid
         k1 = (-1j * family(path.at(t)) + k_start) @ psi
         k2 = g_mid @ (psi + 0.5 * dt * k1)
         k3 = g_mid @ (psi + 0.5 * dt * k2)
@@ -399,6 +462,54 @@ def test_evolve_matches_per_step_reference(n_steps):
     assert abs(res.geometric_phase) > 1e-6  # a non-trivial phase is compared
 
 
+def test_evolve_k_matches_the_exact_velocity_o_b(monkeypatch):
+    # K as evolve forms it, recorded at every node, against O_B along the
+    # closed-form velocity, dH/dt = sum_mu deriv_mu lam'^mu, at the path's
+    # ends and at the half-step tau/2 + dt/2. Bound set before measuring:
+    # 1e-12, some 100x the rounding of a five-node stencil at h = dt/2
+    # (~eps |H| / h); a one-sided probe difference at the ends is O(h)
+    fam = pt_two_level_family()
+    center, radius, tau, n_steps = np.array([0.15, 0.85]), 0.05, 100.0, 6000
+    path = circle_path(center, radius, tau)
+    recorded = []
+    o_b = geometry._o_b
+    monkeypatch.setattr(dynamics, "_o_b", lambda eig, c: recorded.append(o_b(eig, c))
+                        or recorded[-1])
+    psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
+    evolve(fam, path, psi0, n_steps=n_steps)
+    k_nodes = np.concatenate([k.reshape(-1, 2, 2) for k in recorded])
+    assert len(k_nodes) == 2 * n_steps + 1
+    dt = tau / n_steps
+    omega = 2.0 * np.pi / tau
+    for node in (0, n_steps + 1, 2 * n_steps):
+        t = node * 0.5 * dt
+        lam = path.at(t)
+        velocity = radius * omega * np.array([-np.sin(omega * t), np.cos(omega * t)])
+        h_dot = sum(fam.deriv(lam, mu) * velocity[mu] for mu in range(2))
+        eig = biortho_eig(fam(lam))
+        exact = o_b(eig, geometry._gauged_coefficients(eig, h_dot[None])[0])
+        assert np.max(np.abs(exact)) > 1e-4  # a non-trivial K is compared
+        assert np.max(np.abs(k_nodes[node] - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("count", [600, 6001])
+def test_from_samples_loop_transports_within_the_gate(count):
+    # linear interpolation through `count` samples of a circle, one per ten
+    # steps or one per step: its velocity jumps at every sample, which a
+    # five-node stencil smooths over, so the W-norm keeps the criterion-6
+    # gate of 1e-8 (probes at dt/10 around each time drifted 3.8e-7 at 600
+    # samples)
+    fam = pt_two_level_family()
+    center, radius, tau, n_steps = np.array([0.15, 0.9]), 0.05, 100.0, 6000
+    times = np.linspace(0.0, tau, count)
+    angle = 2.0 * np.pi * times / tau
+    points = center + radius * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    points[-1] = points[0]
+    path = PathSpec.from_samples(times, points, closed=True)
+    res = adiabatic_phase(fam, path, n=0, n_steps=n_steps)["result"]
+    assert np.max(np.abs(res.w_norms - res.w_norms[0])) <= 1e-8
+
+
 def test_evolve_leaves_psi0_untouched_and_repeats_bitwise():
     fam = pt_two_level_family()
     path = circle_path([0.15, 0.85], 0.05, 5.0)
@@ -417,8 +528,10 @@ def test_evolve_leaves_psi0_untouched_and_repeats_bitwise():
 def test_eigensolves_per_chunk(monkeypatch):
     # one stacked eigensolve at t = 0 and one per chunk, each over the
     # instants alone: 1 matrix at t = 0 and 2 per step (half-step and step
-    # end); the path is sampled at exactly these times and their two K
-    # probes, 3 times at t = 0 and 6 per step
+    # end). The path is sampled at grid nodes t_k = k dt/2 only: nodes 0..4
+    # for the start's stencil; then the chunks cover all 2n + 1 nodes once,
+    # plus the two nodes on each side of a chunk boundary that the stencils
+    # of both neighbours reach
     fam = pt_two_level_family()
     base = circle_path([0.15, 0.85], 0.05, 20.0)
     samples, calls = [], []
@@ -441,7 +554,9 @@ def test_eigensolves_per_chunk(monkeypatch):
     chunks = math.ceil(n_steps / dynamics._CHUNK)
     assert len(calls) == chunks + 1
     assert sum(math.prod(shape[:-2]) for shape in calls) == 2 * n_steps + 1
-    assert len(samples) == 6 * n_steps + 3
+    assert len(samples) == 5 + (2 * n_steps + 1) + 4 * (chunks - 1)
+    grid = np.arange(2 * n_steps + 1) * (0.5 * path.duration / n_steps)
+    assert set(samples) <= set(grid.tolist()) | {path.duration}
 
 
 @pytest.mark.parametrize("z", [0.1, 0.5])
@@ -610,10 +725,11 @@ def test_adiabatic_phase_evaluates_a_batched_family_once_per_stack():
     adiabatic_phase(per_point, path, n=0, n_steps=256)
     assert np.array_equal(out["result"].states, ref["result"].states)
     assert (out["gamma_sim"], out["gamma_line"]) == (ref["gamma_sim"], ref["gamma_line"])
-    # One call per chunk for its half-steps, step ends and their K probes;
-    # then adiabatic_phase's start point, evolve's start with its K probes
-    # and the loop vertices. Called per point, the same transport makes one
-    # call per point: 6 per step, plus the start and the loop vertices.
+    # One call per chunk for its half-steps, step ends and the nodes around
+    # them its stencils reach; then adiabatic_phase's start point, evolve's
+    # start with its stencil and the loop vertices. Called per point, the
+    # same transport makes one call per point: 2 per step and 4 per chunk
+    # boundary, plus the start, its stencil and the loop vertices.
     chunks = math.ceil(256 / dynamics._CHUNK)
     assert len(calls) <= 3 * chunks + 4
     assert sum(calls) == len(points)
