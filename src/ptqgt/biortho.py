@@ -47,6 +47,7 @@ _TOL_DEGENERATE = 1e-8  # eigenvalue distance that makes a cluster, times the sc
 _TOL_REAL = 1e-9  # largest |Im E| of a real (PT-unbroken) spectrum, times the scale
 # |H|^2 of an NxN matrix cannot overflow while N max|H_ij| stays below this
 _SQRT_MAX = np.sqrt(np.finfo(float).max)
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _check_integer(value, name: str, noun: str = "an integer") -> None:
@@ -193,7 +194,9 @@ def biortho_eig(h) -> BiorthoEigensystem:
     """Biorthogonal eigendecomposition of a square matrix or a stack of them.
 
     One ``numpy.linalg.eig`` call covers the whole stack; every check
-    below applies to each element.
+    below applies to each element. The left vectors are the dual basis
+    inv(VR)^dag of the right-vector matrix VR: for N = 2 the adjugate of
+    VR over det VR, for other N one stacked ``numpy.linalg.inv`` call.
 
     Parameters
     ----------
@@ -213,7 +216,8 @@ def biortho_eig(h) -> BiorthoEigensystem:
         On NaN/Inf entries.
     DefectiveMatrix
         When nearly-equal eigenvalues come with a singular eigenvector
-        overlap (an exceptional point), or a left vector blows up.
+        overlap (an exceptional point), when VR is exactly singular, or
+        when a left vector is longer than 1e13 (or not finite).
     """
     h = np.asarray(h)
     h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
@@ -272,13 +276,17 @@ def biortho_eig(h) -> BiorthoEigensystem:
 
     # The dual basis inv(VR)^dag is biorthonormal by construction:
     # <Phi_m|Psi_n> = delta_mn, degenerate clusters included.
-    try:
-        vl = _dagger(np.linalg.inv(vr))
-    except np.linalg.LinAlgError as exc:
-        raise DefectiveMatrix("right eigenvector matrix is singular") from exc
+    if n == 2:
+        vl, left_norm = _dual_basis_2(vr)
+    else:
+        try:
+            vl = _dagger(np.linalg.inv(vr))
+        except np.linalg.LinAlgError as exc:
+            raise DefectiveMatrix("right eigenvector matrix is singular") from exc
+        left_norm = np.linalg.norm(vl, axis=-2)
     # |Phi_n| = 1/|<phi_n|Psi_n>| for the unit left eigenvector phi_n; the
     # negated test also refuses NaN from a zero right vector.
-    if not (np.linalg.norm(vl, axis=-2) <= 1e13).all():
+    if not (left_norm <= 1e13).all():
         raise DefectiveMatrix("left/right eigenvector overlap numerically singular")
 
     unbroken = np.abs(w.imag).max(axis=-1) <= _TOL_REAL * scale
@@ -288,6 +296,22 @@ def biortho_eig(h) -> BiorthoEigensystem:
         left=vl.reshape(batch + (n, n)),
         unbroken=bool(unbroken[0]) if not batch else unbroken.reshape(batch),
     )
+
+
+def _dual_basis_2(vr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """inv(VR)^dag of a stack (P, 2, 2) as the adjugate over det VR, and the
+    norms of its columns: one stacked LAPACK call costs more than this
+    arithmetic on 2x2 matrices. Raises DefectiveMatrix when a determinant
+    is exactly zero. A dual vector that overflows comes back as Inf or
+    NaN, not as a warning, for the caller's norm check to refuse."""
+    det = vr[:, 0, 0] * vr[:, 1, 1] - vr[:, 0, 1] * vr[:, 1, 0]
+    if not det.all():
+        raise DefectiveMatrix("right eigenvector matrix is singular")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Reversing both axes of [[a, b], [c, d]] gives [[d, c], [b, a]];
+        # the signs make it adj(VR)^T.
+        vl = (vr[:, ::-1, ::-1] * _ADJUGATE_SIGNS / det[:, None, None]).conj()
+        return vl, np.linalg.norm(vl, axis=-2)
 
 
 def build_W(eig: BiorthoEigensystem) -> np.ndarray:

@@ -28,7 +28,7 @@ from .biortho import (
     build_W,
     default_step,
 )
-from .errors import AmbiguousMatching, Degenerate, OpenLoop
+from .errors import AmbiguousMatching, Degenerate, NonFinite, OpenLoop
 
 __all__ = [
     "GeomTensor",
@@ -139,10 +139,13 @@ def _projectors(eig: BiorthoEigensystem) -> np.ndarray:
 
 
 def _as_point(lam, d: int, name: str = "point") -> np.ndarray:
-    """``lam`` as a float array; ValueError unless its shape is ``(d,)``."""
+    """``lam`` as a float array; ValueError unless its shape is ``(d,)``,
+    then NonFinite unless every coordinate is finite."""
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (d,):
         raise ValueError(f"{name} must have shape ({d},), got {lam.shape}")
+    if not np.isfinite(lam).all():
+        raise NonFinite(f"{name} must be finite, got {lam}")
     return lam
 
 
@@ -215,8 +218,30 @@ def metric_tensor(q: GeomTensor) -> np.ndarray:
 def _coefficients(eig: BiorthoEigensystem, dh) -> np.ndarray:
     """Eigenvector response C_mu[m, n] = (Phi^dag d_mu H Psi)[m, n] / (E_n - E_m),
     (..., d, N, N), so that d_mu Psi = Psi C_mu off the diagonal. C is zero
-    wherever E_n = E_m, the diagonal included, never 0/0."""
+    wherever E_n = E_m, the diagonal included, never 0/0.
+
+    For N = 2 only the two off-diagonal elements are formed, each as one
+    contraction of d_mu H with the outer product of the two vectors it
+    pairs: stacked complex 2x2 products cost several times real ones in
+    numpy's matmul loop, and the generic chain Phi^dag @ dH @ Psi was most
+    of a two-level block's time. Both routes agree to rounding."""
     e = eig.energies
+    if eig.dim == 2:
+        flat = np.reshape(dh, np.shape(dh)[:-2] + (4,))
+
+        def element(m, n):  # (Phi_m^dag d_mu H Psi_n), (..., d)
+            # np.vecdot conjugates its first argument, the outer product
+            # Phi_m Psi_n^dag, flattened as d_mu H is
+            outer = eig.left[..., :, m, None] * eig.right[..., None, :, n].conj()
+            return np.vecdot(outer.reshape(e.shape[:-1] + (1, 4)), flat)
+
+        de = e[..., 1] - e[..., 0]
+        inv_gap = np.divide(1.0, de, out=np.zeros_like(de), where=de != 0)[..., None]
+        m01, m10 = element(0, 1), element(1, 0)
+        c = np.zeros(m01.shape + (2, 2), np.result_type(m01, inv_gap))
+        c[..., 0, 1] = m01 * inv_gap
+        c[..., 1, 0] = m10 * -inv_gap  # E_0 - E_1 = -(E_1 - E_0) exactly
+        return c
     gap = e[..., None, :] - e[..., :, None]  # E_n - E_m at [m, n]
     inv_gap = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap != 0)
     phi_dag = np.swapaxes(eig.left.conj(), -1, -2)
@@ -326,13 +351,19 @@ def curvature_flux(
     _check_level(n, family.dim_hilbert)
     lam_min = _as_point(lam_min, family.dim_param, "lam_min")
     lam_max = _as_point(lam_max, family.dim_param, "lam_max")
-    xs = np.linspace(lam_min[mu], lam_max[mu], resolution + 1)
-    ys = np.linspace(lam_min[nu], lam_max[nu], resolution + 1)
-    da = (xs[1] - xs[0]) * (ys[1] - ys[0])
+    # Corners near the float range can overflow the spacing or the sums;
+    # such a grid is refused below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.linspace(lam_min[mu], lam_max[mu], resolution + 1)
+        ys = np.linspace(lam_min[nu], lam_max[nu], resolution + 1)
+        da = (xs[1] - xs[0]) * (ys[1] - ys[0])
+        mid_x, mid_y = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
+    if not (np.isfinite(da) and np.isfinite(mid_x).all() and np.isfinite(mid_y).all()):
+        raise NonFinite("flux grid midpoints or cell area are not finite")
     levels = np.arange(family.dim_hilbert) == n
     grid = np.tile(lam_min, (resolution, resolution, 1))
-    grid[..., mu] = 0.5 * (xs[:-1] + xs[1:])[:, None]
-    grid[..., nu] = 0.5 * (ys[:-1] + ys[1:])
+    grid[..., mu] = mid_x[:, None]
+    grid[..., nu] = mid_y
     grid = grid.reshape(-1, lam_min.size)
     block = resolution * max(1, _BLOCK // resolution)
     total = 0.0
@@ -418,9 +449,16 @@ def classify_interval(g, dlam) -> tuple[float, str]:
 
     Returns ``(ds2, kind)`` with kind one of 'spacelike' (> 0),
     'lightlike' (within the round-off band of 0) or 'timelike' (< 0).
+    Raises ValueError unless ``g`` is a finite (d, d) array and ``dlam`` a
+    finite (d,) array.
     """
     g = np.asarray(g, dtype=float)
     dlam = np.asarray(dlam, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or dlam.shape != g.shape[:1]:
+        raise ValueError(f"expected g of shape (d, d) and dlam of shape (d,), "
+                         f"got {g.shape} and {dlam.shape}")
+    if not (np.isfinite(g).all() and np.isfinite(dlam).all()):
+        raise ValueError("g and dlam must be finite")
     ds2 = float(dlam @ g @ dlam)
     band = 1e-12 * float(np.linalg.norm(g)) * float(dlam @ dlam)
     if abs(ds2) <= band:

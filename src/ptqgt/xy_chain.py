@@ -85,10 +85,15 @@ class XYParams:
 
 @dataclass(frozen=True)
 class FieldPoint:
-    """Field strength (h, eta); the parameter point lambda = (h, eta)."""
+    """Field strength (h, eta); the parameter point lambda = (h, eta). Both
+    finite."""
 
     h: float
     eta: float
+
+    def __post_init__(self):
+        if not all(-np.inf < c < np.inf for c in (self.h, self.eta)):
+            raise ValueError("field strengths h and eta must be finite")
 
     @property
     def r(self) -> float:

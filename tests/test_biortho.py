@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,63 @@ def test_degenerate_but_diagonalizable_ok():
     # identity has a fully degenerate spectrum yet a complete eigenbasis
     eig = biortho_eig(np.eye(3, dtype=complex))
     assert np.max(np.abs(eig.overlap_matrix() - np.eye(3))) < 1e-12
+
+
+EPS = np.finfo(float).eps
+
+
+def two_level_stacks(kind):
+    """Seeded 2x2 stacks: random complex or real matrices, or pt_two_level
+    points from 1e-6 (relative) to far from the EP circle s^2 = a^2 + b^2
+    on either side."""
+    rng = np.random.default_rng(21)
+    if kind == "random":
+        return rng.normal(size=(32, 2, 2)) + 1j * rng.normal(size=(32, 2, 2))
+    if kind == "real":
+        return rng.normal(size=(32, 2, 2))
+    a = rng.uniform(-0.5, 0.5, 32)
+    rel = np.geomspace(1e-6, 0.9, 32)
+    s = np.sqrt(a**2 + 0.09) * (1.0 + rel if kind == "unbroken" else 1.0 - rel)
+    return pt_two_level_family()(np.column_stack([a, s]))
+
+
+@pytest.mark.parametrize("kind", ["random", "real", "unbroken", "broken"])
+def test_two_level_dual_basis_is_biorthonormal_and_matches_inv(kind):
+    # bounds, set before measuring, with kappa the 2-norm condition number
+    # of each right-vector matrix Psi: |<Phi_m|Psi_n> - delta_mn| within
+    # 16 eps kappa, and |Phi - inv(Psi)^dag| within 16 eps kappa |inv(Psi)|
+    eig = biortho_eig(two_level_stacks(kind))
+    kappa = np.linalg.cond(eig.right)
+    if kind in ("unbroken", "broken"):
+        assert np.all(eig.unbroken == (kind == "unbroken"))
+        assert kappa.max() > 1e2  # near the EP the basis is far from orthogonal
+    overlap = np.abs(eig.overlap_matrix() - np.eye(2)).max(axis=(-2, -1))
+    assert np.all(overlap <= 16 * EPS * kappa)
+    inv = np.linalg.inv(eig.right)
+    dual = np.abs(eig.left - np.swapaxes(inv.conj(), -1, -2)).max(axis=(-2, -1))
+    assert np.all(dual <= 16 * EPS * kappa * np.linalg.norm(inv, 2, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("n, second, match", [
+    (2, 0.0, "right eigenvector matrix is singular"),
+    (3, 0.0, "right eigenvector matrix is singular"),
+    # det 1e-320: the dual vectors overflow and fail the norm check
+    (2, 1e-320, "overlap numerically singular"),
+])
+def test_singular_right_vectors_raise_without_a_warning(monkeypatch, n, second, match):
+    def parallel(a):
+        # distinct eigenvalues, so no cluster check intervenes; every right
+        # vector is e_0 but the last, which is (1, second, 0, ...)
+        vr = np.zeros((len(a), n, n), complex)
+        vr[:, 0, :] = 1.0
+        vr[:, 1, -1] = second
+        return np.tile(np.arange(n, dtype=complex), (len(a), 1)), vr
+
+    monkeypatch.setattr(np.linalg, "eig", parallel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DefectiveMatrix, match=match):
+            biortho_eig(np.diag(np.arange(n, dtype=complex)))
 
 
 def test_build_w_hermitian_identity_case():

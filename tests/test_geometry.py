@@ -9,6 +9,7 @@ from ptqgt import (
     FieldPoint,
     HamiltonianFamily,
     LoopSpec,
+    NonFinite,
     OpenLoop,
     PathSpec,
     adiabatic_phase,
@@ -367,6 +368,142 @@ def test_sos_qgt_matches_fd_qgt(fam, lam, n):
     scale = np.linalg.norm(q_sos)
     assert np.max(np.abs(q_sos.real - q_fd.real)) < 1e-6 * scale
     assert np.max(np.abs(q_sos.imag - q_fd.imag)) < 1e-6 * scale
+
+
+# ------------------------------------------------- two-level response kernel
+
+EPS = np.finfo(float).eps
+
+
+def two_level_stack(seed, phase, size=24):
+    """Seeded non-Hermitian H = S diag(E) S^-1, (size, 2, 2), with gaps of at
+    least 0.5: E a real pair ("unbroken", or "real" with a real S too) or a
+    complex-conjugate pair ("broken")."""
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=(size, 2, 2))
+    if phase != "real":
+        s = s + 1j * rng.normal(size=(size, 2, 2))
+    x, y = rng.uniform(-1.0, 1.0, size), rng.uniform(0.25, 1.0, size)
+    half = 1j * y if phase == "broken" else y
+    e = np.stack([x - half, x + half], axis=-1)
+    return (s * e[:, None, :]) @ np.linalg.inv(s)
+
+
+def brute_force_coefficients(eig, dh):
+    """C_mu[m, n] = <Phi_m|d_mu H|Psi_n>/(E_n - E_m), one element at a time,
+    zero where E_n = E_m; and the rounding scale of each element,
+    |Phi_m| |d_mu H| |Psi_n| / |E_n - E_m| (zero where C is)."""
+    e = eig.energies.reshape(-1, 2)
+    phi, psi = eig.left.reshape(-1, 2, 2), eig.right.reshape(-1, 2, 2)
+    dh = np.broadcast_to(dh, (len(e),) + np.shape(dh)[-3:])
+    c = np.zeros(dh.shape, complex)
+    scale = np.zeros(dh.shape)
+    for p in range(len(e)):
+        for mu in range(dh.shape[1]):
+            for m in range(2):
+                for n in range(2):
+                    gap = e[p, n] - e[p, m]
+                    if gap == 0:
+                        continue
+                    c[p, mu, m, n] = np.vdot(phi[p, :, m], dh[p, mu] @ psi[p, :, n]) / gap
+                    scale[p, mu, m, n] = (np.linalg.norm(phi[p, :, m]) * np.linalg.norm(dh[p, mu])
+                                          * np.linalg.norm(psi[p, :, n]) / abs(gap))
+    return c, scale
+
+
+def two_level_case(phase, layout, seed=11):
+    """An eigensystem and dH for ``layout``: a stack with one constant dH
+    (d, 2, 2), a stack with a dH per point (P, d, 2, 2), or one matrix."""
+    h = two_level_stack(seed, phase)
+    rng = np.random.default_rng(seed + 1)
+    real = phase == "real"
+
+    def random_dh(shape):
+        dh = rng.normal(size=shape + (2, 2))
+        return dh if real else dh + 1j * rng.normal(size=shape + (2, 2))
+
+    if layout == "single":
+        return biortho_eig(h[0]), random_dh((3,))
+    return biortho_eig(h), random_dh((3,) if layout == "constant" else (len(h), 3))
+
+
+PHASES = ["unbroken", "broken", "real"]
+LAYOUTS = ["constant", "per_point", "single"]
+
+
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_two_level_coefficients_match_a_brute_force_sum(phase, layout):
+    # bound, set before measuring: each element within 64 eps of its
+    # rounding scale |Phi_m| |dH| |Psi_n| / |E_n - E_m|
+    eig, dh = two_level_case(phase, layout)
+    assert (eig.right.dtype == float) == (phase == "real")
+    c = geometry._coefficients(eig, dh)
+    ref, scale = brute_force_coefficients(eig, dh)
+    assert c.shape == np.broadcast_shapes(eig.energies.shape[:-1] + (1,), dh.shape[:-2]) + (2, 2)
+    assert c.dtype == np.result_type(eig.right, dh)
+    assert np.all(c[..., [0, 1], [0, 1]] == 0)
+    assert np.all(np.abs(c.reshape(ref.shape) - ref) <= 64 * EPS * scale)
+
+
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("level", [0, 1])
+def test_two_level_sos_qgt_matches_a_brute_force_sum(phase, layout, level):
+    # Q_ab = x_ab + x_ba^* with x_ab = -1/2 C_a[n, m] C_b[m, n], m != n;
+    # bound, set before measuring: 256 eps times the largest product of
+    # two element scales at each point
+    eig, dh = two_level_case(phase, layout)
+    levels = np.arange(2) == level
+    q = geometry._sos_qgt(eig, dh, levels)
+    c, scale = brute_force_coefficients(eig, dh)
+    m = 1 - level
+    x = -0.5 * c[:, :, level, m, None] * c[:, None, :, m, level]
+    ref = x + np.swapaxes(x, -1, -2).conj()
+    bound = 256 * EPS * scale.max(axis=(1, 2, 3)) ** 2
+    assert np.all(np.abs(q.reshape(ref.shape) - ref) <= bound[:, None, None])
+
+
+def test_two_level_coefficients_are_zero_where_the_levels_meet():
+    # an element with E_0 = E_1 exactly gets C = 0, as on the generic path,
+    # and the others are unaffected
+    eig, dh = two_level_case("unbroken", "per_point")
+    energies = eig.energies.copy()
+    energies[5] = 0.25
+    met = dataclasses.replace(eig, energies=energies)
+    c = geometry._coefficients(met, dh)
+    assert np.all(c[5] == 0)
+    keep = np.arange(len(energies)) != 5
+    assert np.array_equal(c[keep], geometry._coefficients(eig, dh)[keep])
+
+
+def test_two_level_flux_block_calls_no_inverse(monkeypatch):
+    # the two-level dual basis is an adjugate: a curvature_flux block makes
+    # one eigensolve and no inv call; three levels still invert
+    calls = []
+    eig, inv = np.linalg.eig, np.linalg.inv
+
+    def counted(name, fn):
+        def call(a):
+            calls.append((name, np.shape(a)))
+            return fn(a)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eig", counted("eig", eig))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", inv))
+    curvature_flux(pt_two_level_family(), [0.05, 0.8], [0.15, 0.9], resolution=6)
+    assert calls == [("eig", (36, 2, 2))]
+
+    gen_a = np.array([[0.0, 1.0, 0.0], [0.3, 0.0, 0.2j], [0.0, 0.1, 0.0]])
+    gen_b = np.array([[0.2j, 0.0, 0.5], [0.0, 0.0, 0.0], [0.4, 0.0, -0.2j]])
+    three = HamiltonianFamily(
+        dim_hilbert=3, dim_param=2, batched=True,
+        evaluate=lambda lam: (np.diag([0.0, 1.0, 2.0]) + lam[:, 0, None, None] * gen_a
+                              + lam[:, 1, None, None] * gen_b),
+        derivative=lambda lam, mu: np.broadcast_to((gen_a, gen_b)[mu], (len(lam), 3, 3)))
+    calls.clear()
+    curvature_flux(three, [0.0, 0.0], [0.1, 0.1], resolution=6)
+    assert calls == [("eig", (36, 3, 3)), ("inv", (36, 3, 3))]
 
 
 # ------------------------------------------------------------ berry loop
@@ -794,6 +931,57 @@ def test_classify_interval():
     assert kind == "lightlike"
     ds2, kind = classify_interval(g, [1.0, 1.1])
     assert kind == "timelike"
+
+
+@pytest.mark.parametrize("g, dlam", [
+    (np.eye(2), [np.nan, 0.0]),
+    (np.diag([np.inf, 1.0]), [1.0, 0.0]),  # its round-off band was Inf too
+    (np.eye(2), [1.0, 0.0, 0.0]),
+    (np.eye(2), [[1.0, 0.0]]),
+    (np.ones((2, 3)), [1.0, 0.0]),
+    (np.ones(2), [1.0, 0.0]),
+])
+def test_classify_interval_refuses_non_finite_or_misshapen_input(g, dlam):
+    with pytest.raises(ValueError, match="finite|shape"):
+        classify_interval(g, dlam)
+
+
+def refusing_family():
+    def evaluate(points):
+        raise AssertionError("the family must not be called")
+
+    return HamiltonianFamily(dim_hilbert=2, dim_param=2, evaluate=evaluate,
+                             derivative=lambda points, mu: evaluate(points), batched=True)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam, lam: qgt(fam, lam),
+    lambda fam, lam: param_derivatives(fam, lam),
+    o_operators,
+    variance_metric,
+], ids=["qgt", "param_derivatives", "o_operators", "variance_metric"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_point_raises_before_any_family_call(call, bad):
+    # qgt used to warn "invalid value encountered in multiply" on the
+    # stencil before the eigensolve refused it
+    with pytest.raises(NonFinite, match="point must be finite"):
+        call(refusing_family(), [bad, 0.9])
+    with pytest.raises(NonFinite):
+        call(pt_two_level_family(), [bad, 0.9])
+
+
+@pytest.mark.parametrize("lo, hi, match", [
+    ([0.05, 0.8], [np.inf, 0.9], "lam_max must be finite"),
+    ([np.nan, 0.8], [0.15, 0.9], "lam_min must be finite"),
+    # finite corners, but the spacing or the midpoint sums overflow
+    ([-1e308, 0.8], [1e308, 0.9], "midpoints or cell area"),
+    ([0.05, 0.8], [1.7e308, 0.9], "midpoints or cell area"),
+    ([0.05, 0.8], [0.15, 1.7e308], "midpoints or cell area"),
+])
+def test_curvature_flux_refuses_non_finite_grids_before_any_family_call(lo, hi, match):
+    for fam in (refusing_family(), pt_two_level_family()):
+        with pytest.raises(NonFinite, match=match):
+            curvature_flux(fam, lo, hi, resolution=4)
 
 
 def test_curvature_flux_calls_a_batched_family_once_per_block():

@@ -56,6 +56,14 @@ def test_params_validation_and_case():
         bad.check_analytic_case()
 
 
+@pytest.mark.parametrize("h, eta", [(0.5, np.nan), (np.inf, 0.1), (-np.inf, 0.0), (np.nan, np.nan)])
+def test_field_point_refuses_non_finite_fields(h, eta):
+    # unbroken_at answered False for a NaN eta, dispersion returned NaN and
+    # metric_intensity warned before refusing an Inf h
+    with pytest.raises(ValueError, match="must be finite"):
+        FieldPoint(h=h, eta=eta)
+
+
 def test_field_point_radius():
     assert abs(FieldPoint(h=3.0, eta=4.0).r - 5.0) < 1e-15
 
