@@ -49,6 +49,19 @@ _TOL_REAL = 1e-9  # largest |Im E| of a real (PT-unbroken) spectrum, times the s
 _SQRT_MAX = np.sqrt(np.finfo(float).max)
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
+# The one stack budget: matrices per stacked biortho_eig call, from which
+# flux blocks, scan chunks and transport chunks take their size. Per-call
+# overhead is paid once per stack and memory grows with its matrix count. A
+# byte budget that kept the flux's 512 complex 2x2 matrices (32 KiB) would
+# cut scan chunks to 3 points of 65 real 4x4 blocks: 14 calls per 41-point
+# row instead of 6.
+_STACK = 512
+
+
+def _per_stack(matrices_each: int) -> int:
+    """Items of ``matrices_each`` matrices that one stack holds, at least 1."""
+    return max(1, _STACK // matrices_each)
+
 
 def _check_integer(value, name: str, noun: str = "an integer") -> None:
     """Raise ValueError unless ``value`` is a Python or numpy integer; a
@@ -148,7 +161,11 @@ def default_step(lam):
     """Difference step 1e-5 (1 + |lam|) at a point ``(d,)``, or one per
     point of a stack ``(..., d)``."""
     lam = np.asarray(lam, dtype=float)
-    return 1e-5 * (1.0 + np.sqrt(np.vecdot(lam, lam)))
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.vecdot(lam, lam))
+        if np.isinf(norm).any():  # |lam|^2 overflows: |lam| without squaring there
+            norm = np.where(np.isinf(norm), np.hypot.reduce(np.abs(lam), axis=-1), norm)
+    return 1e-5 * (1.0 + norm)
 
 
 @dataclass(frozen=True)

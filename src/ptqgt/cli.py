@@ -201,10 +201,8 @@ def _fmt_matrix(m) -> str:
 
 def cmd_qgt(args) -> int:
     family, lam = _model_at(args, args.lam)
-    tensor = geometry.qgt(family, lam, n=args.level, step=args.step)
-    q = tensor.q
+    q = geometry.qgt(family, lam, n=args.level).q
     g = q.real
-    omega = q.imag
     eig = biortho_eig(family(lam))
     print(f"lambda = {lam.tolist()}, level = {args.level}")
     print(f"energies: {np.round(eig.energies, 10).tolist()}")
@@ -212,7 +210,7 @@ def cmd_qgt(args) -> int:
     print("Q =")
     print(_fmt_matrix(q))
     print("Omega (Berry curvature, Im Q) =")
-    print(_fmt_matrix(omega))
+    print(_fmt_matrix(q.imag))
     print("g (metric, Re Q) =")
     print(_fmt_matrix(g))
     print(f"eig(g) = {np.round(np.linalg.eigvalsh(g), 10).tolist()}")
@@ -329,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="bundled model name or .model file path")
     p.add_argument("--lam", required=True, type=_point, help="comma-separated point")
     p.add_argument("--level", type=int, default=0)
-    p.add_argument("--step", type=_positive_float, default=None)
     p.set_defaults(func=cmd_qgt)
 
     p = sub.add_parser("berry", help="discrete loop Berry phase")

@@ -11,13 +11,7 @@ needs H at the step starts, half-steps and step ends: the uniform grid
 t_k = k dt/2, k = 0..2n. dH/dt at each node is a five-node difference of
 H over its neighbouring nodes, so the path is sampled on the grid alone.
 The path is known before the loop starts, so ``evolve`` solves its nodes
-in chunks of steps: one family call over the chunk's nodes and the few
-around them its stencils reach, and one stacked eigensolve over its own
-nodes, give H, W and K at every half-step and step end (each step end is
-also the next step's start and a record time). The RK4 loop only
-multiplies matrices, and the chunk's records are formed once after it. A
-chunk whose stacked work fails is replayed one step at a time, so errors
-keep their time order.
+in stacked chunks of steps and its RK4 loop only multiplies matrices.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .biortho import HamiltonianFamily, _check_integer, biortho_eig, build_W
+from .biortho import HamiltonianFamily, _check_integer, _per_stack, biortho_eig, build_W
 from .errors import AmbiguousMatching, NonFinite, NotAdiabatic, StepTooLarge
 from .geometry import LoopSpec, _check_level, _gauged_coefficients, _o_b, berry_phase_loop
 
@@ -38,14 +32,6 @@ __all__ = [
     "evolve",
     "adiabatic_phase",
 ]
-
-# RK4 steps whose eigensystems are stacked together. A hundred or so
-# steps amortize the per-call overhead and the nodes that neighbouring
-# chunks' stencils both sample (four per chunk boundary, ~1.6 % of the
-# family points at 128 steps); longer chunks gain little speed but grow
-# the transient stacks (for 2x2 families ~0.25 MB at 128 steps, ~0.5 MB at
-# 256), which then rival the evolution result itself.
-_CHUNK = 128
 
 # First-derivative rows over five equally spaced nodes, in units of
 # 1/(12 h): row p gives dH/dt at the window's p-th node. Row 2 is the
@@ -206,21 +192,22 @@ def evolve(
     finite; ValueError unless ``n_steps`` is a positive integer and
     ``psi0`` has shape ``(N,)``, or for a NaN ``drift_tol``.
 
-    The path is walked in chunks of steps on the grid ``times``, so a step
-    starts exactly where the last one ended. Its nodes are the step ends and
-    half-steps, t_k = k dt/2, and dH/dt at a node is the five-node stencil
-    of ``k_field`` at ``dt_probe`` = dt/2 over the nodes around it (three
-    nodes when ``n_steps`` is 1), so the path is sampled at nodes only and
-    H is checked up to one step ahead of the steps it serves. Per chunk, one
-    family call over the nodes the chunk's stencils span (its own, and at
-    most two more on each side, three before a chunk that is the last step
-    alone) and one stacked eigensolve over its own nodes give H, W and K at
-    every half-step and step end; the step ends serve the generators and
-    the records. The RK4 loop only multiplies matrices; the W-norms and
-    overlap checks of the chunk's states follow it at once. When a chunk's stacked work raises,
-    the chunk is replayed one step at a time from its start state, so the
-    first failure in time order wins: a NotAdiabatic is never pre-empted by
-    a DefectiveMatrix or NonFinite further down the path.
+    The path is walked in chunks of steps, as many as the stack budget of
+    ``biortho`` holds at two eigensolved nodes per step. The nodes are the
+    step ends and half-steps, t_k = k dt/2 on the grid ``times``, so a step
+    starts exactly where the last one ended; dH/dt at a node is the
+    five-node stencil of ``k_field`` at ``dt_probe`` = dt/2 over the nodes
+    around it (three nodes when ``n_steps`` is 1), so the path is sampled
+    at nodes only and H is checked up to one step ahead of the steps it
+    serves. Per chunk, one family call over the nodes its stencils span
+    (its own, and at most two more on each side, three before a chunk that
+    is the last step alone) and one stacked eigensolve over its own nodes
+    give H, W and K at every half-step and step end. The RK4 loop only
+    multiplies matrices; the chunk's W-norms and overlap checks follow it.
+    A chunk whose stacked work raises is replayed one step at a time from
+    its start state, so the first failure in time order wins: a
+    NotAdiabatic is never pre-empted by a DefectiveMatrix or NonFinite
+    further down the path.
     """
     _check_integer(n_steps, "n_steps")
     if n_steps < 1:
@@ -293,8 +280,9 @@ def evolve(
             states[a + j + 1] = psi
         last = record(a + 1, b + 1, w, eig)
 
-    for a in range(0, n_steps, _CHUNK):
-        b = min(a + _CHUNK, n_steps)
+    chunk = _per_stack(2)  # a step eigensolves its half-step and its end
+    for a in range(0, n_steps, chunk):
+        b = min(a + chunk, n_steps)
         try:
             work = chunk_work(a, b)
         except Exception:

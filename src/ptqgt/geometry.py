@@ -24,6 +24,7 @@ from .biortho import (
     BiorthoEigensystem,
     HamiltonianFamily,
     _check_integer,
+    _per_stack,
     biortho_eig,
     build_W,
     default_step,
@@ -45,13 +46,6 @@ __all__ = [
     "variance_metric",
     "classify_interval",
 ]
-
-# Grid points whose eigensystems curvature_flux stacks together, rounded
-# down to whole rows (never fewer than one). A few hundred points amortize
-# the per-call overhead; a single stack over a 128^2 grid would raise the
-# peak memory by ~20 MB.
-_BLOCK = 512
-
 
 @dataclass(frozen=True)
 class GeomTensor:
@@ -107,13 +101,16 @@ def param_derivatives(
     NotPositiveDefinite from ``build_W`` when ``lam`` sits too close to a
     critical point for the chosen step, and raises Degenerate when a
     stencil point lies on the other side of the PT-breaking boundary;
-    ValueError unless ``lam`` has shape ``(d,)``.
+    ValueError unless ``lam`` has shape ``(d,)``, and NonFinite when the
+    step is not finite.
     """
     lam = _as_point(lam, family.dim_param)
     if step is None:
         step = default_step(lam)
     if step <= 0:
         raise ValueError("step must be positive")
+    if not step < np.inf:  # the default step of a point near the float range
+        raise NonFinite(f"difference step {step} is not finite")
 
     d = family.dim_param
     # Stencil: centre, then lam + step e_mu, then lam - step e_mu.
@@ -191,16 +188,17 @@ def _fd_qgt(eig: BiorthoEigensystem, dp) -> np.ndarray:
     return 0.5 * (x + np.swapaxes(x, -1, -2).conj())
 
 
-def qgt(family: HamiltonianFamily, lam, n: int = 0, step: float | None = None) -> GeomTensor:
+def qgt(family: HamiltonianFamily, lam, n: int = 0) -> GeomTensor:
     """Extended geometric tensor of level ``n`` at ``lam`` by differencing
-    the projector P_n over the stencil of ``param_derivatives``.
+    the projector P_n over the stencil of ``param_derivatives`` at
+    ``default_step(lam)``.
 
     Raises ValueError unless 0 <= n < N and ``lam`` has shape ``(d,)``,
     and Degenerate when the level gap is below tolerance.
     """
     _check_level(n, family.dim_hilbert)
     lam = np.asarray(lam, dtype=float)
-    eig, dp = param_derivatives(family, lam, step)
+    eig, dp = param_derivatives(family, lam)
     _check_gap(eig, [n])
     return GeomTensor(level=n, point=lam, q=_fd_qgt(eig, dp)[n])
 
@@ -326,12 +324,12 @@ def curvature_flux(
     refine.
 
     Omega = Im Q comes from the sum-over-states kernel; no eigenvectors are
-    differenced. The grid is solved row-major in blocks of whole rows,
-    about ``_BLOCK`` points each: one family call, one stacked eigensolve
-    and one ``deriv`` call per axis per block. Raises ValueError unless
-    ``plane`` names two distinct parameter axes, ``resolution`` is an
-    integer of at least 1, ``n`` names a level and ``lam_min`` and
-    ``lam_max`` have shape ``(d,)``, and Degenerate when a
+    differenced. The grid is solved row-major in blocks of whole rows, as
+    many as the stack budget of ``biortho`` holds: one family call, one
+    stacked eigensolve and one ``deriv`` call per axis per block. Raises
+    ValueError unless ``plane`` names two distinct parameter axes,
+    ``resolution`` is an integer of at least 1, ``n`` names a level and
+    ``lam_min`` and ``lam_max`` have shape ``(d,)``, and Degenerate when a
     grid point lies in another PT phase than the first (the rectangle
     crosses an exceptional line) or when level ``n`` closes its gap at a
     grid point.
@@ -365,7 +363,7 @@ def curvature_flux(
     grid[..., mu] = mid_x[:, None]
     grid[..., nu] = mid_y
     grid = grid.reshape(-1, lam_min.size)
-    block = resolution * max(1, _BLOCK // resolution)
+    block = resolution * _per_stack(resolution)
     total = 0.0
     unbroken = None
     for start in range(0, len(grid), block):
@@ -450,17 +448,20 @@ def classify_interval(g, dlam) -> tuple[float, str]:
     Returns ``(ds2, kind)`` with kind one of 'spacelike' (> 0),
     'lightlike' (within the round-off band of 0) or 'timelike' (< 0).
     Raises ValueError unless ``g`` is a finite (d, d) array and ``dlam`` a
-    finite (d,) array.
+    finite (d,) array, and when ds^2 or its round-off band overflows.
     """
     g = np.asarray(g, dtype=float)
     dlam = np.asarray(dlam, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or dlam.shape != g.shape[:1]:
         raise ValueError(f"expected g of shape (d, d) and dlam of shape (d,), "
                          f"got {g.shape} and {dlam.shape}")
-    if not (np.isfinite(g).all() and np.isfinite(dlam).all()):
-        raise ValueError("g and dlam must be finite")
-    ds2 = float(dlam @ g @ dlam)
-    band = 1e-12 * float(np.linalg.norm(g)) * float(dlam @ dlam)
+    # A NaN or Inf in g or dlam leaves ds2 or its band non-finite, as overflow does
+    with np.errstate(over="ignore", invalid="ignore"):
+        ds2 = float(dlam @ g @ dlam)
+        band = 1e-12 * float(np.linalg.norm(g)) * float(dlam @ dlam)
+    if not (np.isfinite(ds2) and np.isfinite(band)):
+        raise ValueError(f"g and dlam must be finite and give a finite ds2 and round-off "
+                         f"band, got {ds2} and {band}")
     if abs(ds2) <= band:
         return ds2, "lightlike"
     return ds2, "spacelike" if ds2 > 0 else "timelike"

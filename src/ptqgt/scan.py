@@ -9,18 +9,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import xy_chain
-from .biortho import _check_integer
+from .biortho import _check_integer, _per_stack
 from .errors import Degenerate, GaplessPoint
 from .xy_chain import XYParams
 
 __all__ = ["ScanConfig", "ScanRecord", "ScanResult", "run_scan", "write_csv"]
 
 CSV_HEADER = "h,eta,unbroken,g11,g12,g22,status"
-
-# Points of a row whose blocks are stacked into one eigensolve. A few
-# points amortize the per-call overhead; a whole 41-point row is barely
-# faster but its transient stacks raise the peak memory by ~10 %.
-_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -99,15 +94,16 @@ def _records(p: XYParams, hs: list[float], eta: float, n_quad: int) -> list[Scan
 
 def _scan_row(args) -> list[ScanRecord]:
     """One eta row of records, in h order: ``broken`` records beyond
-    eta_c, else ``_records`` of ``_CHUNK`` points at a time, one stacked
-    eigensolve per chunk."""
+    eta_c, else ``_records`` of as many points as one stack holds at
+    ``n_quad`` blocks each, one stacked eigensolve per chunk."""
     p, hs, eta, n_quad = args
     hs = [float(h) for h in hs]
     if abs(eta) >= p.eta_c:
         return [ScanRecord(h=h, eta=eta, unbroken=False, g11=None, g12=None,
                            g22=None, status="broken") for h in hs]
-    return [rec for lo in range(0, len(hs), _CHUNK)
-            for rec in _records(p, hs[lo:lo + _CHUNK], eta, n_quad)]
+    chunk = _per_stack(n_quad)
+    return [rec for lo in range(0, len(hs), chunk)
+            for rec in _records(p, hs[lo:lo + chunk], eta, n_quad)]
 
 
 def run_scan(config: ScanConfig) -> ScanResult:

@@ -15,17 +15,22 @@ from ptqgt import (
     XYParams,
     ZeroScale,
     berry_phase_loop,
+    biortho,
     biortho_eig,
     build_W,
+    curvature_flux,
     dispersion,
     dk_family,
     default_step,
     dk_matrix,
+    evolve,
     gauge_transform,
     k_field,
     metric_intensity,
     qgt,
+    scan,
 )
+from ptqgt.cli import _circle_path
 from ptqgt.families import load_bundled_model, pt_two_level_family, spin_half_family
 
 ANISO = XYParams(J=1.0, Js=0.5, Gamma=1.0 / 3.0, Gammas=1.0 / 6.0)
@@ -546,3 +551,33 @@ def test_batched_family_refuses_a_row_per_point_whatever_the_stack_size(points):
     const = HamiltonianFamily(2, 1, evaluate=lambda lam: np.eye(2), batched=True)
     with pytest.raises(ValueError, match="expected a result of shape"):
         const(np.full((points, 1), 0.3))
+
+
+def test_stack_budget_sizes_stacks_but_never_changes_answers(monkeypatch):
+    # The one budget sizes flux blocks, scan chunks and transport chunks.
+    # At 64 matrices a 30-row flux block is 2 rows, a transport chunk 32
+    # steps and a scan chunk at n_quad 65 a single point (the floor of one).
+    fam = pt_two_level_family()
+    path = _circle_path(np.array([0.15, 0.85]), 0.05, 5.0)
+    psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
+    hs = np.linspace(0.0, 3.0, 41)
+
+    def answers():
+        row = scan._scan_row((ANISO, hs, 0.3, 65))
+        res = evolve(fam, path, psi0, n_steps=300, track_level=0, drift_tol=np.inf)
+        flux = curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=30)
+        g = np.array([(r.g11, r.g12, r.g22) for r in row])
+        return g, res, flux
+
+    g, res, flux = answers()
+    assert [biortho._per_stack(m) for m in (30, 2, 65)] == [17, 256, 7]
+    monkeypatch.setattr(biortho, "_STACK", 64)
+    assert [biortho._per_stack(m) for m in (30, 2, 65)] == [2, 32, 1]
+    g64, res64, flux64 = answers()
+    assert g64.tobytes() == g.tobytes()
+    for field in ("states", "w_norms"):
+        assert getattr(res64, field).tobytes() == getattr(res, field).tobytes()
+    assert res64.geometric_phase == res.geometric_phase
+    # the block sums are added in another order
+    assert abs(flux64 - flux) <= 4 * np.spacing(abs(flux))
+    assert flux != 0.0

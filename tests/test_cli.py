@@ -180,7 +180,7 @@ def test_evolve_rejects_non_positive_steps(capsys, steps):
 
 
 @pytest.mark.parametrize("argv", [
-    ["qgt", "pt_two_level", "--lam", "0.15,0.85", "--step", "-1"],
+    ["qgt", "pt_two_level", "--lam", "0.15,0.85", "--step", "1e-5"],  # no such flag
     ["qgt", "pt_two_level", "--lam", "0.15,0.85", "--level", "5"],
     ["qgt", "pt_two_level", "--lam", "0.15,0.85", "--level", "-1"],
     ["berry", "pt_two_level", "--center", "0.15,0.85", "--vertices", "2"],

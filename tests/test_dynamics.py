@@ -12,6 +12,7 @@ from ptqgt import (
     PathSpec,
     StepTooLarge,
     adiabatic_phase,
+    biortho,
     biortho_eig,
     build_W,
     dynamics,
@@ -448,7 +449,7 @@ def evolve_per_step(family, path, psi0, n_steps, level):
     return np.array(states), np.array(w_norms), beta, total - beta
 
 
-@pytest.mark.parametrize("n_steps", [100, dynamics._CHUNK + 3])
+@pytest.mark.parametrize("n_steps", [100, biortho._per_stack(2) + 3])
 def test_evolve_matches_per_step_reference(n_steps):
     fam = pt_two_level_family()
     path = circle_path([0.15, 0.85], 0.05, 5.0)
@@ -515,7 +516,7 @@ def test_evolve_leaves_psi0_untouched_and_repeats_bitwise():
     path = circle_path([0.15, 0.85], 0.05, 5.0)
     psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
     kept = psi0.copy()
-    runs = [evolve(fam, path, psi0, n_steps=dynamics._CHUNK + 3, track_level=0)
+    runs = [evolve(fam, path, psi0, n_steps=biortho._per_stack(2) + 3, track_level=0)
             for _ in range(2)]
     assert psi0.tobytes() == kept.tobytes()
     assert runs[0].states[0].tobytes() == kept.tobytes()
@@ -551,7 +552,7 @@ def test_eigensolves_per_chunk(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", counted)
     n_steps = 1000
     evolve(fam, path, psi0, n_steps=n_steps, track_level=0)
-    chunks = math.ceil(n_steps / dynamics._CHUNK)
+    chunks = math.ceil(n_steps / biortho._per_stack(2))
     assert len(calls) == chunks + 1
     assert sum(math.prod(shape[:-2]) for shape in calls) == 2 * n_steps + 1
     assert len(samples) == 5 + (2 * n_steps + 1) + 4 * (chunks - 1)
@@ -720,9 +721,10 @@ def test_adiabatic_phase_evaluates_a_batched_family_once_per_stack():
     per_point = dataclasses.replace(fam, evaluate=evaluate_point, batched=False,
                                     derivative=None)
     path = circle_path([0.15, 0.85], 0.05, 8.0)
-    out = adiabatic_phase(counted, path, n=0, n_steps=256)
-    ref = adiabatic_phase(fam, path, n=0, n_steps=256)
-    adiabatic_phase(per_point, path, n=0, n_steps=256)
+    n_steps = 2 * biortho._per_stack(2)  # two chunks of 256 steps
+    out = adiabatic_phase(counted, path, n=0, n_steps=n_steps)
+    ref = adiabatic_phase(fam, path, n=0, n_steps=n_steps)
+    adiabatic_phase(per_point, path, n=0, n_steps=n_steps)
     assert np.array_equal(out["result"].states, ref["result"].states)
     assert (out["gamma_sim"], out["gamma_line"]) == (ref["gamma_sim"], ref["gamma_line"])
     # One call per chunk for its half-steps, step ends and the nodes around
@@ -730,6 +732,5 @@ def test_adiabatic_phase_evaluates_a_batched_family_once_per_stack():
     # start with its stencil and the loop vertices. Called per point, the
     # same transport makes one call per point: 2 per step and 4 per chunk
     # boundary, plus the start, its stencil and the loop vertices.
-    chunks = math.ceil(256 / dynamics._CHUNK)
-    assert len(calls) <= 3 * chunks + 4
+    assert len(calls) <= 3 * 2 + 4
     assert sum(calls) == len(points)

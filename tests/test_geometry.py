@@ -12,6 +12,7 @@ from ptqgt import (
     NonFinite,
     OpenLoop,
     PathSpec,
+    PtqgtError,
     adiabatic_phase,
     berry_curvature,
     berry_phase_loop,
@@ -297,6 +298,27 @@ def test_default_step_on_a_stack_equals_per_point_calls(d):
     assert np.array_equal(steps, reference)
     assert np.array_equal(geometry.default_step(lams.reshape(2, 500, d)),
                           steps.reshape(2, 500))
+
+
+def test_default_step_far_out_takes_the_norm_without_overflow():
+    # |lam|^2 overflows at 1e300: default_step, deriv and qgt used to warn
+    # "overflow encountered in vecdot" there
+    far, ordinary = [1e300, 0.2], [0.3, 0.4]
+    assert default_step(far) == 1e-5 * (1.0 + 1e300)
+    assert np.array_equal(default_step([far, ordinary]),
+                          [default_step(far), 1e-5 * (1.0 + np.sqrt(0.25))])
+    assert default_step([1.7e308, 1.7e308]) == np.inf
+    for fam in (pt_two_level_family(), load_bundled_model("pt_two_level")):
+        assert np.isfinite(fam.deriv(far, 0)).all()
+        try:
+            q = qgt(fam, far).q
+        except PtqgtError:
+            pass
+        else:
+            assert np.isfinite(q).all()
+        # beyond the float range the step itself overflows
+        with pytest.raises(NonFinite, match="step"):
+            qgt(fam, [1.7e308, 1.7e308])
 
 
 def test_metric_perturbative_matches_fd_on_dk():
@@ -650,12 +672,14 @@ def test_curvature_flux_one_eigensolve_per_block(monkeypatch):
     curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=6)
     assert shapes == [(36, 2, 2)]  # the whole grid is one block
     shapes.clear()
-    # 512 // 30 = 17 rows per block: a full block, then the 13 rows left
+    # the stack budget of 512 matrices // 30 = 17 rows per block: a full
+    # block, then the 13 rows left
+    assert biortho._per_stack(30) == 17
     curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=30)
     assert shapes == [(17 * 30, 2, 2), (13 * 30, 2, 2)]
     shapes.clear()
-    # a row longer than a block is still solved whole
-    monkeypatch.setattr(geometry, "_BLOCK", 4)
+    # a row longer than the budget is still solved whole
+    monkeypatch.setattr(biortho, "_STACK", 4)
     curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=6)
     assert shapes == [(6, 2, 2)] * 6
 
@@ -940,6 +964,7 @@ def test_classify_interval():
     (np.eye(2), [[1.0, 0.0]]),
     (np.ones((2, 3)), [1.0, 0.0]),
     (np.ones(2), [1.0, 0.0]),
+    (1e200 * np.eye(2), [1e100, 0.0]),  # ds2 overflowed to Inf, with a warning
 ])
 def test_classify_interval_refuses_non_finite_or_misshapen_input(g, dlam):
     with pytest.raises(ValueError, match="finite|shape"):

@@ -4,6 +4,7 @@ import pytest
 import ptqgt.scan as scan_mod
 from ptqgt import (
     DefectiveMatrix,
+    biortho,
     FieldPoint,
     ScanConfig,
     XYParams,
@@ -108,8 +109,9 @@ def test_degenerate_cells_marked_inf(monkeypatch, tmp_path):
 
 
 def test_refused_point_leaves_its_chunk_neighbours_ok(monkeypatch):
-    cfg = small_config(h_range=(0.0, 1.0, 11), eta_range=(-0.4, 0.4, 2))
-    assert cfg.h_range[2] > scan_mod._CHUNK  # the refusal sits inside a full chunk
+    # 512 // 24 = 21 points per chunk: h = 0.5 is the 11th of a full chunk
+    cfg = small_config(h_range=(0.0, 1.5, 31), eta_range=(-0.4, 0.4, 2))
+    assert cfg.h_range[2] > biortho._per_stack(cfg.n_quad) == 21
     refs = {(float(h), float(eta)): metric_intensity(
                 ANISO, FieldPoint(h=float(h), eta=float(eta)), n_quad=cfg.n_quad)
             for eta in cfg.eta_values() for h in cfg.h_values()}
@@ -129,7 +131,7 @@ def test_refused_point_leaves_its_chunk_neighbours_ok(monkeypatch):
     monkeypatch.setattr(scan_mod.xy_chain, "biortho_eig", picky)
     monkeypatch.setattr(scan_mod.xy_chain, "metric_intensity", forbidden)
     result = run_scan(cfg)
-    assert len(result.records) == 22
+    assert len(result.records) == 62
     for rec in result.records:
         if rec.h == h_bad:
             assert rec.status == "degenerate" and rec.g11 == float("inf")
@@ -168,7 +170,8 @@ def test_row_makes_one_eigensolve_per_chunk(monkeypatch):
     hs = np.linspace(0.0, 3.0, 41)
     records = scan_mod._scan_row((ANISO, hs, 0.3, 65))
     assert [rec.status for rec in records] == ["ok"] * 41
-    assert calls["eig"] == -(-41 // scan_mod._CHUNK)
+    assert biortho._per_stack(65) == 7  # points per chunk: 512 // 65 blocks
+    assert calls["eig"] == -(-41 // 7)
     scan_mod._scan_row((ANISO, hs, -0.3, 65))
     assert calls["leggauss"] == 1
 
