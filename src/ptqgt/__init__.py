@@ -13,7 +13,7 @@ from .biortho import (
     default_step,
     gauge_transform,
 )
-from .dynamics import EvolutionResult, PathSpec, adiabatic_phase, evolve, k_field
+from .dynamics import EvolutionResult, PathSpec, adiabatic_phase, evolve
 from .errors import (
     AmbiguousMatching,
     CaseUnsupported,

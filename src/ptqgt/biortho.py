@@ -119,7 +119,10 @@ class HamiltonianFamily:
     def deriv(self, lam, mu: int) -> np.ndarray:
         """Partial derivative along ``mu`` at a point or a stack: the
         analytic ``derivative`` when given, else the central difference
-        of ``evaluate`` over +/- ``default_step`` of each point."""
+        of ``evaluate`` over +/- ``default_step`` of each point. The
+        difference raises NonFinite, before ``evaluate`` is called, when a
+        point it takes is not finite: a NaN or Inf coordinate, or a step
+        that overflows."""
         _check_integer(mu, "mu")
         if not 0 <= mu < self.dim_param:
             raise ValueError(f"mu must lie in 0..{self.dim_param - 1}, got {mu}")
@@ -129,7 +132,11 @@ class HamiltonianFamily:
         e = np.zeros(self.dim_param)
         e[mu] = 1.0
         step = default_step(lam)[..., None]
-        return (self(lam + step * e) - self(lam - step * e)) / (2.0 * step[..., None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ahead, behind = lam + step * e, lam - step * e
+        if not (np.isfinite(ahead).all() and np.isfinite(behind).all()):
+            raise NonFinite("a difference point of deriv is not finite")
+        return (self(ahead) - self(behind)) / (2.0 * step[..., None])
 
     def _points(self, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)

@@ -28,7 +28,6 @@ from .geometry import LoopSpec, _check_level, _gauged_coefficients, _o_b, berry_
 __all__ = [
     "PathSpec",
     "EvolutionResult",
-    "k_field",
     "evolve",
     "adiabatic_phase",
 ]
@@ -104,70 +103,9 @@ def _stencil(k, last):
     dH/dt at the nodes ``k`` of a uniform grid 0..``last`` spaced h: five
     nodes, centred on k where they fit in the grid and else the five at its
     end, or the grid's three nodes when it has only three."""
-    weights, denom = _STENCILS[5 if np.all(last >= 4) else 3]
+    weights, denom = _STENCILS[5 if last >= 4 else 3]
     first = np.clip(k - len(weights) // 2, 0, last + 1 - len(weights))
     return first, weights[k - first] / denom
-
-
-def _instants(family, path, s, inst, first, rows, spacing):
-    """H, its eigensystem, W and K at the instants ``s[inst]``, from one
-    family call over the sample times ``s`` and one stacked eigensolve over
-    the instants alone. dH/dt at an instant is its stencil row ``rows``
-    (..., m), in units of 1/``spacing``, over the m samples from
-    ``first`` on; as d Psi/dt = Psi C and W^{-1} = Psi Psi^dag,
-    K = -1/2 W^{-1} dW/dt is 1/2 Psi (C + C^dag) Phi^dag. Raises NonFinite
-    when H is NaN or Inf at any sample."""
-    h = family(path.at(s))
-    if not np.isfinite(h).all():
-        raise NonFinite("H contains NaN or Inf entries at an instant or a node of its stencil")
-    window = h[first[..., None] + np.arange(rows.shape[-1])]
-    h_dot = np.einsum("...j,...jab->...ab", rows, window) / spacing
-    eig = biortho_eig(h[inst])
-    c = _gauged_coefficients(eig, h_dot[..., None, :, :])[..., 0, :, :]
-    return h[inst], eig, build_W(eig), _o_b(eig, c)
-
-
-def k_field(
-    family: HamiltonianFamily, path: PathSpec, t, dt_probe: float
-) -> np.ndarray:
-    """Gauge field K(t) = -1/2 W^{-1}(t) dW/dt.
-
-    K = 1/2 Psi (C + C^dag) Phi^dag, the generator O_B along the path's
-    velocity, with C the eigenvector response to dH/dt. dH/dt is the
-    five-node difference of H over t + j ``dt_probe``, the window centred
-    on t where it fits in [0, duration] and else shifted to end there: the
-    stencil ``evolve`` takes over its nodes at ``dt_probe`` = dt/2. ``t``
-    may be an array of times; K then has shape ``t.shape + (N, N)``. One
-    family call covers every time and its window, and one stacked
-    eigensolve every time. Raises NonFinite when H is NaN or Inf at a time
-    or a node of its window; ValueError unless ``dt_probe`` is positive and
-    finite, every time lies in [0, duration], and five nodes spaced
-    ``dt_probe`` fit in [0, duration] around each time (always so when
-    5 ``dt_probe`` <= duration).
-    """
-    if not (dt_probe > 0 and np.isfinite(dt_probe)):
-        raise ValueError("dt_probe must be positive and finite")
-    t = np.asarray(t, dtype=float)
-    # Whole steps of dt_probe that fit before and after each time; a time
-    # within 1e-9 dt_probe of the grid k dt_probe counts as on it, so that
-    # its rounding does not change the window.
-    before = np.floor(t / dt_probe + 1e-9)
-    after = np.floor((path.duration - t) / dt_probe + 1e-9)
-    if not (np.all(before >= 0) and np.all(after >= 0)):
-        raise ValueError("every time must lie in [0, duration]")
-    if np.any(before + after < 4):
-        raise ValueError("five nodes spaced dt_probe must fit in [0, duration] around each time")
-    before, after = before.astype(int), after.astype(int)
-    first, rows = _stencil(before, before + after)
-    # The window is the grid k dt_probe shifted by t's offset from it. The
-    # offset is exact, so the window holds t itself; it is 0 for a time on
-    # the grid, whose window is then the nodes evolve samples, bit for bit.
-    offset = t - before * dt_probe
-    m = rows.shape[-1]
-    s = np.clip((first[..., None] + np.arange(m)) * dt_probe + offset[..., None],
-                0.0, path.duration)
-    base = m * np.arange(t.size).reshape(t.shape)
-    return _instants(family, path, s.ravel(), base + before - first, base, rows, dt_probe)[3]
 
 
 def evolve(
@@ -195,19 +133,19 @@ def evolve(
     The path is walked in chunks of steps, as many as the stack budget of
     ``biortho`` holds at two eigensolved nodes per step. The nodes are the
     step ends and half-steps, t_k = k dt/2 on the grid ``times``, so a step
-    starts exactly where the last one ended; dH/dt at a node is the
-    five-node stencil of ``k_field`` at ``dt_probe`` = dt/2 over the nodes
-    around it (three nodes when ``n_steps`` is 1), so the path is sampled
-    at nodes only and H is checked up to one step ahead of the steps it
-    serves. Per chunk, one family call over the nodes its stencils span
-    (its own, and at most two more on each side, three before a chunk that
-    is the last step alone) and one stacked eigensolve over its own nodes
-    give H, W and K at every half-step and step end. The RK4 loop only
-    multiplies matrices; the chunk's W-norms and overlap checks follow it.
-    A chunk whose stacked work raises is replayed one step at a time from
-    its start state, so the first failure in time order wins: a
-    NotAdiabatic is never pre-empted by a DefectiveMatrix or NonFinite
-    further down the path.
+    starts exactly where the last one ended; dH/dt at a node, the velocity
+    K is formed along, is the five-node stencil of H at spacing dt/2 over
+    the nodes around it (three nodes when ``n_steps`` is 1), so the path
+    is sampled at nodes only and H is checked (NonFinite when it is NaN or
+    Inf) up to one step ahead of the steps it serves. Per chunk, one
+    family call over the nodes its stencils span (its own, and at most two
+    more on each side, three before a chunk that is the last step alone)
+    and one stacked eigensolve over its own nodes give H, W and K at every
+    half-step and step end. The RK4 loop only multiplies matrices; the
+    chunk's W-norms and overlap checks follow it. A chunk whose stacked
+    work raises is replayed one step at a time from its start state, so
+    the first failure in time order wins: a NotAdiabatic is never
+    pre-empted by a DefectiveMatrix or NonFinite further down the path.
     """
     _check_integer(n_steps, "n_steps")
     if n_steps < 1:
@@ -222,7 +160,7 @@ def evolve(
     dt = path.duration / n_steps
     times = np.arange(n_steps + 1) * dt
     # t_k = k dt/2: step ends at even k (the times above, bit for bit, but
-    # the last held to the duration, as k_field holds it), half-steps at odd k
+    # the last held to the duration), half-steps at odd k
     nodes = np.minimum(np.arange(2 * n_steps + 1) * (0.5 * dt), path.duration)
     states = np.empty((n_steps + 1, psi.shape[0]), dtype=complex)
     w_norms = np.empty(n_steps + 1)
@@ -247,10 +185,19 @@ def evolve(
         return eig[-1], ov[-1]
 
     def solve(k):
-        """_instants at the nodes k, sampling only the nodes their stencils span."""
-        start, rows = _stencil(k, 2 * n_steps)
-        lo, hi = start.min(), start.max() + rows.shape[-1]
-        return _instants(family, path, nodes[lo:hi], k - lo, start - lo, rows, 0.5 * dt)
+        """H, its eigensystem, W and K at the nodes k, from one family call
+        over the nodes their stencils span and one stacked eigensolve over
+        the nodes k alone; NonFinite when H is NaN or Inf at a sampled node."""
+        first, rows = _stencil(k, 2 * n_steps)
+        lo, m = first.min(), rows.shape[-1]
+        h = family(path.at(nodes[lo:first.max() + m]))
+        if not np.isfinite(h).all():
+            raise NonFinite("H contains NaN or Inf entries at a node or a node of its stencil")
+        window = h[(first - lo)[..., None] + np.arange(m)]
+        h_dot = np.einsum("...j,...jab->...ab", rows, window) / (0.5 * dt)
+        eig = biortho_eig(h[k - lo])
+        c = _gauged_coefficients(eig, h_dot[..., None, :, :])[..., 0, :, :]
+        return h[k - lo], eig, build_W(eig), _o_b(eig, c)
 
     h, eig, w, k = solve(np.zeros(1, dtype=int))
     states[0] = psi

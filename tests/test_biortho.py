@@ -11,7 +11,6 @@ from ptqgt import (
     LoopSpec,
     NonFinite,
     NotPositiveDefinite,
-    PathSpec,
     XYParams,
     ZeroScale,
     berry_phase_loop,
@@ -25,7 +24,6 @@ from ptqgt import (
     dk_matrix,
     evolve,
     gauge_transform,
-    k_field,
     metric_intensity,
     qgt,
     scan,
@@ -110,13 +108,11 @@ def test_one_eigensolve_per_call(monkeypatch):
     ang = np.linspace(0.0, 2.0 * np.pi, 33)
     loop = LoopSpec(np.stack([0.15 + 0.05 * np.cos(ang), 0.85 + 0.05 * np.sin(ang)], axis=1), 0)
     loop.vertices[-1] = loop.vertices[0]
-    path = PathSpec(curve=lambda t: np.array([0.15, 0.85 + 0.01 * t]), duration=1.0)
     calls = {
         "metric_intensity": (lambda: metric_intensity(ANISO, FieldPoint(h=0.5, eta=0.3),
                                                       n_quad=65), (65, 4, 4)),
         "qgt": (lambda: qgt(fam, [0.15, 0.85]), (5, 2, 2)),
         "berry_phase_loop": (lambda: berry_phase_loop(fam, loop), (32, 2, 2)),
-        "k_field": (lambda: k_field(fam, path, [0.2, 0.4], 1e-3), (2, 2, 2)),
     }
     for name, (call, stack) in calls.items():
         shapes.clear()
@@ -414,6 +410,23 @@ def test_family_deriv_rejects_a_non_integer_mu(make, mu):
     with pytest.raises(ValueError, match="mu must be an integer"):
         make().deriv(np.array([0.1, 0.8]), mu)
     assert make().deriv(np.array([0.1, 0.8]), np.int64(1)).shape == (2, 2)
+
+
+@pytest.mark.parametrize("point", [[1.7e308, 1.7e308], [np.nan, 0.2], [0.2, np.inf]])
+def test_family_deriv_refuses_a_non_finite_difference_point(point):
+    # a NaN or Inf coordinate, or a step that overflows (|lam| beyond the
+    # float range), is refused before evaluate sees it, with no warning
+    model = load_bundled_model("pt_two_level")
+    seen = []
+    fam = dataclasses.replace(model, evaluate=lambda lam: seen.append(lam) or model.evaluate(lam))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mu in range(2):
+            with pytest.raises(NonFinite, match="difference point of deriv"):
+                fam.deriv(point, mu)
+    assert seen == []
+    # an analytic derivative is not differenced, so it is not refused
+    assert np.array_equal(pt_two_level_family().deriv(point, 1), np.array([[0, 1], [1, 0]]))
 
 
 @pytest.mark.parametrize("dims", [(2.0, 1), (2, 1.0), (True, 1), (2, True), (np.bool_(True), 1)])

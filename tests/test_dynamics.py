@@ -18,7 +18,7 @@ from ptqgt import (
     dynamics,
     evolve,
     geometry,
-    k_field,
+    o_operators,
 )
 from ptqgt.cli import _circle_path
 from ptqgt.families import pt_two_level_family, spin_half_family
@@ -134,7 +134,29 @@ def test_pathspec_at_refuses_a_ragged_curve():
 # -------------------------------------------------------------- k field
 
 
-def test_k_field_zero_for_hermitian_family():
+def evolve_k(monkeypatch, family, path, n_steps):
+    """K at every node t_k = k dt/2, k = 0..2n, as ``evolve`` forms it,
+    recorded from its calls to _o_b. The walk starts in level 0 and its
+    drift is not checked: in the broken phase W is no conserved metric."""
+    recorded = []
+    o_b = geometry._o_b
+    monkeypatch.setattr(dynamics, "_o_b", lambda eig, c: recorded.append(o_b(eig, c))
+                        or recorded[-1])
+    psi0 = biortho_eig(family(path.at(0.0))).right[:, 0]
+    evolve(family, path, psi0, n_steps=n_steps, drift_tol=np.inf)
+    n = family.dim_hilbert
+    k_nodes = np.concatenate([k.reshape(-1, n, n) for k in recorded])
+    assert len(k_nodes) == 2 * n_steps + 1
+    return k_nodes
+
+
+def node_times(path, n_steps):
+    """evolve's nodes t_k = k dt/2, the last held to the duration."""
+    return np.minimum(np.arange(2 * n_steps + 1) * (0.5 * path.duration / n_steps),
+                      path.duration)
+
+
+def test_k_field_zero_for_hermitian_family(monkeypatch):
     fam = spin_half_family()
     path = circle_path([0.0, 0.0], 0.3, 10.0)
 
@@ -143,14 +165,14 @@ def test_k_field_zero_for_hermitian_family():
         return np.array([xy[0], xy[1], 1.0])
 
     path3 = PathSpec(curve=curve3, duration=10.0, closed=True)
-    k = k_field(fam, path3, 3.0, 1e-3)
+    k = evolve_k(monkeypatch, fam, path3, 100)
     assert np.max(np.abs(k)) < 1e-8
 
 
-def test_k_field_zero_for_static_path():
+def test_k_field_zero_for_static_path(monkeypatch):
     fam = flat_pt_family()
     path = PathSpec(curve=lambda t: np.array([0.3, 1.0]), duration=5.0)
-    k = k_field(fam, path, 2.0, 1e-3)
+    k = evolve_k(monkeypatch, fam, path, 50)
     assert np.max(np.abs(k)) < 1e-10
 
 
@@ -169,14 +191,17 @@ def differenced_k_field(family, path, t, dt_probe):
     (pt_two_level_family(), [0.55, 0.3], False),
     (flat_pt_family(), [0.3, 1.0], True),
 ], ids=["pt_two_level-unbroken", "pt_two_level-broken", "flat_pt"])
-def test_k_field_matches_differenced_metric(family, center, unbroken):
-    path = circle_path(center, 0.05, 10.0)
-    t = np.linspace(0.5, 9.5, 19)
-    eig = biortho_eig(family(path.at(t)))
+def test_k_field_matches_differenced_metric(monkeypatch, family, center, unbroken):
+    # a 1.0-long arc of the tau = 10 circle at 5000 steps: nodes spaced 1e-4,
+    # the interior ones compared with W differenced at +/- 1e-4
+    arc = PathSpec(curve=circle_path(center, 0.05, 10.0).curve, duration=1.0)
+    n_steps = 5000
+    t = node_times(arc, n_steps)[1:-1]
+    eig = biortho_eig(family(arc.at(t)))
     assert np.all(eig.unbroken == unbroken)
-    k = k_field(family, path, t, 1e-4)
+    k = evolve_k(monkeypatch, family, arc, n_steps)[1:-1]
     assert np.max(np.abs(k)) > 1e-2  # non-trivial on this path
-    assert np.max(np.abs(k - differenced_k_field(family, path, t, 1e-4))) <= 1e-10
+    assert np.max(np.abs(k - differenced_k_field(family, arc, t, 1e-4))) <= 1e-10
 
 
 @pytest.mark.parametrize("last", [2, 4, 5, 9])
@@ -196,34 +221,14 @@ def test_stencil_rows_are_exact_for_their_polynomials(last):
     assert np.max(np.abs(h_dot - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
-@pytest.mark.parametrize("t", [-0.1, 10.1, np.nan])
-def test_k_field_refuses_a_time_off_the_path(t):
+def test_k_field_w_hermiticity(monkeypatch):
+    # W K = -1/2 dW/dt is Hermitian, so W K - K^dag W = 0 at every node
     fam = flat_pt_family()
     path = circle_path([0.3, 1.0], 0.1, 10.0)
-    with pytest.raises(ValueError, match=r"every time must lie in \[0, duration\]"):
-        k_field(fam, path, [2.7, t], 1e-3)
-
-
-def test_k_field_refuses_a_dt_probe_leaving_fewer_than_five_nodes():
-    fam = flat_pt_family()
-    path = circle_path([0.3, 1.0], 0.1, 10.0)
-    # 5 dt_probe = duration fits five nodes around every time; at 2.4 they
-    # fit around 0, 5 and 10, but the window at t = 0.5 would reach 10.1
-    assert np.isfinite(k_field(fam, path, [0.0, 0.5, 5.0, 9.9, 10.0], 2.0)).all()
-    assert np.isfinite(k_field(fam, path, [0.0, 5.0, 10.0], 2.4)).all()
-    with pytest.raises(ValueError, match="five nodes spaced dt_probe"):
-        k_field(fam, path, [0.0, 0.5], 2.4)
-
-
-def test_k_field_w_hermiticity():
-    # W K = -1/2 dW/dt is Hermitian, so W K - K^dag W = 0
-    fam = flat_pt_family()
-    path = circle_path([0.3, 1.0], 0.1, 10.0)
-    t = 2.7
-    k = k_field(fam, path, t, 1e-4)
-    w = build_W(biortho_eig(fam(path.at(t))))
+    k = evolve_k(monkeypatch, fam, path, 1000)
+    w = build_W(biortho_eig(fam(path.at(node_times(path, 1000)))))
     x = w @ k
-    assert np.max(np.abs(x - x.conj().T)) < 1e-8
+    assert np.max(np.abs(x - np.swapaxes(x.conj(), -1, -2))) < 1e-8
     assert np.max(np.abs(k)) > 1e-4  # non-trivial on this path
 
 
@@ -278,7 +283,7 @@ def test_rk4_order_of_convergence():
     assert err[0] / err[1] > 10.0
 
 
-def test_evolution_converges_with_k_field():
+def test_evolution_converges_with_the_stencil_k():
     # on a non-Hermitian loop K comes from an O(dt^4) difference stencil;
     # the end state still converges as the step shrinks
     fam = pt_two_level_family()
@@ -375,19 +380,11 @@ def nan_near(s_nan, width):
 
 
 def test_non_finite_raised_at_a_probe_time_only(monkeypatch):
-    # s = 0.85 + 0.01 t is NaN only near t = 0.36, a node of k_field's
-    # stencil at 0.35 with spacing 0.01 (0.33..0.37) but not with 0.02
-    # (0.31..0.39); the time 0.35 itself is finite
+    # s = 0.85 + 0.01 t; evolve (dt 0.1) samples its nodes, the multiples
+    # of 0.05. A NaN near the node 0.4 lies in the stencils of the step
+    # ending at 0.3, so NonFinite comes before the step whose instant it
+    # is: no eigensolve sees it
     path = PathSpec(curve=lambda t: np.array([0.15, 0.85 + 0.01 * t]), duration=1.0)
-    fam = nan_near(0.85 + 0.01 * 0.36, 0.01 * 0.002)
-    assert np.isfinite(fam(path.at(0.35))).all()
-    assert np.isfinite(k_field(fam, path, 0.35, 0.02)).all()
-    with pytest.raises(NonFinite):
-        k_field(fam, path, 0.35, 0.01)
-    # evolve (dt 0.1) samples its nodes, the multiples of 0.05. A NaN near
-    # the node 0.4 lies in the stencils of the step ending at 0.3, so
-    # NonFinite comes before the step whose instant it is: no eigensolve
-    # sees it
     fam = nan_near(0.85 + 0.01 * 0.4, 0.01 * 0.002)
     solved = []
     eig = np.linalg.eig
@@ -412,8 +409,19 @@ def test_evolve_refuses_a_non_finite_w_norm(track_level, drift_tol):
         evolve(huge, path, psi0, n_steps=10, track_level=track_level, drift_tol=drift_tol)
 
 
+def k_at_node(family, path, n_steps, node):
+    """K at the node t_k = k dt/2 of evolve's grid on its own: the node's
+    stencil row over H at its window, one eigensolve, no stacking."""
+    h = 0.5 * path.duration / n_steps
+    first, row = dynamics._stencil(node, 2 * n_steps)
+    window = family(path.at(np.minimum((first + np.arange(len(row))) * h, path.duration)))
+    eig = biortho_eig(window[node - first])
+    h_dot = np.einsum("j,jab->ab", row, window) / h
+    return geometry._o_b(eig, geometry._gauged_coefficients(eig, h_dot[None])[0])
+
+
 def evolve_per_step(family, path, psi0, n_steps, level):
-    """Reference RK4: k_field once per step, no stacking; the phase of each
+    """Reference RK4: K node by node, no stacking; the phase of each
     record is arg(<Phi_n(0)|Psi_n(t)><Phi_n(t)|psi>), which no gauge of
     the record's eigensystem changes."""
     psi = np.asarray(psi0, dtype=complex).copy()
@@ -430,12 +438,13 @@ def evolve_per_step(family, path, psi0, n_steps, level):
         energies.append(eig.energies[level].real)
 
     record(0.0, psi)
-    k_start = k_field(family, path, 0.0, dt / 2.0)
+    k_start = k_at_node(family, path, n_steps, 0)
     for i in range(n_steps):
         t, mid = i * dt, (i + 0.5) * dt
-        # the half-step and step end on the grid of nodes k dt/2 that
-        # evolve's stencil spans, (i + 1) dt also as the next step's start
-        k_mid, k_end = k_field(family, path, [mid, (i + 1) * dt], dt / 2.0)
+        # the half-step and step end, nodes 2i + 1 and 2i + 2 of the grid
+        # k dt/2; (i + 1) dt is also the next step's start
+        k_mid = k_at_node(family, path, n_steps, 2 * i + 1)
+        k_end = k_at_node(family, path, n_steps, 2 * i + 2)
         g_mid = -1j * family(path.at(mid)) + k_mid
         k1 = (-1j * family(path.at(t)) + k_start) @ psi
         k2 = g_mid @ (psi + 0.5 * dt * k1)
@@ -449,10 +458,16 @@ def evolve_per_step(family, path, psi0, n_steps, level):
     return np.array(states), np.array(w_norms), beta, total - beta
 
 
-@pytest.mark.parametrize("n_steps", [100, biortho._per_stack(2) + 3])
-def test_evolve_matches_per_step_reference(n_steps):
+# the shortest grids (one step takes the three-node rows, two steps the
+# five-node ones at every node) on a 0.5-long arc, then the whole loop
+PER_STEP_CASES = [(1, 0.5), (2, 0.5), (100, 5.0), (biortho._per_stack(2) + 3, 5.0)]
+
+
+@pytest.mark.parametrize("n_steps, duration", PER_STEP_CASES,
+                         ids=[str(n) for n, _ in PER_STEP_CASES])
+def test_evolve_matches_per_step_reference(n_steps, duration):
     fam = pt_two_level_family()
-    path = circle_path([0.15, 0.85], 0.05, 5.0)
+    path = PathSpec(curve=circle_path([0.15, 0.85], 0.05, 5.0).curve, duration=duration)
     psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
     res = evolve(fam, path, psi0, n_steps=n_steps, track_level=0, drift_tol=np.inf)
     states, w_norms, beta, gamma = evolve_per_step(fam, path, psi0, n_steps, 0)
@@ -469,17 +484,12 @@ def test_evolve_k_matches_the_exact_velocity_o_b(monkeypatch):
     # ends and at the half-step tau/2 + dt/2. Bound set before measuring:
     # 1e-12, some 100x the rounding of a five-node stencil at h = dt/2
     # (~eps |H| / h); a one-sided probe difference at the ends is O(h)
+    # The public route to K at any point, sum_mu o_operators(lam).o_b[mu]
+    # lam'^mu, is compared too: C is linear in dH, so it is the same O_B
     fam = pt_two_level_family()
     center, radius, tau, n_steps = np.array([0.15, 0.85]), 0.05, 100.0, 6000
     path = circle_path(center, radius, tau)
-    recorded = []
-    o_b = geometry._o_b
-    monkeypatch.setattr(dynamics, "_o_b", lambda eig, c: recorded.append(o_b(eig, c))
-                        or recorded[-1])
-    psi0 = biortho_eig(fam(path.at(0.0))).right[:, 0]
-    evolve(fam, path, psi0, n_steps=n_steps)
-    k_nodes = np.concatenate([k.reshape(-1, 2, 2) for k in recorded])
-    assert len(k_nodes) == 2 * n_steps + 1
+    k_nodes = evolve_k(monkeypatch, fam, path, n_steps)
     dt = tau / n_steps
     omega = 2.0 * np.pi / tau
     for node in (0, n_steps + 1, 2 * n_steps):
@@ -488,9 +498,11 @@ def test_evolve_k_matches_the_exact_velocity_o_b(monkeypatch):
         velocity = radius * omega * np.array([-np.sin(omega * t), np.cos(omega * t)])
         h_dot = sum(fam.deriv(lam, mu) * velocity[mu] for mu in range(2))
         eig = biortho_eig(fam(lam))
-        exact = o_b(eig, geometry._gauged_coefficients(eig, h_dot[None])[0])
+        exact = geometry._o_b(eig, geometry._gauged_coefficients(eig, h_dot[None])[0])
+        public = np.einsum("aij,a->ij", o_operators(fam, lam).o_b, velocity)
         assert np.max(np.abs(exact)) > 1e-4  # a non-trivial K is compared
         assert np.max(np.abs(k_nodes[node] - exact)) <= 1e-12
+        assert np.max(np.abs(k_nodes[node] - public)) <= 1e-12
 
 
 @pytest.mark.parametrize("count", [600, 6001])
@@ -636,14 +648,6 @@ def test_evolve_takes_a_numpy_integer_n_steps():
 def test_pathspec_refuses_a_non_finite_duration(duration):
     with pytest.raises(ValueError, match="duration must be positive and finite"):
         PathSpec(curve=lambda t: np.zeros(2), duration=duration)
-
-
-@pytest.mark.parametrize("dt_probe", [np.nan, np.inf, 0.0, -1e-3])
-def test_k_field_refuses_a_bad_dt_probe(dt_probe):
-    fam = flat_pt_family()
-    path = circle_path([0.3, 1.0], 0.1, 10.0)
-    with pytest.raises(ValueError, match="dt_probe must be positive and finite"):
-        k_field(fam, path, 2.7, dt_probe)
 
 
 @pytest.mark.parametrize("drift_tol", [float("nan"), np.float64("nan")],
