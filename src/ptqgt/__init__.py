@@ -26,7 +26,6 @@ from .errors import (
     OpenLoop,
     ParseError,
     PtqgtError,
-    QuadratureUnconverged,
     StepTooLarge,
     ZeroScale,
 )
@@ -40,18 +39,16 @@ from .geometry import (
     GeomTensor,
     LoopSpec,
     OperatorPair,
-    berry_curvature,
     berry_phase_loop,
     classify_interval,
     curvature_flux,
     fidelity,
-    metric_tensor,
     o_operators,
     param_derivatives,
     qgt,
     variance_metric,
 )
-from .modelfile import load_model, parse_expression, parse_model
+from .modelfile import load_model, parse_model
 from .scan import ScanConfig, ScanRecord, ScanResult, run_scan, write_csv
 from .xy_chain import (
     CriticalSet,

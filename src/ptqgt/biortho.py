@@ -237,7 +237,8 @@ def biortho_eig(h) -> BiorthoEigensystem:
     Raises
     ------
     NonFinite
-        On NaN/Inf entries.
+        On NaN/Inf entries, and when the spectral scale or a gap between
+        neighbouring eigenvalues overflows (a matrix near the float range).
     DefectiveMatrix
         When nearly-equal eigenvalues come with a singular eigenvector
         overlap (an exceptional point), when VR is exactly singular, or
@@ -258,27 +259,35 @@ def biortho_eig(h) -> BiorthoEigensystem:
     # Scale on the matrix norm, not the spectral radius: at an exceptional
     # point all eigenvalues can sit near zero while the matrix does not.
     # The norm squares the entries; where that could overflow, it is taken
-    # of each matrix divided by its largest entry.
+    # of each matrix divided by its largest entry. Beyond the float range
+    # the scale, or a gap between neighbouring eigenvalues, is Inf or NaN,
+    # and the matrix is refused.
     flat = h.reshape(h.shape[0], -1)
-    if big * n < _SQRT_MAX:
-        norm = np.linalg.norm(flat, axis=-1)
-    else:
-        top = np.maximum(np.abs(flat).max(axis=-1), np.finfo(float).tiny)
-        norm = top * np.linalg.norm(flat / top[:, None], axis=-1)
-    scale = np.maximum(np.abs(w).max(axis=-1), norm / np.sqrt(n))
-    tol = _TOL_DEGENERATE * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        if big < _SQRT_MAX / n:
+            norm = np.linalg.norm(flat, axis=-1) / np.sqrt(n)
+        else:
+            top = np.maximum(np.abs(flat).max(axis=-1), np.finfo(float).tiny)
+            norm = top * (np.linalg.norm(flat / top[:, None], axis=-1) / np.sqrt(n))
+        scale = np.maximum(np.abs(w).max(axis=-1), norm)
+        if not np.isfinite(scale).all():
+            raise NonFinite("the spectral scale of the matrix overflows")
+        tol = _TOL_DEGENERATE * scale
 
-    order = np.lexsort((w.imag, w.real))
-    w = w[rows, order]
-    dw = w[:, 1:] - w[:, :-1]  # between neighbours in the sorted order
-    tied = dw.real <= _TOL_REAL * scale[:, None]
-    if tied.any():
-        # A PT-broken pair has equal real parts up to round-off: order each
-        # run of real parts within the "real spectrum" band by Im E.
-        band = np.concatenate([np.zeros((len(w), 1), int), np.cumsum(~tied, axis=-1)], axis=-1)
-        perm = np.lexsort((w.imag, band))
-        order, w = order[rows, perm], w[rows, perm]
-        dw = w[:, 1:] - w[:, :-1]
+        order = np.lexsort((w.imag, w.real))
+        w = w[rows, order]
+        dw = w[:, 1:] - w[:, :-1]  # between neighbours in the sorted order
+        tied = dw.real <= _TOL_REAL * scale[:, None]
+        if tied.any():
+            # A PT-broken pair has equal real parts up to round-off: order
+            # each run of real parts within the "real spectrum" band by Im E.
+            band = np.concatenate([np.zeros((len(w), 1), int), np.cumsum(~tied, axis=-1)],
+                                  axis=-1)
+            perm = np.lexsort((w.imag, band))
+            order, w = order[rows, perm], w[rows, perm]
+            dw = w[:, 1:] - w[:, :-1]
+    if not np.isfinite(dw).all():
+        raise NonFinite("a gap between neighbouring eigenvalues overflows")
     vr = vr[rows, :, order].swapaxes(-1, -2)
 
     # Exceptional-point detection: clusters of sorted eigenvalues (neighbours

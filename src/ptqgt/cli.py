@@ -124,10 +124,12 @@ def _model_at(args, point: np.ndarray, min_params: int = 1):
 # ---------------------------------------------------------------- scan
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(ScanConfig)}
+# A config file names its CSV too; the CLI, not the scan, owns that path.
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ScanConfig)} | {"out_path"}
 
 
-def _scan_config(args) -> ScanConfig:
+def _scan_config(args) -> tuple[ScanConfig, str]:
+    """The scan's config and the CSV path, from ``--config`` or the flags."""
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -136,29 +138,30 @@ def _scan_config(args) -> ScanConfig:
         unknown = sorted(set(raw) - _CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys {unknown}")
+        out = raw.pop("out_path", args.out)
         # n_quad and workers, when given, go to ScanConfig as they are,
         # so its defaults and its integer checks are the only ones.
         raw = dict(raw, params=XYParams(**raw.get("params", {})),
-                   h_range=tuple(raw["h_range"]), eta_range=tuple(raw["eta_range"]),
-                   out_path=raw.get("out_path", args.out))
-        return ScanConfig(**raw)
-    return ScanConfig(
-        params=_params_from(args),
-        h_range=(args.h_min, args.h_max, args.h_count),
-        eta_range=(args.eta_min, args.eta_max, args.eta_count),
-        n_quad=args.n_quad,
-        workers=args.workers,
-        out_path=args.out,
-    )
+                   h_range=tuple(raw["h_range"]), eta_range=tuple(raw["eta_range"]))
+        config = ScanConfig(**raw)
+    else:
+        out = args.out
+        config = ScanConfig(
+            params=_params_from(args),
+            h_range=(args.h_min, args.h_max, args.h_count),
+            eta_range=(args.eta_min, args.eta_max, args.eta_count),
+            n_quad=args.n_quad,
+            workers=args.workers,
+        )
+    return config, out or "scan.csv"
 
 
 def cmd_scan(args) -> int:
     try:
-        config = _scan_config(args)
+        config, out = _scan_config(args)
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise _UsageError(f"config error: {exc}") from exc
     result = run_scan(config)
-    out = config.out_path or "scan.csv"
     write_csv(result, out)
     n_ok = sum(r.status == "ok" for r in result.records)
     n_deg = sum(r.status == "degenerate" for r in result.records)

@@ -93,7 +93,6 @@ class EvolutionResult:
     times: np.ndarray
     states: np.ndarray  # (n_samples, N)
     w_norms: np.ndarray
-    total_phase: float = 0.0
     dynamical_phase: float = 0.0
     geometric_phase: float = 0.0
 
@@ -265,7 +264,6 @@ def evolve(
         times=times,
         states=states,
         w_norms=w_norms,
-        total_phase=beta + gamma,
         dynamical_phase=beta,
         geometric_phase=gamma,
     )

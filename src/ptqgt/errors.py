@@ -51,10 +51,6 @@ class CaseUnsupported(PtqgtError):
     """Model parameters outside the analytically tractable cases."""
 
 
-class QuadratureUnconverged(PtqgtError):
-    """Doubling the quadrature order changed the result beyond tolerance."""
-
-
 class ParseError(PtqgtError):
     """Model-file syntax error, carrying line/column position."""
 

@@ -37,8 +37,6 @@ __all__ = [
     "OperatorPair",
     "param_derivatives",
     "qgt",
-    "berry_curvature",
-    "metric_tensor",
     "berry_phase_loop",
     "curvature_flux",
     "fidelity",
@@ -201,16 +199,6 @@ def qgt(family: HamiltonianFamily, lam, n: int = 0) -> GeomTensor:
     eig, dp = param_derivatives(family, lam)
     _check_gap(eig, [n])
     return GeomTensor(level=n, point=lam, q=_fd_qgt(eig, dp)[n])
-
-
-def berry_curvature(q: GeomTensor) -> np.ndarray:
-    """Berry curvature Omega = Im Q; real antisymmetric."""
-    return np.ascontiguousarray(q.q.imag)
-
-
-def metric_tensor(q: GeomTensor) -> np.ndarray:
-    """Metric tensor g = Re Q; real symmetric."""
-    return np.ascontiguousarray(q.q.real)
 
 
 def _coefficients(eig: BiorthoEigensystem, dh) -> np.ndarray:

@@ -38,7 +38,7 @@ import numpy as np
 from .biortho import HamiltonianFamily
 from .errors import NonFinite, ParseError
 
-__all__ = ["parse_expression", "parse_model", "load_model"]
+__all__ = ["parse_model", "load_model"]
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
@@ -188,23 +188,6 @@ def _checked(fn, lam):
             return fn(np.asarray(lam, dtype=complex))
     except FloatingPointError as exc:
         raise NonFinite(f"model expression is not finite: {exc}") from exc
-
-
-def parse_expression(source: str, n_params: int, line: int = 1):
-    """Compile a single entry expression to a callable.
-
-    The callable takes a point, a length-d sequence, and returns a complex
-    scalar, or a stack ``(P, d)`` and returns ``(P,)``; an expression
-    without parameters returns one scalar for any stack. Raises NonFinite
-    on a zero divisor, an overflow or an invalid operation.
-    """
-    tree = _Parser(source, line, n_params).parse()
-
-    def entry(lam):
-        value = _checked(tree, lam)
-        return value if np.ndim(value) else complex(value)
-
-    return entry
 
 
 _ENTRY_RE = re.compile(r"H\[(\d+)\s*,\s*(\d+)\]\s*=\s*(.+)")

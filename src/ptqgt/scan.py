@@ -25,7 +25,6 @@ class ScanConfig:
     eta_range: tuple[float, float, int]
     n_quad: int = 65
     workers: int = 1
-    out_path: str | None = None
 
     def __post_init__(self):
         (h_lo, h_hi, n_h), (eta_lo, eta_hi, n_eta) = self.h_range, self.eta_range

@@ -17,13 +17,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import geometry
 from .biortho import BiorthoEigensystem, HamiltonianFamily, _check_integer, biortho_eig
-from .errors import (
-    CaseUnsupported,
-    DefectiveMatrix,
-    Degenerate,
-    GaplessPoint,
-    QuadratureUnconverged,
-)
+from .errors import CaseUnsupported, DefectiveMatrix, Degenerate, GaplessPoint
 
 __all__ = [
     "XYParams",
@@ -336,7 +330,6 @@ def metric_intensity(
     f: FieldPoint,
     n_quad: int = 129,
     method: str = "perturbative",
-    check_convergence: bool = False,
 ) -> np.ndarray:
     """Thermodynamic-limit metric intensity g-bar at a field point.
 
@@ -346,29 +339,14 @@ def metric_intensity(
     stacked eigensolve over all nodes; this is the one-point case of the
     kernel a scan row runs on chunks of points, so both give the same
     bits) or the finite-difference route ('fd', the generic geometry
-    pipeline with step 1e-6, used for cross-validation).
-
-    With ``check_convergence`` the quadrature is repeated at 2*n_quad and
-    QuadratureUnconverged is raised if any entry moves by more than 1e-4
-    relative. Raises ValueError unless ``n_quad`` is an integer of at
-    least 2.
+    pipeline with step 1e-6, used for cross-validation). Raises
+    ValueError unless ``n_quad`` is an integer of at least 2.
     """
     _check_integer(n_quad, "n_quad")
     if n_quad < 2:
         raise ValueError("n_quad must be at least 2")
     if method == "perturbative":
-        compute = lambda nq: _intensity_perturbative(p, [f.h], [f.eta], nq)[0]
-    elif method == "fd":
-        compute = lambda nq: _intensity_fd(p, f, nq)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    g = compute(n_quad)
-    if check_convergence:
-        g2 = compute(2 * n_quad)
-        denom = max(float(np.max(np.abs(g))), 1e-300)
-        if float(np.max(np.abs(g2 - g))) > 1e-4 * denom:
-            raise QuadratureUnconverged(
-                f"quadrature not converged at n_quad = {n_quad}"
-            )
-        g = g2
-    return g
+        return _intensity_perturbative(p, [f.h], [f.eta], n_quad)[0]
+    if method == "fd":
+        return _intensity_fd(p, f, n_quad)
+    raise ValueError(f"unknown method {method!r}")

@@ -54,6 +54,11 @@ def test_jordan_block_defective():
 def test_nonfinite_rejected():
     with pytest.raises(NonFinite):
         biortho_eig(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+    # finite entries beyond the float range, refused without a warning:
+    # E = +-1.7e308i, whose gap overflows, and a matrix whose scale does
+    for h in ([[0.0, 1.7e308], [-1.7e308, 0.0]], np.full((2, 2), 1.7e308)):
+        with pytest.raises(NonFinite):
+            biortho_eig(np.array(h))
     with pytest.raises(ValueError):
         biortho_eig(np.zeros((2, 3)))
 
@@ -190,6 +195,17 @@ def test_huge_entries_keep_the_phase():
     assert biortho_eig(1e160 * pt_two_level_family()([0.1, 0.9])).unbroken
     # each element of a stack is scaled by itself, a zero matrix included
     assert biortho_eig(np.stack([np.zeros((2, 2)), 1e160 * h])).unbroken.tolist() == [True, False]
+
+
+def test_near_the_float_range_answers_without_a_warning():
+    # a largest entry above float max / N, whose scale is still finite
+    eig = biortho_eig(np.array([[1.7e308, 1.0], [0.0, 0.0]]))
+    assert eig.energies.tolist() == [0.0, 1.7e308] and eig.unbroken
+    eig = biortho_eig(np.full((2, 2), 6e307))
+    assert eig.energies[1] == 1.2e308 and eig.unbroken
+    eig = biortho_eig(np.array([[0.0, 1e200], [-1e200, 0.0]]))
+    assert np.allclose(eig.energies, [-1e200j, 1e200j], rtol=1e-15, atol=0.0)
+    assert not eig.unbroken
 
 
 def test_real_stack_is_decomposed_in_real_arithmetic():

@@ -14,7 +14,6 @@ from ptqgt import (
     PathSpec,
     PtqgtError,
     adiabatic_phase,
-    berry_curvature,
     berry_phase_loop,
     biortho,
     biortho_eig,
@@ -27,7 +26,6 @@ from ptqgt import (
     fidelity,
     gauge_transform,
     geometry,
-    metric_tensor,
     o_operators,
     param_derivatives,
     qgt,
@@ -73,8 +71,7 @@ def test_spin_half_qgt_north_pole():
         ]
     )
     assert np.max(np.abs(tensor.q - expected)) < 1e-8
-    omega = berry_curvature(tensor)
-    g = metric_tensor(tensor)
+    omega, g = tensor.q.imag, tensor.q.real
     assert np.max(np.abs(omega + omega.T)) < 1e-12
     assert np.max(np.abs(g - g.T)) < 1e-12
     assert abs(omega[0, 1] + 0.25) < 1e-8
@@ -316,9 +313,12 @@ def test_default_step_far_out_takes_the_norm_without_overflow():
             pass
         else:
             assert np.isfinite(q).all()
-        # beyond the float range the step itself overflows
+        # beyond the float range the step itself overflows; at its edge the
+        # stencil points are finite, but the gap of their spectrum is not
         with pytest.raises(NonFinite, match="step"):
             qgt(fam, [1.7e308, 1.7e308])
+        with pytest.raises(NonFinite, match="gap"):
+            qgt(fam, [1.7976e308, 0.0])
 
 
 def test_metric_perturbative_matches_fd_on_dk():
@@ -585,6 +585,19 @@ def test_berry_phase_in_principal_branch():
     verts = circle_loop(np.pi / 2 - 0.05, 600)
     gamma = berry_phase_loop(fam, LoopSpec(vertices=verts, level=0))
     assert -np.pi < gamma <= np.pi
+
+
+@pytest.mark.parametrize("n_verts", [4, 7, 64])
+def test_berry_phase_of_a_real_loop_around_a_degeneracy_is_plus_pi(n_verts):
+    # H = l1 sigma_x + l2 sigma_z on the unit circle: real eigenvectors, so
+    # the Wilson product is a negative real with a +0 imaginary part. Its
+    # angle is +pi, so gamma = -angle is -pi until pinned to (-pi, pi]
+    fam = HamiltonianFamily(2, 2, lambda lam: np.array([[lam[1], lam[0]], [lam[0], -lam[1]]]))
+    az = np.linspace(0.0, 2.0 * np.pi, n_verts + 1)
+    verts = np.stack([np.cos(az), np.sin(az)], axis=1)
+    verts[-1] = verts[0]
+    for level in (0, 1):
+        assert berry_phase_loop(fam, LoopSpec(vertices=verts, level=level)) == np.pi
 
 
 # ---------------------------------------------------------------- stokes

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ptqgt import NonFinite, ParseError, parse_expression, parse_model
+from ptqgt import NonFinite, ParseError, parse_model
 from ptqgt.families import (
     load_bundled_model,
     pt_two_level_family,
@@ -11,8 +11,14 @@ from ptqgt.families import (
 )
 
 
-def ev(source, lam=(), n_params=0):
-    return parse_expression(source, n_params)(lam)
+def one_entry_model(source, n_params=1):
+    """The model whose one entry is ``source``, on line 3: an error's column
+    counts from the start of the entry."""
+    return parse_model(f"dim 1\nparams {n_params}\nH[1,1] = {source}\n")
+
+
+def ev(source, lam=(0.0,), n_params=1):
+    return one_entry_model(source, n_params)(lam)[0, 0]
 
 
 def test_literals():
@@ -34,31 +40,30 @@ def test_arithmetic_and_precedence():
 
 def test_functions_and_params():
     lam = (0.3, 1.2)
-    fn = parse_expression("sin(l1)*cos(l2) + exp(i*l1)", n_params=2)
+    fam = one_entry_model("sin(l1)*cos(l2) + exp(i*l1)", n_params=2)
     expected = np.sin(0.3) * np.cos(1.2) + np.exp(0.3j)
-    assert abs(fn(lam) - expected) < 1e-14
-    # a point gives a complex scalar, a stack (P, d) one value per point
+    assert abs(fam(lam)[0, 0] - expected) < 1e-14
+    # a stack (P, d) gives one value per point
     lams = np.array([lam, [-0.7, 0.1], [2.0, -1.5]])
-    values = fn(lams)
+    values = fam(lams)[:, 0, 0]
     assert values.shape == (3,)
     for point, value in zip(lams, values):
-        assert type(fn(tuple(point))) is complex and type(fn(point)) is complex
-        assert fn(point) == value
+        assert fam(point)[0, 0] == value
 
 
 def test_error_positions():
     with pytest.raises(ParseError, match="col 5"):
-        parse_expression("1 + $", n_params=0)
+        one_entry_model("1 + $")
     with pytest.raises(ParseError, match="trailing input"):
-        parse_expression("1 2", n_params=0)
+        one_entry_model("1 2")
     with pytest.raises(ParseError, match="unknown identifier"):
-        parse_expression("foo + 1", n_params=0)
+        one_entry_model("foo + 1")
     with pytest.raises(ParseError, match="out of range"):
-        parse_expression("l3", n_params=2)
+        one_entry_model("l3", n_params=2)
     with pytest.raises(ParseError, match="expected a value"):
-        parse_expression("1 +", n_params=0)
+        one_entry_model("1 +")
     with pytest.raises(ParseError, match=r"expected '\)'"):
-        parse_expression("sin(l1", n_params=1)
+        one_entry_model("sin(l1")
 
 
 def test_error_reports_line_number():
@@ -154,7 +159,6 @@ def test_model_family_evaluates_a_stack_in_one_call(name):
 
 
 def test_constant_entries_broadcast_over_a_stack():
-    assert parse_expression("2 - 3i", n_params=1)(np.zeros((4, 1))) == 2 - 3j
     fam = parse_model("dim 2\nparams 1\nH[1,1] = 2 - 3i\nH[2,2] = -l1\n")
     h = fam(np.array([[1.0], [2.0], [3.0]]))
     assert np.array_equal(h[:, 0, 0], [2 - 3j] * 3)
@@ -172,7 +176,7 @@ def test_constant_entries_broadcast_over_a_stack():
 def test_non_finite_values_raise_non_finite(source, lam):
     # a RuntimeWarning and an inf would not do: the error is typed
     with pytest.raises(NonFinite):
-        parse_expression(source, n_params=1)(lam)
+        ev(source, lam)
     fam = parse_model(f"dim 2\nparams 1\nH[1,1] = 1\nH[2,2] = {source}\n")
     with pytest.raises(NonFinite):
         fam(np.array([[1.0], lam]))

@@ -8,7 +8,6 @@ from ptqgt import (
     Degenerate,
     FieldPoint,
     GaplessPoint,
-    QuadratureUnconverged,
     XYParams,
     biortho_eig,
     critical_set,
@@ -315,17 +314,18 @@ def test_metric_intensity_quadrature_convergence():
     g65 = metric_intensity(ANISO, f, n_quad=65)
     g129 = metric_intensity(ANISO, f, n_quad=129)
     assert np.max(np.abs(g129 - g65)) < 1e-6 * np.max(np.abs(g65))
-    # convergence check passes (and returns the refined value) away from
-    # the critical circles
-    g_checked = metric_intensity(ANISO, f, n_quad=65, check_convergence=True)
-    assert np.max(np.abs(g_checked - metric_intensity(ANISO, f, n_quad=130))) < 1e-14
+    # doubling the nodes moves no entry by more than 1e-4 relative away
+    # from the critical circles
+    g130 = metric_intensity(ANISO, f, n_quad=130)
+    assert np.max(np.abs(g130 - g65)) <= 1e-4 * np.max(np.abs(g65))
 
 
 def test_metric_intensity_unconverged_near_critical_circle():
     crit = critical_set(ANISO)
     f = FieldPoint(h=crit.r_c1 + 1e-6, eta=0.0)
-    with pytest.raises(QuadratureUnconverged):
-        metric_intensity(ANISO, f, n_quad=16, check_convergence=True)
+    g16 = metric_intensity(ANISO, f, n_quad=16)
+    g32 = metric_intensity(ANISO, f, n_quad=32)
+    assert np.max(np.abs(g32 - g16)) > 1e-4 * np.max(np.abs(g16))
 
 
 def test_metric_intensity_hermitian_line_oracle():
