@@ -44,7 +44,6 @@ from .geometry import (
     curvature_flux,
     fidelity,
     o_operators,
-    param_derivatives,
     qgt,
     variance_metric,
 )

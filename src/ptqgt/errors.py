@@ -19,7 +19,7 @@ class NotPositiveDefinite(PtqgtError):
 
 class AmbiguousMatching(PtqgtError):
     """A level has numerically no overlap with its counterpart at another
-    parameter point: with every stencil level in ``param_derivatives``, or
+    parameter point: with every stencil level of a projector difference, or
     the tracked level's end state with its start in ``evolve``."""
 
 

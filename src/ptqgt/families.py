@@ -20,6 +20,7 @@ _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _PT_DERIVS = (np.array([[0, 1], [-1, 0]], dtype=complex), _SX)  # d/da, d/ds
+_PT_TILT = 0.3  # the 0.3i*sz of pt_two_level.model
 
 
 def spin_half_family() -> HamiltonianFamily:
@@ -37,23 +38,23 @@ def spin_half_family() -> HamiltonianFamily:
                              derivative=derivative, batched=True)
 
 
-def pt_two_level_family(b: float = 0.3) -> HamiltonianFamily:
-    """Pseudo-Hermitian two-level model H = s*sx + i*a*sy + i*b*sz.
+def pt_two_level_family() -> HamiltonianFamily:
+    """Pseudo-Hermitian two-level model H = s*sx + i*a*sy + 0.3i*sz.
 
-    Parameters are lam = (a, s); the spectrum +-sqrt(s^2 - a^2 - b^2) is
-    real for s^2 > a^2 + b^2, with exceptional points on the circle
-    s^2 = a^2 + b^2. The constant anti-Hermitian tilt ``b`` makes the
-    biorthogonal Berry curvature in the (a, s) plane nonzero; ``b = 0``
-    reduces to the flat balanced gain/loss dimer.
+    Parameters are lam = (a, s); the spectrum +-sqrt(s^2 - a^2 - 0.09) is
+    real for s^2 > a^2 + 0.09, with exceptional points on that circle. The
+    constant anti-Hermitian tilt 0.3i*sz makes the biorthogonal Berry
+    curvature in the (a, s) plane nonzero. It is the family of the bundled
+    ``pt_two_level.model``.
     """
 
     def evaluate(lam):
         a, s = lam[:, 0], lam[:, 1]
         out = np.empty((len(lam), 2, 2), dtype=complex)
-        out[:, 0, 0] = 1j * b
+        out[:, 0, 0] = 1j * _PT_TILT
         out[:, 0, 1] = s + a
         out[:, 1, 0] = s - a
-        out[:, 1, 1] = -1j * b
+        out[:, 1, 1] = -1j * _PT_TILT
         return out
 
     def derivative(lam, mu):

@@ -35,7 +35,6 @@ __all__ = [
     "GeomTensor",
     "LoopSpec",
     "OperatorPair",
-    "param_derivatives",
     "qgt",
     "berry_phase_loop",
     "curvature_flux",
@@ -81,39 +80,25 @@ class OperatorPair:
     o_b: np.ndarray
 
 
-def param_derivatives(
-    family: HamiltonianFamily, lam, step: float | None = None
-) -> tuple[BiorthoEigensystem, np.ndarray]:
-    """Central differences of the level projectors at ``lam``.
+def _projector_derivatives(h_at, lam, step) -> tuple[BiorthoEigensystem, np.ndarray]:
+    """Central differences of the level projectors P_n = |Psi_n><Phi_n| at
+    the point ``lam`` (d,), with the 2d+1 stencil solved as one stack.
 
-    Returns ``(eig, dp)``: the centre eigensystem and the ``(d, N, N, N)``
-    stack ``dp[mu, n]`` ~ d P_n / d lambda^mu of the biorthogonal
-    projector P_n = |Psi_n><Phi_n|. No gauge changes a projector, so the
-    eigensystems at ``lam +/- step e_mu`` (``step`` defaults to
-    ``default_step(lam)``) are differenced without any phase alignment:
-    each centre level n is matched, on its own, to the stencil level m
-    with the largest |<Phi_n|Psi_m>|. The 2d+1 stencil points are
-    evaluated and decomposed as one stack. Raises AmbiguousMatching when a
-    matched overlap is below 1e-12 (a degeneracy lies between the
-    points), propagates DefectiveMatrix from the eigensolver and
-    NotPositiveDefinite from ``build_W`` when ``lam`` sits too close to a
-    critical point for the chosen step, and raises Degenerate when a
-    stencil point lies on the other side of the PT-breaking boundary;
-    ValueError unless ``lam`` has shape ``(d,)``, and NonFinite when the
-    step is not finite.
+    ``h_at`` maps the stencil, centre then ``lam + step e_mu`` then
+    ``lam - step e_mu``, from ``(2d+1, d)`` to ``(2d+1, ..., N, N)``: a
+    family, or several side by side along ``...``. Returns the centre
+    eigensystem (..., N) and ``dp[mu, ..., n]`` ~ d_mu P_n, (d, ..., N, N, N).
+    No gauge changes a projector, so nothing is phase-aligned: each centre
+    level n is matched, on its own, to the stencil level m of largest
+    |<Phi_n|Psi_m>|. Raises AmbiguousMatching when a matched overlap is
+    below 1e-12, Degenerate when the stencil straddles a PT-breaking point
+    and NonFinite when the step is not finite.
     """
-    lam = _as_point(lam, family.dim_param)
-    if step is None:
-        step = default_step(lam)
-    if step <= 0:
-        raise ValueError("step must be positive")
     if not step < np.inf:  # the default step of a point near the float range
         raise NonFinite(f"difference step {step} is not finite")
-
-    d = family.dim_param
-    # Stencil: centre, then lam + step e_mu, then lam - step e_mu.
+    d = lam.size
     points = lam + step * np.concatenate([np.zeros((1, d)), np.eye(d), -np.eye(d)])
-    eigs = biortho_eig(family(points))
+    eigs = biortho_eig(h_at(points))
     if np.any(eigs.unbroken != eigs.unbroken[0]):
         raise Degenerate("difference stencil straddles a PT-breaking (exceptional) point")
     eig0 = eigs[0]
@@ -121,10 +106,14 @@ def param_derivatives(
     # (NotPositiveDefinite) a stencil whose metric W is numerically
     # singular, as it turns next to an exceptional point.
     build_W(eigs)
-    overlaps = np.abs(eig0.left.conj().T @ eigs.right[1:])  # |<Phi_n(lam)|Psi_m>|
+    overlaps = np.abs(np.swapaxes(eig0.left.conj(), -1, -2) @ eigs.right[1:])
     if overlaps.max(axis=-1).min() < 1e-12:
         raise AmbiguousMatching("matched overlap is numerically zero")
-    p = _projectors(eigs[1:])[np.arange(2 * d)[:, None], overlaps.argmax(axis=-1)]
+    p = _projectors(eigs[1:])
+    # the matched levels, gathered over the stack axes flattened into one
+    flat = p.reshape((-1,) + p.shape[-3:])
+    match = overlaps.argmax(axis=-1).reshape(len(flat), -1)
+    p = flat[np.arange(len(flat))[:, None], match].reshape(p.shape)
     return eig0, (p[:d] - p[d:]) / (2.0 * step)
 
 
@@ -175,28 +164,29 @@ def _check_gap(eig: BiorthoEigensystem, levels: Sequence[int]):
 
 
 def _fd_qgt(eig: BiorthoEigensystem, dp) -> np.ndarray:
-    """Q of every level, (N, d, d), from the eigensystem and the projector
-    derivatives ``dp`` (d, N, N, N) of ``param_derivatives``.
+    """Q of every level, (..., N, d, d), from the eigensystem (..., N) and
+    the derivatives ``dp`` (d, ..., N, N, N) of ``_projector_derivatives``.
 
     Q = 1/2 (x + x^dag) with x_{mu nu} = Tr(P_n d_mu P_n d_nu P_n), which
     is <d_mu Phi_n|(1 - |Psi_n><Phi_n|)|d_nu Psi_n> as <Phi_n|Psi_n> = 1;
     exactly Hermitian by construction.
     """
-    x = np.einsum("nij,anjk,bnki->nab", _projectors(eig), dp, dp)
+    x = np.einsum("...nij,a...njk,b...nki->...nab", _projectors(eig), dp, dp)
     return 0.5 * (x + np.swapaxes(x, -1, -2).conj())
 
 
 def qgt(family: HamiltonianFamily, lam, n: int = 0) -> GeomTensor:
     """Extended geometric tensor of level ``n`` at ``lam`` by differencing
-    the projector P_n over the stencil of ``param_derivatives`` at
-    ``default_step(lam)``.
+    the projector P_n over the 2d+1 stencil at ``default_step(lam)``,
+    decomposed as one stack.
 
     Raises ValueError unless 0 <= n < N and ``lam`` has shape ``(d,)``,
-    and Degenerate when the level gap is below tolerance.
+    NonFinite for a point or step that is not finite, before the family
+    is called, and Degenerate when the level gap is below tolerance.
     """
     _check_level(n, family.dim_hilbert)
-    lam = np.asarray(lam, dtype=float)
-    eig, dp = param_derivatives(family, lam)
+    lam = _as_point(lam, family.dim_param)
+    eig, dp = _projector_derivatives(family, lam, default_step(lam))
     _check_gap(eig, [n])
     return GeomTensor(level=n, point=lam, q=_fd_qgt(eig, dp)[n])
 

@@ -194,30 +194,32 @@ _ENTRY_RE = re.compile(r"H\[(\d+)\s*,\s*(\d+)\]\s*=\s*(.+)")
 
 
 def parse_model(text: str) -> HamiltonianFamily:
-    """Parse a full model description into a HamiltonianFamily."""
-    dim = None
-    n_params = None
+    """Parse a full model description into a HamiltonianFamily. Raises
+    ParseError at the offending line, also for a ``dim`` or ``params``
+    below 1 and for a second ``dim`` or ``params`` statement."""
+    sizes = {"dim": None, "params": None}
     entries = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("dim"):
+        name = next((key for key in sizes if line.startswith(key)), None)
+        if name is not None:
             try:
-                dim = int(line.split()[1])
+                value = int(line.split()[1])
             except (IndexError, ValueError):
-                raise ParseError("malformed 'dim' statement", lineno, 1)
-            continue
-        if line.startswith("params"):
-            try:
-                n_params = int(line.split()[1])
-            except (IndexError, ValueError):
-                raise ParseError("malformed 'params' statement", lineno, 1)
+                raise ParseError(f"malformed {name!r} statement", lineno, 1)
+            if sizes[name] is not None:
+                raise ParseError(f"second {name!r} statement", lineno, 1)
+            if value < 1:
+                raise ParseError(f"{name!r} must be at least 1, got {value}", lineno, 1)
+            sizes[name] = value
             continue
         m = _ENTRY_RE.fullmatch(line)
         if m is None:
             raise ParseError(f"unrecognized statement {line!r}", lineno, 1)
+        dim, n_params = sizes["dim"], sizes["params"]
         if dim is None or n_params is None:
             raise ParseError("'dim' and 'params' must precede entries", lineno, 1)
         row, col = int(m.group(1)), int(m.group(2))
@@ -226,6 +228,7 @@ def parse_model(text: str) -> HamiltonianFamily:
                              lineno, 1)
         entries[(row - 1, col - 1)] = _Parser(m.group(3), lineno, n_params).parse()
 
+    dim, n_params = sizes["dim"], sizes["params"]
     if dim is None or n_params is None:
         raise ParseError("model must declare 'dim' and 'params'")
 

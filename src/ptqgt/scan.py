@@ -107,16 +107,18 @@ def _scan_row(args) -> list[ScanRecord]:
 
 def run_scan(config: ScanConfig) -> ScanResult:
     """Evaluate the grid; row-major (eta outer, h inner), deterministic
-    order regardless of worker count."""
+    order regardless of worker count. One task per eta row, and no more
+    worker processes than rows."""
     hs = config.h_values()
     etas = config.eta_values()
     tasks = [(config.params, hs, float(eta), config.n_quad) for eta in etas]
+    workers = min(config.workers, len(tasks))
     records: list[ScanRecord] = []
-    if config.workers <= 1:
+    if workers <= 1:
         for task in tasks:
             records.extend(_scan_row(task))
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as ex:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             for row in ex.map(_scan_row, tasks):
                 records.extend(row)
     return ScanResult(config=config, records=records)

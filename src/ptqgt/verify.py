@@ -171,7 +171,7 @@ def check_perturbative_vs_fd(seed=42) -> CheckResult:
         dh = np.stack([fam.deriv(lam, mu) for mu in range(2)])
         geometry._check_gap(eig, [0])
         g_pert = geometry._sos_qgt(eig, dh, np.arange(4) == 0).real
-        g_fd = geometry._fd_qgt(*geometry.param_derivatives(fam, lam, 1e-5))[0].real
+        g_fd = geometry._fd_qgt(*geometry._projector_derivatives(fam, lam, 1e-5))[0].real
         scale = max(np.linalg.norm(g_pert), 1e-300)
         worst = max(worst, float(np.max(np.abs(g_pert - g_fd))) / scale)
     return CheckResult("perturbative_vs_fd_metric", worst, 1e-6)

@@ -16,7 +16,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import geometry
-from .biortho import BiorthoEigensystem, HamiltonianFamily, _check_integer, biortho_eig
+from .biortho import (BiorthoEigensystem, HamiltonianFamily, _check_integer, _per_stack,
+                      biortho_eig)
 from .errors import CaseUnsupported, DefectiveMatrix, Degenerate, GaplessPoint
 
 __all__ = [
@@ -313,15 +314,21 @@ def _intensity_perturbative(p: XYParams, h, eta, n_quad: int) -> np.ndarray:
 
 
 def _intensity_fd(p: XYParams, f: FieldPoint, n_quad: int) -> np.ndarray:
+    """Finite-difference route: the 5-point stencils of up to 102 nodes, as
+    many as the stack budget holds, in one stack; nodes checked and added in order."""
     ks, wts = _gl_nodes(n_quad)
     total = np.zeros((2, 2))
     lam = np.array([f.h, f.eta])
-    for k, w in zip(ks, wts):
-        eig, dp = geometry.param_derivatives(dk_family(p, k), lam, _FD_STEP)
-        occ = occupied_levels(eig)
-        geometry._check_gap(eig, occ)
+    chunk = _per_stack(2 * lam.size + 1)
+    for lo in range(0, n_quad, chunk):
+        eig, dp = geometry._projector_derivatives(
+            lambda points: dk_blocks(p, points[:, 0], points[:, 1], ks[lo:lo + chunk]),
+            lam, _FD_STEP)
         q = geometry._fd_qgt(eig, dp)
-        total += w * 2.0 * q[occ].real.sum(axis=0)
+        for i, w in enumerate(wts[lo:lo + chunk]):
+            occ = occupied_levels(eig[i])
+            geometry._check_gap(eig[i], occ)
+            total += w * 2.0 * q[i, occ].real.sum(axis=0)
     return total / (4.0 * np.pi)
 
 
@@ -338,9 +345,10 @@ def metric_intensity(
     sum-over-states route ('perturbative', default: analytic dH, one
     stacked eigensolve over all nodes; this is the one-point case of the
     kernel a scan row runs on chunks of points, so both give the same
-    bits) or the finite-difference route ('fd', the generic geometry
-    pipeline with step 1e-6, used for cross-validation). Raises
-    ValueError unless ``n_quad`` is an integer of at least 2.
+    bits) or the finite-difference route ('fd', qgt's projector
+    differences at step 1e-6 with every node's stencil in stacks, used for
+    cross-validation). Raises ValueError unless ``n_quad`` is an integer of
+    at least 2.
     """
     _check_integer(n_quad, "n_quad")
     if n_quad < 2:

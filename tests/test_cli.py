@@ -124,6 +124,10 @@ def test_bad_model_file_exits_1(tmp_path, capsys):
     code, _, err = run(["qgt", str(tmp_path / "missing.model"), "--lam", "1"],
                        capsys)
     assert code == EXIT_USAGE
+    model.write_text("dim 0\nparams 1\n", encoding="utf-8")  # used to end in a traceback
+    code, _, err = run(["qgt", str(model), "--lam", "0.5"], capsys)
+    assert code == EXIT_USAGE
+    assert "parse error: line 1" in err
 
 
 def test_berry_command_in_the_broken_phase(capsys):

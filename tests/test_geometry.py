@@ -27,7 +27,6 @@ from ptqgt import (
     gauge_transform,
     geometry,
     o_operators,
-    param_derivatives,
     qgt,
     variance_metric,
 )
@@ -157,7 +156,8 @@ def test_qgt_exactly_hermitian_at_every_level(fam, lam):
 
 def test_fd_qgt_matches_the_per_level_formula():
     fam = dk_family(ANISO, 0.8)
-    eig, dp = param_derivatives(fam, [0.4, 0.2])
+    lam = np.array([0.4, 0.2])
+    eig, dp = geometry._projector_derivatives(fam, lam, default_step(lam))
     q = geometry._fd_qgt(eig, dp)
     assert dp.shape == (2, 4, 4, 4) and q.shape == (4, 2, 2)
     for n in range(4):
@@ -197,7 +197,7 @@ def test_no_bundle_keyword(call):
     fam = dk_family(ANISO, 0.8)
     lam = np.array([0.4, 0.2])
     with pytest.raises(TypeError):
-        call(fam, lam, param_derivatives(fam, lam))
+        call(fam, lam, geometry._projector_derivatives(fam, lam, default_step(lam)))
 
 
 @pytest.mark.parametrize("call", [
@@ -680,7 +680,7 @@ def test_curvature_flux_one_eigensolve_per_block(monkeypatch):
         raise AssertionError("curvature_flux must not difference eigenvectors")
 
     monkeypatch.setattr(np.linalg, "eig", counted)
-    monkeypatch.setattr(geometry, "param_derivatives", forbidden)
+    monkeypatch.setattr(geometry, "_projector_derivatives", forbidden)
     fam = pt_two_level_family()
     curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=6)
     assert shapes == [(36, 2, 2)]  # the whole grid is one block
@@ -860,9 +860,9 @@ def test_o_operators_generate_derivatives():
     # projector moves as d_mu P_n = -i [O_mu, P_n]. The central difference
     # of P_n is off by h^2/6 |d^3 P_n|, 2.1e-9 at the default step in the
     # broken phase; a quarter of that step brings it to 1.2e-10.
-    for fam, lam in ((dk_family(ANISO, 0.8), [0.4, 0.2]),
-                     (pt_two_level_family(), [0.4, 0.2])):  # broken PT phase
-        eig, dp = param_derivatives(fam, lam, default_step(lam) / 4.0)
+    lam = np.array([0.4, 0.2])
+    for fam in (dk_family(ANISO, 0.8), pt_two_level_family()):  # the latter PT-broken there
+        eig, dp = geometry._projector_derivatives(fam, lam, default_step(lam) / 4.0)
         ops = o_operators(fam, lam)
         for mu in range(2):
             for n in range(fam.dim_hilbert):
@@ -884,7 +884,7 @@ def test_o_operators_and_variance_metric_solve_one_matrix(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", counted)
     monkeypatch.setattr(np.linalg, "solve", forbidden)
-    monkeypatch.setattr(geometry, "param_derivatives", forbidden)
+    monkeypatch.setattr(geometry, "_projector_derivatives", forbidden)
     fam = dk_family(ANISO, 0.8)
     for call in (o_operators, variance_metric):
         shapes.clear()
@@ -994,10 +994,9 @@ def refusing_family():
 
 @pytest.mark.parametrize("call", [
     lambda fam, lam: qgt(fam, lam),
-    lambda fam, lam: param_derivatives(fam, lam),
     o_operators,
     variance_metric,
-], ids=["qgt", "param_derivatives", "o_operators", "variance_metric"])
+], ids=["qgt", "o_operators", "variance_metric"])
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_point_raises_before_any_family_call(call, bad):
     # qgt used to warn "invalid value encountered in multiply" on the

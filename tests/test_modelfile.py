@@ -109,6 +109,15 @@ def test_parse_model_errors():
         parse_model("dim 2\nparams 1\nH[1,1] := l1\n")
     with pytest.raises(ParseError, match="malformed 'dim'"):
         parse_model("dim two\nparams 1\n")
+    # sizes below 1, and a second size statement after an entry was
+    # checked against the first, used to pass the parser
+    for text, match in (("dim 0\nparams 1\n", "line 1, col 1: 'dim' must be at least 1"),
+                        ("dim 1\nparams 0\n", "line 2, col 1: 'params' must be at least 1"),
+                        ("dim 2\nparams 1\nH[2,2] = 1\ndim 1\n", "line 4, col 1: second 'dim'"),
+                        ("dim 1\nparams 2\nH[1,1] = l2\nparams 1\n",
+                         "line 4, col 1: second 'params'")):
+        with pytest.raises(ParseError, match=match):
+            parse_model(text)
 
 
 def test_bundled_spin_half_matches_analytic():

@@ -207,3 +207,28 @@ def test_parallel_matches_serial_byte_for_byte(tmp_path):
     write_csv(run_scan(cfg1), str(out1))
     write_csv(run_scan(cfg2), str(out2))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_workers_capped_at_the_row_count(monkeypatch):
+    # a pool forks all of its max_workers at the first submit: 8 workers
+    # on 3 eta rows used to fork 8 processes for 3 tasks. The stand-in pool
+    # maps serially and starts no process.
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(scan_mod.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    records = run_scan(small_config(workers=8)).records
+    assert pools == [3]
+    assert records == run_scan(small_config()).records

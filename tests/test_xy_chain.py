@@ -284,20 +284,50 @@ def test_metric_intensity_methods_agree():
 
 
 def test_fd_intensity_makes_one_bundle_per_node(monkeypatch):
-    calls = []
-    param_derivatives = geometry.param_derivatives
+    # every node's projector derivatives come from one stencil stack of
+    # 2d+1 = 5 blocks per node, as many nodes per stack as the budget of
+    # 512 matrices holds: 102
+    shapes = []
+    eig = np.linalg.eig
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return param_derivatives(*args, **kwargs)
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eig(a)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the FD intensity must not call qgt per level")
 
-    monkeypatch.setattr(geometry, "param_derivatives", counted)
+    monkeypatch.setattr(np.linalg, "eig", counted)
     monkeypatch.setattr(geometry, "qgt", forbidden)
     metric_intensity(ANISO, FieldPoint(h=0.4, eta=0.2), n_quad=24, method="fd")
-    assert len(calls) == 24
+    assert shapes == [(120, 4, 4)]
+    shapes.clear()
+    metric_intensity(ANISO, FieldPoint(h=0.4, eta=0.2), n_quad=129, method="fd")
+    assert shapes == [(510, 4, 4), (135, 4, 4)]
+
+
+def _fd_intensity_per_node(p, f, n_quad):
+    """The FD intensity one node at a time: each node's D_k family
+    differenced alone, the terms added in node order."""
+    ks, wts = _gl_nodes(n_quad)
+    lam = np.array([f.h, f.eta])
+    total = np.zeros((2, 2))
+    for k, w in zip(ks, wts):
+        eig, dp = geometry._projector_derivatives(dk_family(p, k), lam, xy_chain._FD_STEP)
+        occ = occupied_levels(eig)
+        geometry._check_gap(eig, occ)
+        total += w * 2.0 * geometry._fd_qgt(eig, dp)[occ].real.sum(axis=0)
+    return total / (4.0 * np.pi)
+
+
+@pytest.mark.parametrize("p", [ANISO, PSEUDO_ISO], ids=["aniso", "pseudo_iso"])
+@pytest.mark.parametrize("n_quad", [65, 129])
+def test_fd_intensity_equals_the_per_node_route_bit_for_bit(p, n_quad):
+    rng = np.random.default_rng(5)
+    for h, eta in zip(rng.uniform(0.0, 3.0, 4), rng.uniform(-0.9, 0.9, 4)):
+        f = FieldPoint(h=h, eta=eta)
+        g = metric_intensity(p, f, n_quad=n_quad, method="fd")
+        assert np.array_equal(g, _fd_intensity_per_node(p, f, n_quad))
 
 
 def test_metric_intensity_fd_default_step_near_pt_line():
