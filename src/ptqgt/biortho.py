@@ -232,7 +232,9 @@ def biortho_eig(h) -> BiorthoEigensystem:
     Levels are ordered by (Re E, Im E); real parts within the band
     1e-9 times the spectral scale that decides "real spectrum" count as
     equal, so a PT-broken pair is ordered by Im E (the -i|E| level
-    first) whatever the round-off in its real parts.
+    first) whatever the round-off in its real parts. When numpy returns
+    real eigenvalues, they are ordered by value, equal ones in numpy's
+    order, and every element is unbroken.
 
     Raises
     ------

@@ -149,18 +149,28 @@ def _check_gap(eig: BiorthoEigensystem, levels: Sequence[int]):
         _check_level(n, eig.dim)
     if eig.dim < 2:
         return
-    # Levels first: each reduction over them is then elementwise along the
-    # stack, which numpy does far faster than a reduction over a short axis.
-    e = eig.energies.reshape(-1, eig.dim).T.copy()
-    tol = 1e-8 * np.maximum(np.abs(e).max(axis=0), 1e-300)
-    for n in levels:
-        dist = np.abs(e - e[n])
-        dist[n] = np.inf  # the minimum runs over the other levels
-        gap = dist.min(axis=0)
+    gaps, tol = _level_gaps(eig.energies, levels)
+    for n, gap in zip(levels, gaps):
         bad = np.flatnonzero(gap < tol)
         if bad.size:
             i = bad[0]
             raise Degenerate(f"level {n} gap {gap[i]:.3e} below tolerance {tol[i]:.3e}")
+
+
+def _level_gaps(energies: np.ndarray, levels: Sequence[int]) -> tuple[list, np.ndarray]:
+    """The distance from each of ``levels`` to the nearest other level,
+    one array (M,) per level over the M spectra of a stack (..., N) with
+    N >= 2, and the cut 1e-8 times each spectrum's largest |E|, (M,)."""
+    # Levels first: each reduction over them is then elementwise along the
+    # stack, which numpy does far faster than a reduction over a short axis.
+    e = energies.reshape(-1, energies.shape[-1]).T.copy()
+    tol = 1e-8 * np.maximum(np.abs(e).max(axis=0), 1e-300)
+    gaps = []
+    for n in levels:
+        dist = np.abs(e - e[n])
+        dist[n] = np.inf  # the minimum runs over the other levels
+        gaps.append(dist.min(axis=0))
+    return gaps, tol
 
 
 def _fd_qgt(eig: BiorthoEigensystem, dp) -> np.ndarray:

@@ -112,40 +112,6 @@ class Dispersion:
     c4: float
 
 
-def dk_blocks(p: XYParams, h, eta, ks) -> np.ndarray:
-    """Momentum blocks D_k at each field point and node, shape (P, K, 4, 4).
-
-    ``h`` and ``eta`` hold the P field points, ``ks`` the K momenta, each
-    in the open interval (0, pi/2). Each block anticommutes with
-    I_2 x sigma_x, so its spectrum is symmetric about zero.
-    """
-    ks = np.asarray(ks, dtype=float)
-    if not np.all((0.0 < ks) & (ks < np.pi / 2)):
-        raise ValueError("k must lie in the open interval (0, pi/2)")
-    jc = 2.0 * p.J * np.cos(ks)
-    gs = 2.0 * p.Gamma * np.sin(ks)
-    gc = 2.0 * p.Gammas * np.cos(ks)
-    js = 2.0 * p.Js * np.sin(ks)
-    h = np.asarray(h, dtype=float)[:, None]
-    eta = np.asarray(eta, dtype=float)[:, None]
-    entries = (
-        (jc + h, 1j * gs, -gc, -1j * (js + eta)),
-        (-1j * gs, -jc - h, 1j * (js + eta), gc),
-        (-gc, -1j * (js - eta), jc - h, 1j * gs),
-        (1j * (js - eta), gc, -1j * gs, -jc + h),
-    )
-    out = np.empty((h.shape[0], ks.size, 4, 4), dtype=complex)
-    for i, row in enumerate(entries):
-        for j, entry in enumerate(row):
-            out[..., i, j] = entry
-    return out
-
-
-def dk_matrix(p: XYParams, f: FieldPoint, k: float) -> np.ndarray:
-    """Momentum block D_k for 0 < k < pi/2; one block of ``dk_blocks``."""
-    return dk_blocks(p, [f.h], [f.eta], [k])[0, 0]
-
-
 _DH = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
 _DETA = np.array(
     [
@@ -163,6 +129,51 @@ _DETA = np.array(
 _U = np.array([1, 1j, 1, 1j])
 _ROTATE = np.outer(_U.conj(), _U)
 _DERIVS_U = (np.stack([_DH, _DETA]) * _ROTATE).real
+# dk_blocks rotates the real blocks back one part at a time, entry (i, j)
+# times conj(_ROTATE[i, j]). Adding _ZERO_RE and _ZERO_IM gives each zero
+# part the sign D_k's entries have always had (adding -0.0 keeps a zero's
+# sign, adding +0.0 clears it): +0 for the imaginary part of a real entry
+# and the real part of an entry +-i x, except i (Js_k +- eta) at (1, 2) and
+# (3, 0), whose real part 0 x takes the sign of x.
+_ZERO_RE = np.where(_ROTATE.imag == 0, -0.0, 0.0)
+_ZERO_RE[[1, 3], [2, 0]] = -0.0
+_ZERO_IM = np.where(_ROTATE.imag == 0, 0.0, -0.0)
+
+
+def _dk_u(p: XYParams, h, eta, ks) -> np.ndarray:
+    """U^dag D_k U, the real form of the momentum blocks, at each field
+    point and node, shape (P, K, 4, 4): the one place D_k's entries are
+    written. The kernel solves it; ``dk_blocks`` rotates it back.
+    """
+    ks = np.asarray(ks, dtype=float)
+    if not np.all((0.0 < ks) & (ks < np.pi / 2)):
+        raise ValueError("k must lie in the open interval (0, pi/2)")
+    jc, gs, gc, js = 2.0 * p.J, 2.0 * p.Gamma, 2.0 * p.Gammas, 2.0 * p.Js
+    cos_part = np.array([[jc, 0, -gc, 0], [0, -jc, 0, gc], [-gc, 0, jc, 0], [0, gc, 0, -jc]])
+    sin_part = np.array([[0, -gs, 0, js], [-gs, 0, js, 0], [0, js, 0, -gs], [js, 0, -gs, 0]])
+    h = np.asarray(h, dtype=float)[:, None, None, None]
+    eta = np.asarray(eta, dtype=float)[:, None, None, None]
+    field = h * _DERIVS_U[0] + eta * _DERIVS_U[1]  # (P, 1, 4, 4), each entry +-h, +-eta or 0
+    return np.cos(ks)[:, None, None] * cos_part + np.sin(ks)[:, None, None] * sin_part + field
+
+
+def dk_blocks(p: XYParams, h, eta, ks) -> np.ndarray:
+    """Momentum blocks D_k at each field point and node, shape (P, K, 4, 4).
+
+    ``h`` and ``eta`` hold the P field points, ``ks`` the K momenta, each
+    in the open interval (0, pi/2). Each block anticommutes with
+    I_2 x sigma_x, so its spectrum is symmetric about zero.
+    """
+    real = _dk_u(p, h, eta, ks)
+    out = np.empty(real.shape, dtype=complex)
+    np.add(real * _ROTATE.real, _ZERO_RE, out=out.real)
+    np.add(real * -_ROTATE.imag, _ZERO_IM, out=out.imag)
+    return out
+
+
+def dk_matrix(p: XYParams, f: FieldPoint, k: float) -> np.ndarray:
+    """Momentum block D_k for 0 < k < pi/2; one block of ``dk_blocks``."""
+    return dk_blocks(p, [f.h], [f.eta], [k])[0, 0]
 
 
 def dk_family(p: XYParams, k: float) -> HamiltonianFamily:
@@ -256,10 +267,18 @@ def occupied_levels(eig: BiorthoEigensystem) -> list[int]:
     Raises GaplessPoint when some |E| is below 1e-8 of the largest |E|.
     """
     e = eig.energies.real
-    tol = 1e-8 * max(float(np.max(np.abs(e))), 1e-300)
-    if np.any(np.abs(e) < tol):
+    gapless, tol = _zero_levels(e.ravel())
+    if gapless:
         raise GaplessPoint(f"level within {tol:.2e} of zero energy")
     return [int(i) for i in np.flatnonzero(e < 0)]
+
+
+def _zero_levels(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether some level of each real spectrum of a stack (..., N) lies
+    within 1e-8 of its largest |E| of zero energy, and that cut, (...)."""
+    size = np.abs(e)
+    tol = 1e-8 * np.maximum(size.max(axis=-1), 1e-300)
+    return (size < tol[..., None]).any(axis=-1), tol
 
 
 @functools.lru_cache(maxsize=None)
@@ -273,6 +292,25 @@ def _gl_nodes(n_quad: int):
     return ks, wts
 
 
+def _refused_nodes(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes the intensity kernel refuses, from the level-ordered
+    energies (P, K, 4) of ``biortho_eig``: masks (P, K) of a complex
+    spectrum (|Im E| above 1e-9), a gapless level (|E| below 1e-10) and an
+    occupied level within 1e-10 of another, each cut times the point's
+    largest |Re E|."""
+    e = energies.real
+    size = np.abs(e)
+    e_scale = np.maximum(size.max(axis=(1, 2)), 1e-300)[:, None, None]
+    cut = 1e-10 * e_scale
+    gapless = (size < cut).any(axis=-1)
+    # The level nearest an occupied one is a neighbour in ascending order,
+    # and the lower of the two is occupied.
+    rising = np.sort(e, axis=-1)
+    crossing = ((rising[..., 1:] - rising[..., :-1] < cut) & (rising[..., :-1] < 0)).any(axis=-1)
+    complex_spectrum = (np.abs(energies.imag) > 1e-9 * e_scale).any(axis=-1)
+    return complex_spectrum, gapless, crossing
+
+
 def _intensity_perturbative(p: XYParams, h, eta, n_quad: int) -> np.ndarray:
     """Sum-over-states route at the P field points ``(h[i], eta[i])``,
     shape (P, 2, 2); one stacked eigensolve over every point and node,
@@ -284,21 +322,14 @@ def _intensity_perturbative(p: XYParams, h, eta, n_quad: int) -> np.ndarray:
     """
     ks, wts = _gl_nodes(n_quad)
     try:
-        eig = biortho_eig((dk_blocks(p, h, eta, ks) * _ROTATE).real)
+        eig = biortho_eig(_dk_u(p, h, eta, ks))
     except DefectiveMatrix as exc:
         raise Degenerate(f"defective block at a quadrature node: {exc}") from exc
 
-    e = eig.energies.real  # (P, K, 4)
-    e_scale = np.maximum(np.abs(e).max(axis=(1, 2)), 1e-300)[:, None, None]
-    occupied = e < 0
-    gaps = np.abs(e[..., :, None] - e[..., None, :]) + np.diag(np.full(4, np.inf))
-    complex_spectrum = np.any(np.abs(eig.energies.imag) > 1e-9 * e_scale, axis=-1)
-    gapless = np.any(np.abs(e) < 1e-10 * e_scale, axis=-1)
-    crossing = np.any(occupied[..., :, None] & (gaps < 1e-10 * e_scale[..., None]),
-                      axis=(-2, -1))
-    bad = np.argwhere(complex_spectrum | gapless | crossing)
-    if bad.size:  # refuse at the first offending node, in (point, node) order
-        point, node = bad[0]
+    complex_spectrum, gapless, crossing = _refused_nodes(eig.energies)
+    refused = complex_spectrum | gapless | crossing
+    if refused.any():  # refuse at the first offending node, in (point, node) order
+        point, node = np.argwhere(refused)[0]
         k = ks[node]
         if complex_spectrum[point, node]:
             raise Degenerate(f"complex block spectrum at k = {k:.6f}")
@@ -306,7 +337,7 @@ def _intensity_perturbative(p: XYParams, h, eta, n_quad: int) -> np.ndarray:
             raise GaplessPoint(f"gap closes at quadrature node k = {k:.6f}")
         raise Degenerate(f"level crossing at quadrature node k = {k:.6f}")
 
-    g = geometry._sos_qgt(eig, _DERIVS_U, occupied).real
+    g = geometry._sos_qgt(eig, _DERIVS_U, eig.energies.real < 0).real
     # factor 2: the intensity integrand is twice the per-mode metric in
     # the 1/2-prefactor convention. One reduction per point keeps each
     # point's sum in the order of the one-point call.
@@ -315,7 +346,9 @@ def _intensity_perturbative(p: XYParams, h, eta, n_quad: int) -> np.ndarray:
 
 def _intensity_fd(p: XYParams, f: FieldPoint, n_quad: int) -> np.ndarray:
     """Finite-difference route: the 5-point stencils of up to 102 nodes, as
-    many as the stack budget holds, in one stack; nodes checked and added in order."""
+    many as the stack budget holds, in one stack. Each stack is checked as
+    a whole with the cuts of ``occupied_levels`` and ``_check_gap``, which
+    then refuse its first offending node; its terms are added in node order."""
     ks, wts = _gl_nodes(n_quad)
     total = np.zeros((2, 2))
     lam = np.array([f.h, f.eta])
@@ -324,11 +357,19 @@ def _intensity_fd(p: XYParams, f: FieldPoint, n_quad: int) -> np.ndarray:
         eig, dp = geometry._projector_derivatives(
             lambda points: dk_blocks(p, points[:, 0], points[:, 1], ks[lo:lo + chunk]),
             lam, _FD_STEP)
-        q = geometry._fd_qgt(eig, dp)
-        for i, w in enumerate(wts[lo:lo + chunk]):
-            occ = occupied_levels(eig[i])
-            geometry._check_gap(eig[i], occ)
-            total += w * 2.0 * q[i, occ].real.sum(axis=0)
+        e = eig.energies  # (K, 4)
+        occupied = e.real < 0
+        gaps, gap_cut = geometry._level_gaps(e, range(4))
+        narrow = occupied & (np.stack(gaps, axis=-1) < gap_cut[:, None])
+        refused = _zero_levels(e.real)[0] | narrow.any(axis=-1)
+        if refused.any():  # the per-node checks raise at the first refused node
+            i = np.argmax(refused)
+            geometry._check_gap(eig[i], occupied_levels(eig[i]))
+        # -0.0 is the addend that changes no sum; the running sum adds the
+        # nodes' terms in order, as one node at a time would
+        levels = np.where(occupied[..., None, None], geometry._fd_qgt(eig, dp).real, -0.0)
+        terms = wts[lo:lo + chunk, None, None] * 2.0 * levels.sum(axis=1)
+        total = np.cumsum(np.concatenate([total[None], terms]), axis=0)[-1]
     return total / (4.0 * np.pi)
 
 

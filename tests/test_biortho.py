@@ -235,6 +235,58 @@ def test_real_jordan_block_defective():
         biortho_eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def test_real_jordan_block_in_a_real_stack_defective():
+    # numpy returns a real spectrum for this stack, and the cluster check
+    # still finds the coalescing vectors (N = 3, not the two-level dual
+    # basis)
+    jordan = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    assert np.isrealobj(np.linalg.eig(jordan).eigenvalues)
+    with pytest.raises(DefectiveMatrix, match="coalescing eigenvectors"):
+        biortho_eig(np.stack([np.diag([3.0, -1.0, 0.5]), jordan]))
+
+
+def test_real_spectrum_with_ties_keeps_numpys_order():
+    # a real spectrum is ordered by value alone: exactly equal eigenvalues
+    # keep the order numpy returns them in, the arrays stay real and every
+    # element is unbroken
+    upper = np.array([[1.0, 0.5, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0]])
+    h = np.stack([np.diag([1.0, 0.0, 1.0, 1.0]), upper, np.diag([2.0, 2.0, -2.0, -2.0])])
+    w, vr = np.linalg.eig(h)
+    assert np.isrealobj(w)
+    eig = biortho_eig(h)
+    for a in (eig.energies, eig.right, eig.left):
+        assert a.dtype == np.float64
+    assert eig.unbroken.tolist() == [True, True, True]
+    order = np.argsort(w, axis=-1, kind="stable")
+    assert np.array_equal(eig.energies, np.take_along_axis(w, order, axis=-1))
+    # each level keeps numpy's vector for it, normalized with its largest
+    # component positive: the tied levels are not swapped
+    ref = np.take_along_axis(vr, order[:, None, :], axis=-1)
+    ref = ref / np.linalg.norm(ref, axis=-2, keepdims=True)
+    ref *= np.sign(np.take_along_axis(ref, np.abs(ref).argmax(axis=-2)[:, None, :], axis=-2))
+    assert np.max(np.abs(eig.right - ref)) <= 1e-15
+    assert eig.energies[0].tolist() == [0.0, 1.0, 1.0, 1.0]
+    assert eig.right[0].tolist() == np.eye(4)[:, [1, 0, 2, 3]].tolist()
+
+
+def test_complex_pair_in_a_real_stack_ordered_by_imaginary_part():
+    # one element with a complex pair makes numpy's arrays complex for the
+    # whole stack: that pair is ordered by Im E, the -i level first, and
+    # the real elements keep real energies in ascending order
+    rotation = np.zeros((4, 4))
+    rotation[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
+    rotation[2:, 2:] = np.diag([2.0, -1.0])
+    h = np.stack([np.diag([0.5, -3.0, 1.0, 0.0]), rotation])
+    eig = biortho_eig(h)
+    assert eig.energies.dtype == complex
+    assert eig.unbroken.tolist() == [True, False]
+    assert eig.energies[0].tolist() == [-3.0, 0.0, 0.5, 1.0]
+    assert np.allclose(eig.energies[1], [-1.0, -1j, 1j, 2.0], rtol=0.0, atol=1e-15)
+    assert eig.energies[1, 1].imag < 0 < eig.energies[1, 2].imag
+    assert np.max(np.abs(eig.overlap_matrix() - np.eye(4))) <= 1e-15
+
+
 def test_integer_matrix_accepted():
     eig = biortho_eig([[2, 1], [1, 2]])
     assert eig.energies.dtype == np.float64

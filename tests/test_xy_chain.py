@@ -122,6 +122,64 @@ def test_rotated_blocks_and_derivatives_are_exactly_real():
     assert np.array_equal(np.stack([_DH, _DETA]) * _ROTATE, _DERIVS_U)
 
 
+def _entrywise_dk_blocks(p, h, eta, ks):
+    """D_k written entry by entry as complex numbers, the form the blocks
+    had before they were built in the basis U: the reference for their
+    bytes, signed zeros included."""
+    ks = np.asarray(ks, dtype=float)
+    jc, gs = 2.0 * p.J * np.cos(ks), 2.0 * p.Gamma * np.sin(ks)
+    gc, js = 2.0 * p.Gammas * np.cos(ks), 2.0 * p.Js * np.sin(ks)
+    h = np.asarray(h, dtype=float)[:, None]
+    eta = np.asarray(eta, dtype=float)[:, None]
+    entries = (
+        (jc + h, 1j * gs, -gc, -1j * (js + eta)),
+        (-1j * gs, -jc - h, 1j * (js + eta), gc),
+        (-gc, -1j * (js - eta), jc - h, 1j * gs),
+        (1j * (js - eta), gc, -1j * gs, -jc + h),
+    )
+    out = np.empty((h.shape[0], ks.size, 4, 4), dtype=complex)
+    for i, row in enumerate(entries):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
+
+
+def _field_points_where_entries_cancel(p, ks, rng):
+    """h = 0, eta = 0 and eta = +-2 Js sin k (where Js_k -+ eta is an exact
+    zero) at each node, with h = +-2 J cos k and seeded bulk points."""
+    js, jc = 2.0 * p.Js * np.sin(ks), 2.0 * p.J * np.cos(ks)
+    hs = np.concatenate([[0.0, -0.0, 0.0, 0.0], np.zeros_like(js), jc, -jc,
+                         rng.uniform(-3.0, 3.0, 6)])
+    etas = np.concatenate([[0.0, -0.0, 0.5, -0.5], js, -js, js, rng.uniform(-1.5, 1.5, 6)])
+    return hs, etas
+
+
+def test_dk_blocks_keep_the_bytes_of_the_entrywise_blocks():
+    rng = np.random.default_rng(8)
+    for params in (ANISO, PSEUDO_ISO, XYParams(J=0.7, Js=1.3, Gamma=0.2, Gammas=0.9)):
+        ks = np.concatenate([_gl_nodes(24)[0], rng.uniform(1e-6, np.pi / 2 - 1e-6, 4)])
+        hs, etas = _field_points_where_entries_cancel(params, ks, rng)
+        blocks = dk_blocks(params, hs, etas, ks)
+        assert blocks.tobytes() == _entrywise_dk_blocks(params, hs, etas, ks).tobytes()
+        for j, k in enumerate(ks):  # eta = 2 Js sin k on that node alone
+            f = FieldPoint(h=0.0, eta=2.0 * params.Js * np.sin(k))
+            single = _entrywise_dk_blocks(params, [f.h], [f.eta], [k])[0, 0]
+            assert dk_matrix(params, f, k).tobytes() == single.tobytes()
+
+
+def test_real_builder_is_the_rotated_blocks():
+    rng = np.random.default_rng(9)
+    for params in (ANISO, PSEUDO_ISO):
+        ks = _gl_nodes(65)[0]
+        hs, etas = _field_points_where_entries_cancel(params, ks, rng)
+        real = xy_chain._dk_u(params, hs, etas, ks)
+        assert real.dtype == np.float64 and real.flags.c_contiguous
+        rotated = np.ascontiguousarray((dk_blocks(params, hs, etas, ks) * _ROTATE).real)
+        assert real.tobytes() == rotated.tobytes()
+    with pytest.raises(ValueError):
+        xy_chain._dk_u(ANISO, [0.5], [0.3], [0.7, np.pi / 2])
+
+
 def test_gl_nodes_cached_read_only():
     ks, wts = _gl_nodes(65)
     again = _gl_nodes(65)
@@ -447,6 +505,101 @@ def test_kernel_refuses_occupied_levels_that_cross_at_a_node(monkeypatch):
     k = _gl_nodes(65)[0][7]
     with pytest.raises(Degenerate, match=f"level crossing at quadrature node k = {k:.6f}"):
         _intensity_perturbative(ANISO, [0.5, 0.7], [0.3, 0.3], 65)
+
+
+def _all_pairs_refusals(energies):
+    """The kernel's refusal rule with every pair of levels compared: the
+    oracle of the neighbour-gap rule."""
+    e = energies.real
+    e_scale = np.maximum(np.abs(e).max(axis=(1, 2)), 1e-300)[:, None, None]
+    gaps = np.abs(e[..., :, None] - e[..., None, :]) + np.diag(np.full(4, np.inf))
+    complex_spectrum = np.any(np.abs(energies.imag) > 1e-9 * e_scale, axis=-1)
+    gapless = np.any(np.abs(e) < 1e-10 * e_scale, axis=-1)
+    crossing = np.any((e < 0)[..., :, None] & (gaps < 1e-10 * e_scale[..., None]),
+                      axis=(-2, -1))
+    return complex_spectrum, gapless, crossing
+
+
+def _spectra_at_the_cuts(rng, points=5, nodes=400):
+    """Seeded level-sorted spectra (points, nodes, 4), each point's largest
+    |E| 1 (node 0), so the gap cuts are 1e-10: at each other node one
+    neighbour gap, one |E| or a pair +-E is set to the cut times a factor
+    that straddles 1."""
+    factors = 1e-10 * np.array([0.0, 0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0, 1e3])
+    e = np.sort(rng.uniform(-1.0, 1.0, (points, nodes, 4)), axis=-1)
+    e[:, 0] = [-1.0, -0.5, 0.5, 1.0]
+    for p in range(points):
+        for k in range(1, nodes):
+            j, size = rng.integers(3), rng.choice(factors)
+            kind = rng.integers(3)
+            if kind == 0:  # levels j and j + 1 one gap apart
+                e[p, k, j + 1] = e[p, k, j] + size
+            elif kind == 1:  # one level near zero energy, of either sign
+                e[p, k, j] = rng.choice([-1.0, 1.0]) * size
+            else:  # a pair about zero, as D_k's levels are
+                e[p, k, 1:3] = [-size / 2, size / 2]
+    return np.sort(e, axis=-1)
+
+
+def test_neighbour_gaps_refuse_the_nodes_every_pair_refuses():
+    rng = np.random.default_rng(34)
+    e = _spectra_at_the_cuts(rng)
+    masks = xy_chain._refused_nodes(e)
+    oracle = _all_pairs_refusals(e)
+    for mask, want in zip(masks, oracle):
+        assert np.array_equal(mask, want)
+    _, gapless, crossing = oracle
+    assert 0 < gapless.sum() < gapless.size and 0 < crossing.sum() < crossing.size
+    assert (crossing & ~gapless).any()  # crossings away from zero energy too
+    # a complex spectrum, its real parts sorted by the helper: Im E around
+    # the 1e-9 cut, and real parts out of order within a node
+    im = np.where(rng.random(e.shape) < 0.1,
+                  rng.choice([0.5, 1 - 1e-6, 1 + 1e-6, 2.0], e.shape) * 1e-9, 0.0)
+    shuffled = rng.permuted(e, axis=-1) + 1j * im
+    masks = xy_chain._refused_nodes(shuffled)
+    oracle = _all_pairs_refusals(shuffled)
+    for mask, want in zip(masks, oracle):
+        assert np.array_equal(mask, want)
+    assert 0 < oracle[0].sum() < oracle[0].size
+
+
+def test_fd_intensity_refuses_where_the_per_node_route_refuses(monkeypatch):
+    # a gap closing on node 20: both routes raise the same GaplessPoint
+    f = FieldPoint(h=_gapless_node_field(), eta=0.0)
+    with pytest.raises(GaplessPoint) as stacked:
+        metric_intensity(PSEUDO_ISO, f, n_quad=65, method="fd")
+    with pytest.raises(GaplessPoint) as per_node:
+        _fd_intensity_per_node(PSEUDO_ISO, f, 65)
+    assert str(stacked.value) == str(per_node.value)
+    # occupied levels 0 and 1 joined wherever level 1 lies above a cut,
+    # the same nodes in either route, as level 1 rises with k here: node 30
+    # on (the first stencil stack) or node 110 on (the second) is refused;
+    # beyond eta_c, every node is joined and the tolerance takes |E|, not Re E
+    real = geometry._projector_derivatives
+    ks = _gl_nodes(129)[0]
+    for f, first in ((FieldPoint(h=0.5, eta=0.3), 30), (FieldPoint(h=0.5, eta=0.3), 110),
+                     (FieldPoint(h=0.5, eta=2.5), 0)):
+        cut = -np.inf
+        if first:
+            below, above = [real(dk_family(ANISO, k), np.array([f.h, f.eta]),
+                                 xy_chain._FD_STEP)[0].energies[1].real
+                            for k in ks[[first - 1, first]]]
+            assert below < above
+            cut = 0.5 * (below + above)
+
+        def joined(h_at, lam, step):
+            eig, dp = real(h_at, lam, step)
+            e = eig.energies.copy()
+            e[..., 1] = np.where(e[..., 1].real > cut, e[..., 0], e[..., 1])
+            return dataclasses.replace(eig, energies=e), dp
+
+        monkeypatch.setattr(geometry, "_projector_derivatives", joined)
+        with pytest.raises(Degenerate, match="level 0 gap 0.000e") as stacked:
+            metric_intensity(ANISO, f, n_quad=129, method="fd")
+        with pytest.raises(Degenerate) as per_node:
+            _fd_intensity_per_node(ANISO, f, 129)
+        assert str(stacked.value) == str(per_node.value)
+        monkeypatch.setattr(geometry, "_projector_derivatives", real)
 
 
 def test_stacked_kernel_scales_each_point_by_itself():
