@@ -255,7 +255,7 @@ def biortho_eig(h) -> BiorthoEigensystem:
         raise NonFinite("matrix contains NaN or Inf entries")
     batch, n = h.shape[:-2], h.shape[-1]
     h = h.reshape(-1, n, n)
-    rows, cols = np.arange(h.shape[0])[:, None], np.arange(n)
+    rows = np.arange(h.shape[0])[:, None]
 
     w, vr = np.linalg.eig(h)
     # Scale on the matrix norm, not the spectral radius: at an exceptional
@@ -263,14 +263,14 @@ def biortho_eig(h) -> BiorthoEigensystem:
     # The norm squares the entries; where that could overflow, it is taken
     # of each matrix divided by its largest entry. Beyond the float range
     # the scale, or a gap between neighbouring eigenvalues, is Inf or NaN,
-    # and the matrix is refused.
+    # and the matrix is refused; so is a dual vector that overflows.
     flat = h.reshape(h.shape[0], -1)
     with np.errstate(over="ignore", invalid="ignore"):
         if big < _SQRT_MAX / n:
-            norm = np.linalg.norm(flat, axis=-1) / np.sqrt(n)
+            norm = _norm(flat, -1) / np.sqrt(n)
         else:
             top = np.maximum(np.abs(flat).max(axis=-1), np.finfo(float).tiny)
-            norm = top * (np.linalg.norm(flat / top[:, None], axis=-1) / np.sqrt(n))
+            norm = top * (_norm(flat / top[:, None], -1) / np.sqrt(n))
         scale = np.maximum(np.abs(w).max(axis=-1), norm)
         if not np.isfinite(scale).all():
             raise NonFinite("the spectral scale of the matrix overflows")
@@ -288,41 +288,42 @@ def biortho_eig(h) -> BiorthoEigensystem:
             perm = np.lexsort((w.imag, band))
             order, w = order[rows, perm], w[rows, perm]
             dw = w[:, 1:] - w[:, :-1]
-    if not np.isfinite(dw).all():
-        raise NonFinite("a gap between neighbouring eigenvalues overflows")
-    vr = vr[rows, :, order].swapaxes(-1, -2)
+        if not np.isfinite(dw).all():
+            raise NonFinite("a gap between neighbouring eigenvalues overflows")
+        vr = vr[rows, :, order].swapaxes(-1, -2)
 
-    # Exceptional-point detection: clusters of sorted eigenvalues (neighbours
-    # within tol) whose right vectors span less than the cluster size.
-    close = np.abs(dw) <= tol[:, None]
-    for i in np.flatnonzero(close.any(axis=-1)):
-        for group in np.split(np.arange(n), np.flatnonzero(~close[i]) + 1):
-            if len(group) < 2:
-                continue
-            s = np.linalg.svd(vr[i][:, group], compute_uv=False)
-            if s[-1] <= 1e-8 * s[0]:
-                raise DefectiveMatrix(
-                    f"eigenvalues near {w[i, group[0]]:.6g} have coalescing eigenvectors"
-                )
+        # Exceptional-point detection: clusters of sorted eigenvalues
+        # (neighbours within tol) whose right vectors span less than the
+        # cluster size.
+        close = np.abs(dw) <= tol[:, None]
+        if close.any():
+            for i in np.flatnonzero(close.any(axis=-1)):
+                for group in np.split(np.arange(n), np.flatnonzero(~close[i]) + 1):
+                    if len(group) < 2:
+                        continue
+                    s = np.linalg.svd(vr[i][:, group], compute_uv=False)
+                    if s[-1] <= 1e-8 * s[0]:
+                        raise DefectiveMatrix(
+                            f"eigenvalues near {w[i, group[0]]:.6g} have coalescing eigenvectors"
+                        )
 
-    # Unit norm, largest-magnitude component real positive.
-    phases = vr[rows, np.abs(vr).argmax(axis=-2), cols]
-    vr = vr * (np.abs(phases) / (phases * np.linalg.norm(vr, axis=-2)))[:, None, :]
+        # Unit norm, largest-magnitude component real positive.
+        phases = vr[rows, np.abs(vr).argmax(axis=-2), np.arange(n)]
+        vr = vr * (np.abs(phases) / (phases * _norm(vr, -2)))[:, None, :]
 
-    # The dual basis inv(VR)^dag is biorthonormal by construction:
-    # <Phi_m|Psi_n> = delta_mn, degenerate clusters included.
-    if n == 2:
-        vl, left_norm = _dual_basis_2(vr)
-    else:
-        try:
-            vl = _dagger(np.linalg.inv(vr))
-        except np.linalg.LinAlgError as exc:
-            raise DefectiveMatrix("right eigenvector matrix is singular") from exc
-        left_norm = np.linalg.norm(vl, axis=-2)
-    # |Phi_n| = 1/|<phi_n|Psi_n>| for the unit left eigenvector phi_n; the
-    # negated test also refuses NaN from a zero right vector.
-    if not (left_norm <= 1e13).all():
-        raise DefectiveMatrix("left/right eigenvector overlap numerically singular")
+        # The dual basis inv(VR)^dag is biorthonormal by construction:
+        # <Phi_m|Psi_n> = delta_mn, degenerate clusters included.
+        if n == 2:
+            vl = _dual_basis_2(vr)
+        else:
+            try:
+                vl = _dagger(np.linalg.inv(vr))
+            except np.linalg.LinAlgError as exc:
+                raise DefectiveMatrix("right eigenvector matrix is singular") from exc
+        # |Phi_n| = 1/|<phi_n|Psi_n>| for the unit left eigenvector phi_n;
+        # the negated test also refuses NaN from a zero right vector.
+        if not (_norm(vl, -2) <= 1e13).all():
+            raise DefectiveMatrix("left/right eigenvector overlap numerically singular")
 
     unbroken = np.abs(w.imag).max(axis=-1) <= _TOL_REAL * scale
     return BiorthoEigensystem(
@@ -333,20 +334,24 @@ def biortho_eig(h) -> BiorthoEigensystem:
     )
 
 
-def _dual_basis_2(vr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """inv(VR)^dag of a stack (P, 2, 2) as the adjugate over det VR, and the
-    norms of its columns: one stacked LAPACK call costs more than this
-    arithmetic on 2x2 matrices. Raises DefectiveMatrix when a determinant
-    is exactly zero. A dual vector that overflows comes back as Inf or
-    NaN, not as a warning, for the caller's norm check to refuse."""
+def _dual_basis_2(vr: np.ndarray) -> np.ndarray:
+    """inv(VR)^dag of a stack (P, 2, 2) as the adjugate over det VR: one
+    stacked LAPACK call costs more than this arithmetic on 2x2 matrices.
+    Raises DefectiveMatrix when a determinant is exactly zero. A dual
+    vector that overflows comes back as Inf or NaN, for the caller's norm
+    check to refuse; the caller holds the floating-point errors."""
     det = vr[:, 0, 0] * vr[:, 1, 1] - vr[:, 0, 1] * vr[:, 1, 0]
     if not det.all():
         raise DefectiveMatrix("right eigenvector matrix is singular")
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Reversing both axes of [[a, b], [c, d]] gives [[d, c], [b, a]];
-        # the signs make it adj(VR)^T.
-        vl = (vr[:, ::-1, ::-1] * _ADJUGATE_SIGNS / det[:, None, None]).conj()
-        return vl, np.linalg.norm(vl, axis=-2)
+    # Reversing both axes of [[a, b], [c, d]] gives [[d, c], [b, a]]; the
+    # signs make it adj(VR)^T.
+    return (vr[:, ::-1, ::-1] * _ADJUGATE_SIGNS / det[:, None, None]).conj()
+
+
+def _norm(x: np.ndarray, axis: int) -> np.ndarray:
+    """The 2-norm along ``axis`` by numpy's own formula in
+    ``numpy.linalg.norm``, so the same bits, without its argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
 
 
 def build_W(eig: BiorthoEigensystem) -> np.ndarray:
@@ -360,7 +365,7 @@ def build_W(eig: BiorthoEigensystem) -> np.ndarray:
     evals = np.linalg.eigvalsh(w)
     # eigvalsh resolves eigenvalues only to ~N eps |W|: below that, W is
     # numerically singular whatever the sign of the computed value.
-    ratio = float(np.min(evals[..., 0] / evals[..., -1]))
+    ratio = float((evals[..., 0] / evals[..., -1]).min())
     if ratio <= w.shape[-1] * np.finfo(float).eps:
         raise NotPositiveDefinite(
             f"smallest/largest eigenvalue of W is {ratio:.3e}; eigensystem is broken"

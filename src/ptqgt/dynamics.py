@@ -23,7 +23,8 @@ import numpy as np
 
 from .biortho import HamiltonianFamily, _check_integer, _per_stack, biortho_eig, build_W
 from .errors import AmbiguousMatching, NonFinite, NotAdiabatic, StepTooLarge
-from .geometry import LoopSpec, _check_level, _gauged_coefficients, _o_b, berry_phase_loop
+from .geometry import (LoopSpec, _check_level, _ends_meet, _gauged_coefficients, _o_b,
+                       berry_phase_loop)
 
 __all__ = [
     "PathSpec",
@@ -296,7 +297,7 @@ def adiabatic_phase(
         raise ValueError("adiabatic_phase needs a closed path")
     _check_level(n, family.dim_hilbert)
     start, end = loop.at(0.0), loop.at(loop.duration)
-    if not np.allclose(start, end, rtol=0.0, atol=1e-12):
+    if not _ends_meet(start, end):
         raise ValueError(f"path is declared closed but its ends differ: {start} vs {end}")
     eig0 = biortho_eig(family(start))
     psi0 = eig0.right[:, n]  # <psi0|W|psi0> = 1 by construction

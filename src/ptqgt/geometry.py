@@ -15,6 +15,7 @@ finite-difference route.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,7 +69,16 @@ class LoopSpec:
 
     @property
     def closed(self) -> bool:
-        return bool(np.allclose(self.vertices[0], self.vertices[-1], rtol=0.0, atol=1e-12))
+        return _ends_meet(self.vertices[0], self.vertices[-1])
+
+
+def _ends_meet(start: np.ndarray, end: np.ndarray) -> bool:
+    """Whether two float points agree within 1e-12 in every coordinate, as
+    ``np.allclose(start, end, rtol=0, atol=1e-12)`` decides: equal
+    infinities meet, a NaN meets nothing, and a difference that overflows
+    is no warning but apart."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(((np.abs(start - end) <= 1e-12) | (start == end)).all())
 
 
 @dataclass(frozen=True)
@@ -80,14 +90,16 @@ class OperatorPair:
     o_b: np.ndarray
 
 
-def _projector_derivatives(h_at, lam, step) -> tuple[BiorthoEigensystem, np.ndarray]:
+def _projector_derivatives(h_at, lam, step) -> tuple[BiorthoEigensystem, np.ndarray,
+                                                      np.ndarray]:
     """Central differences of the level projectors P_n = |Psi_n><Phi_n| at
     the point ``lam`` (d,), with the 2d+1 stencil solved as one stack.
 
     ``h_at`` maps the stencil, centre then ``lam + step e_mu`` then
     ``lam - step e_mu``, from ``(2d+1, d)`` to ``(2d+1, ..., N, N)``: a
     family, or several side by side along ``...``. Returns the centre
-    eigensystem (..., N) and ``dp[mu, ..., n]`` ~ d_mu P_n, (d, ..., N, N, N).
+    eigensystem (..., N), its projectors ``p[..., n]`` = P_n, (..., N, N, N),
+    and ``dp[mu, ..., n]`` ~ d_mu P_n, (d, ..., N, N, N).
     No gauge changes a projector, so nothing is phase-aligned: each centre
     level n is matched, on its own, to the stencil level m of largest
     |<Phi_n|Psi_m>|. Raises AmbiguousMatching when a matched overlap is
@@ -97,7 +109,7 @@ def _projector_derivatives(h_at, lam, step) -> tuple[BiorthoEigensystem, np.ndar
     if not step < np.inf:  # the default step of a point near the float range
         raise NonFinite(f"difference step {step} is not finite")
     d = lam.size
-    points = lam + step * np.concatenate([np.zeros((1, d)), np.eye(d), -np.eye(d)])
+    points = lam + step * _stencil_directions(d)
     eigs = biortho_eig(h_at(points))
     if np.any(eigs.unbroken != eigs.unbroken[0]):
         raise Degenerate("difference stencil straddles a PT-breaking (exceptional) point")
@@ -109,12 +121,21 @@ def _projector_derivatives(h_at, lam, step) -> tuple[BiorthoEigensystem, np.ndar
     overlaps = np.abs(np.swapaxes(eig0.left.conj(), -1, -2) @ eigs.right[1:])
     if overlaps.max(axis=-1).min() < 1e-12:
         raise AmbiguousMatching("matched overlap is numerically zero")
-    p = _projectors(eigs[1:])
+    p = _projectors(eigs)
     # the matched levels, gathered over the stack axes flattened into one
-    flat = p.reshape((-1,) + p.shape[-3:])
+    flat = p[1:].reshape((-1,) + p.shape[-3:])
     match = overlaps.argmax(axis=-1).reshape(len(flat), -1)
-    p = flat[np.arange(len(flat))[:, None], match].reshape(p.shape)
-    return eig0, (p[:d] - p[d:]) / (2.0 * step)
+    ps = flat[np.arange(len(flat))[:, None], match].reshape(p[1:].shape)
+    return eig0, p[0], (ps[:d] - ps[d:]) / (2.0 * step)
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil_directions(d: int) -> np.ndarray:
+    """The 2d+1 stencil's offsets in units of the step, (2d+1, d): the
+    centre, then +e_mu, then -e_mu; built once per d and read-only."""
+    directions = np.concatenate([np.zeros((1, d)), np.eye(d), -np.eye(d)])
+    directions.flags.writeable = False
+    return directions
 
 
 def _projectors(eig: BiorthoEigensystem) -> np.ndarray:
@@ -173,15 +194,16 @@ def _level_gaps(energies: np.ndarray, levels: Sequence[int]) -> tuple[list, np.n
     return gaps, tol
 
 
-def _fd_qgt(eig: BiorthoEigensystem, dp) -> np.ndarray:
-    """Q of every level, (..., N, d, d), from the eigensystem (..., N) and
-    the derivatives ``dp`` (d, ..., N, N, N) of ``_projector_derivatives``.
+def _fd_qgt(p, dp) -> np.ndarray:
+    """Q of each projector ``p`` (..., N, N) from its derivatives ``dp``
+    (d, ..., N, N), as ``_projector_derivatives`` gives them for every
+    level or as one level of them: (..., d, d).
 
     Q = 1/2 (x + x^dag) with x_{mu nu} = Tr(P_n d_mu P_n d_nu P_n), which
     is <d_mu Phi_n|(1 - |Psi_n><Phi_n|)|d_nu Psi_n> as <Phi_n|Psi_n> = 1;
     exactly Hermitian by construction.
     """
-    x = np.einsum("...nij,a...njk,b...nki->...nab", _projectors(eig), dp, dp)
+    x = np.einsum("...ij,a...jk,b...ki->...ab", p, dp, dp)
     return 0.5 * (x + np.swapaxes(x, -1, -2).conj())
 
 
@@ -196,9 +218,9 @@ def qgt(family: HamiltonianFamily, lam, n: int = 0) -> GeomTensor:
     """
     _check_level(n, family.dim_hilbert)
     lam = _as_point(lam, family.dim_param)
-    eig, dp = _projector_derivatives(family, lam, default_step(lam))
+    eig, p, dp = _projector_derivatives(family, lam, default_step(lam))
     _check_gap(eig, [n])
-    return GeomTensor(level=n, point=lam, q=_fd_qgt(eig, dp)[n])
+    return GeomTensor(level=n, point=lam, q=_fd_qgt(p[n], dp[:, n]))
 
 
 def _coefficients(eig: BiorthoEigensystem, dh) -> np.ndarray:
@@ -284,8 +306,9 @@ def berry_phase_loop(family: HamiltonianFamily, loop: LoopSpec) -> float:
     n = loop.level
     eigs = biortho_eig(family(loop.vertices[:-1]))
     _check_gap(eigs, [n])
+    right = eigs.right[:, :, n]
     links = np.einsum("ij,ij->i", eigs.left[:, :, n].conj(),
-                      np.roll(eigs.right[:, :, n], -1, axis=0))
+                      np.concatenate((right[1:], right[:1])))  # the next vertex's
     prod = np.prod(links)
     if prod == 0:
         raise Degenerate("vanishing overlap along the loop")

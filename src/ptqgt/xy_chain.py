@@ -39,6 +39,7 @@ _CASE_TOL = 1e-12
 # FD intensity step: its O(step^2) error, which grows toward |eta| = eta_c
 # where g22 diverges, stays below 1e-7 relative up to 0.9975 eta_c.
 _FD_STEP = 1e-6
+_COMPLEX_BLOCK = "complex block spectrum at k = {:.6f}"  # both intensity routes refuse so
 
 
 @dataclass(frozen=True)
@@ -332,7 +333,7 @@ def _intensity_perturbative(p: XYParams, h, eta, n_quad: int) -> np.ndarray:
         point, node = np.argwhere(refused)[0]
         k = ks[node]
         if complex_spectrum[point, node]:
-            raise Degenerate(f"complex block spectrum at k = {k:.6f}")
+            raise Degenerate(_COMPLEX_BLOCK.format(k))
         if gapless[point, node]:
             raise GaplessPoint(f"gap closes at quadrature node k = {k:.6f}")
         raise Degenerate(f"level crossing at quadrature node k = {k:.6f}")
@@ -346,28 +347,39 @@ def _intensity_perturbative(p: XYParams, h, eta, n_quad: int) -> np.ndarray:
 
 def _intensity_fd(p: XYParams, f: FieldPoint, n_quad: int) -> np.ndarray:
     """Finite-difference route: the 5-point stencils of up to 102 nodes, as
-    many as the stack budget holds, in one stack. Each stack is checked as
-    a whole with the cuts of ``occupied_levels`` and ``_check_gap``, which
-    then refuse its first offending node; its terms are added in node order."""
+    many as the stack budget holds, in one stack. Every stack is solved
+    before any node is checked, so that a complex block spectrum is cut as
+    the sum-over-states route cuts it, at 1e-9 of the point's largest
+    |Re E| over all nodes. Each stack is then checked as a whole, also with
+    the cuts of ``occupied_levels`` and ``_check_gap``, and refused at its
+    first offending node: a complex spectrum there raises Degenerate, else
+    those two checks raise. Its terms are added in node order."""
     ks, wts = _gl_nodes(n_quad)
-    total = np.zeros((2, 2))
     lam = np.array([f.h, f.eta])
     chunk = _per_stack(2 * lam.size + 1)
+    stacks = []
     for lo in range(0, n_quad, chunk):
-        eig, dp = geometry._projector_derivatives(
+        stacks.append(geometry._projector_derivatives(
             lambda points: dk_blocks(p, points[:, 0], points[:, 1], ks[lo:lo + chunk]),
-            lam, _FD_STEP)
+            lam, _FD_STEP))
+    energies = np.concatenate([eig.energies for eig, _, _ in stacks])
+    complex_spectrum = _refused_nodes(energies[None])[0][0]
+    total = np.zeros((2, 2))
+    for lo, (eig, proj, dp) in zip(range(0, n_quad, chunk), stacks):
         e = eig.energies  # (K, 4)
         occupied = e.real < 0
         gaps, gap_cut = geometry._level_gaps(e, range(4))
         narrow = occupied & (np.stack(gaps, axis=-1) < gap_cut[:, None])
-        refused = _zero_levels(e.real)[0] | narrow.any(axis=-1)
+        complex_here = complex_spectrum[lo:lo + chunk]
+        refused = complex_here | _zero_levels(e.real)[0] | narrow.any(axis=-1)
         if refused.any():  # the per-node checks raise at the first refused node
             i = np.argmax(refused)
+            if complex_here[i]:
+                raise Degenerate(_COMPLEX_BLOCK.format(ks[lo + i]))
             geometry._check_gap(eig[i], occupied_levels(eig[i]))
         # -0.0 is the addend that changes no sum; the running sum adds the
         # nodes' terms in order, as one node at a time would
-        levels = np.where(occupied[..., None, None], geometry._fd_qgt(eig, dp).real, -0.0)
+        levels = np.where(occupied[..., None, None], geometry._fd_qgt(proj, dp).real, -0.0)
         terms = wts[lo:lo + chunk, None, None] * 2.0 * levels.sum(axis=1)
         total = np.cumsum(np.concatenate([total[None], terms]), axis=0)[-1]
     return total / (4.0 * np.pi)
@@ -389,7 +401,10 @@ def metric_intensity(
     bits) or the finite-difference route ('fd', qgt's projector
     differences at step 1e-6 with every node's stencil in stacks, used for
     cross-validation). Raises ValueError unless ``n_quad`` is an integer of
-    at least 2.
+    at least 2. Both routes raise Degenerate at a node whose block spectrum
+    is complex (an |Im E| above 1e-9 of the point's largest |Re E|), as in
+    the PT-broken phase, and GaplessPoint or Degenerate where a level
+    reaches zero energy or an occupied level meets another.
     """
     _check_integer(n_quad, "n_quad")
     if n_quad < 2:

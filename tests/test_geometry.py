@@ -157,9 +157,9 @@ def test_qgt_exactly_hermitian_at_every_level(fam, lam):
 def test_fd_qgt_matches_the_per_level_formula():
     fam = dk_family(ANISO, 0.8)
     lam = np.array([0.4, 0.2])
-    eig, dp = geometry._projector_derivatives(fam, lam, default_step(lam))
-    q = geometry._fd_qgt(eig, dp)
-    assert dp.shape == (2, 4, 4, 4) and q.shape == (4, 2, 2)
+    eig, proj, dp = geometry._projector_derivatives(fam, lam, default_step(lam))
+    q = geometry._fd_qgt(proj, dp)
+    assert proj.shape == (4, 4, 4) and dp.shape == (2, 4, 4, 4) and q.shape == (4, 2, 2)
     for n in range(4):
         p = np.outer(eig.right[:, n], eig.left[:, n].conj())
         x = np.array([[np.trace(p @ dp[mu, n] @ dp[nu, n]) for nu in range(2)]
@@ -548,6 +548,54 @@ def test_loopspec_validation():
         berry_phase_loop(spin_half_family(), gapped)
 
 
+class _PastTheEndCheck(Exception):
+    """Raised by a family that ``adiabatic_phase`` reaches only once it has
+    taken the path's ends as closed."""
+
+
+def _refusing_family(lam):
+    raise _PastTheEndCheck
+
+
+# (first vertex, last vertex, closed): np.allclose(rtol=0, atol=1e-12)
+_ENDS = [
+    ([np.inf, 0.5], [np.inf, 0.5], True),  # equal infinities meet
+    ([-np.inf, 0.5], [np.inf, 0.5], False),
+    ([np.nan, 0.5], [np.nan, 0.5], False),  # a NaN meets nothing
+    ([0.0, 0.5], [1e-12, 0.5], True),  # a gap of exactly 1e-12 is closed
+    ([0.0, 0.5], [2e-12, 0.5], False),
+    ([1e308, -1e308], [1e308, -1e308], True),  # no overflow warning
+    ([1e308, -1e308], [1e308, -1e308 + 1e292], False),
+]
+
+
+@pytest.mark.parametrize("first, last, closed", _ENDS)
+def test_loop_and_path_ends_meet_as_allclose_decides(first, last, closed):
+    # pytest turns any RuntimeWarning into an error here
+    verts = np.array([first, [0.1, 0.2], [0.3, 0.4], last])
+    assert LoopSpec(vertices=verts, level=0).closed is closed
+    assert closed == np.allclose(first, last, rtol=0.0, atol=1e-12)
+    family = HamiltonianFamily(dim_hilbert=2, dim_param=2, evaluate=_refusing_family)
+    path = PathSpec(curve=lambda t: np.array(first) if t == 0.0 else np.array(last),
+                    duration=1.0, closed=True)
+    if closed:
+        with pytest.raises(_PastTheEndCheck):
+            adiabatic_phase(family, path, n=0, n_steps=10)
+    else:
+        with pytest.raises(ValueError, match="ends differ"):
+            adiabatic_phase(family, path, n=0, n_steps=10)
+
+
+def test_ends_beyond_the_float_range_apart_are_open_without_a_warning():
+    # 1e308 - (-1e308) overflows: the ends are apart, and no RuntimeWarning
+    # (an error here) is raised on the way
+    verts = np.array([[1e308, 0.5], [0.1, 0.2], [0.3, 0.4], [-1e308, 0.5]])
+    loop = LoopSpec(vertices=verts, level=0)
+    assert not loop.closed
+    with pytest.raises(OpenLoop):
+        berry_phase_loop(spin_half_family(), loop)
+
+
 def test_berry_phase_solid_angle_both_levels():
     fam = spin_half_family()
     theta = 0.8
@@ -862,7 +910,7 @@ def test_o_operators_generate_derivatives():
     # broken phase; a quarter of that step brings it to 1.2e-10.
     lam = np.array([0.4, 0.2])
     for fam in (dk_family(ANISO, 0.8), pt_two_level_family()):  # the latter PT-broken there
-        eig, dp = geometry._projector_derivatives(fam, lam, default_step(lam) / 4.0)
+        eig, _, dp = geometry._projector_derivatives(fam, lam, default_step(lam) / 4.0)
         ops = o_operators(fam, lam)
         for mu in range(2):
             for n in range(fam.dim_hilbert):

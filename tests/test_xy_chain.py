@@ -366,15 +366,21 @@ def test_fd_intensity_makes_one_bundle_per_node(monkeypatch):
 
 def _fd_intensity_per_node(p, f, n_quad):
     """The FD intensity one node at a time: each node's D_k family
-    differenced alone, the terms added in node order."""
+    differenced alone, the terms added in node order. A node is refused
+    first for a complex block spectrum, an |Im E| above 1e-9 of the
+    largest |Re E| over all the point's nodes."""
     ks, wts = _gl_nodes(n_quad)
     lam = np.array([f.h, f.eta])
+    nodes = [geometry._projector_derivatives(dk_family(p, k), lam, xy_chain._FD_STEP)
+             for k in ks]
+    scale = max(np.abs(eig.energies.real).max() for eig, _, _ in nodes)
     total = np.zeros((2, 2))
-    for k, w in zip(ks, wts):
-        eig, dp = geometry._projector_derivatives(dk_family(p, k), lam, xy_chain._FD_STEP)
+    for k, w, (eig, proj, dp) in zip(ks, wts, nodes):
+        if np.abs(eig.energies.imag).max() > 1e-9 * scale:
+            raise Degenerate(f"complex block spectrum at k = {k:.6f}")
         occ = occupied_levels(eig)
         geometry._check_gap(eig, occ)
-        total += w * 2.0 * geometry._fd_qgt(eig, dp)[occ].real.sum(axis=0)
+        total += w * 2.0 * geometry._fd_qgt(proj, dp)[occ].real.sum(axis=0)
     return total / (4.0 * np.pi)
 
 
@@ -574,11 +580,14 @@ def test_fd_intensity_refuses_where_the_per_node_route_refuses(monkeypatch):
     # occupied levels 0 and 1 joined wherever level 1 lies above a cut,
     # the same nodes in either route, as level 1 rises with k here: node 30
     # on (the first stencil stack) or node 110 on (the second) is refused;
-    # beyond eta_c, every node is joined and the tolerance takes |E|, not Re E
+    # beyond eta_c, every node is joined, but every block spectrum is
+    # complex too, and both routes refuse that first, at node 0
     real = geometry._projector_derivatives
     ks = _gl_nodes(129)[0]
-    for f, first in ((FieldPoint(h=0.5, eta=0.3), 30), (FieldPoint(h=0.5, eta=0.3), 110),
-                     (FieldPoint(h=0.5, eta=2.5), 0)):
+    for f, first, refusal in ((FieldPoint(h=0.5, eta=0.3), 30, "level 0 gap 0.000e"),
+                              (FieldPoint(h=0.5, eta=0.3), 110, "level 0 gap 0.000e"),
+                              (FieldPoint(h=0.5, eta=2.5), 0,
+                               f"complex block spectrum at k = {ks[0]:.6f}")):
         cut = -np.inf
         if first:
             below, above = [real(dk_family(ANISO, k), np.array([f.h, f.eta]),
@@ -588,18 +597,34 @@ def test_fd_intensity_refuses_where_the_per_node_route_refuses(monkeypatch):
             cut = 0.5 * (below + above)
 
         def joined(h_at, lam, step):
-            eig, dp = real(h_at, lam, step)
+            eig, proj, dp = real(h_at, lam, step)
             e = eig.energies.copy()
             e[..., 1] = np.where(e[..., 1].real > cut, e[..., 0], e[..., 1])
-            return dataclasses.replace(eig, energies=e), dp
+            return dataclasses.replace(eig, energies=e), proj, dp
 
         monkeypatch.setattr(geometry, "_projector_derivatives", joined)
-        with pytest.raises(Degenerate, match="level 0 gap 0.000e") as stacked:
+        with pytest.raises(Degenerate, match=refusal) as stacked:
             metric_intensity(ANISO, f, n_quad=129, method="fd")
         with pytest.raises(Degenerate) as per_node:
             _fd_intensity_per_node(ANISO, f, 129)
         assert str(stacked.value) == str(per_node.value)
         monkeypatch.setattr(geometry, "_projector_derivatives", real)
+
+
+@pytest.mark.parametrize("n_quad", [24, 129])
+def test_both_intensity_routes_refuse_a_complex_block_spectrum(n_quad):
+    # beyond eta_c = 1 the blocks' spectra are complex at every node
+    f = FieldPoint(h=0.5, eta=2.5)
+    k0 = _gl_nodes(n_quad)[0][0]
+    refusals = []
+    for method in ("perturbative", "fd"):
+        with pytest.raises(Degenerate, match="complex block spectrum") as refused:
+            metric_intensity(ANISO, f, n_quad=n_quad, method=method)
+        refusals.append(str(refused.value))
+    assert refusals == [f"complex block spectrum at k = {k0:.6f}"] * 2
+    with pytest.raises(Degenerate) as per_node:
+        _fd_intensity_per_node(ANISO, f, n_quad)
+    assert str(per_node.value) == refusals[1]
 
 
 def test_stacked_kernel_scales_each_point_by_itself():
