@@ -90,8 +90,9 @@ class OperatorPair:
     o_b: np.ndarray
 
 
-def _projector_derivatives(h_at, lam, step) -> tuple[BiorthoEigensystem, np.ndarray,
-                                                      np.ndarray]:
+def _projector_derivatives(
+    h_at, lam, step
+) -> tuple[BiorthoEigensystem, np.ndarray, np.ndarray]:
     """Central differences of the level projectors P_n = |Psi_n><Phi_n| at
     the point ``lam`` (d,), with the 2d+1 stencil solved as one stack.
 
