@@ -355,22 +355,56 @@ def _norm(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def build_W(eig: BiorthoEigensystem) -> np.ndarray:
-    """Inner-product metric W = sum_n |Phi_n><Phi_n| from the left vectors.
+    """Inner-product metric W = sum_n |Phi_n><Phi_n| from the left vectors,
+    checked positive definite.
 
     With this W the right vectors are orthonormal in the W inner product:
-    <Psi_m|W|Psi_n> = delta_mn. Stacked eigensystems give stacked W.
+    <Psi_m|W|Psi_n> = delta_mn. Stacked eigensystems give stacked W. For
+    N = 2, W and the closed-form spectrum of its check are formed entry by
+    entry, with no matmul or LAPACK call; other N take one stacked matmul
+    and one ``numpy.linalg.eigvalsh``. Raises NotPositiveDefinite when the
+    smallest ratio of W's extreme eigenvalues over the stack is not above
+    N eps.
     """
-    w = eig.left @ _dagger(eig.left)
-    w = 0.5 * (w + _dagger(w))
-    evals = np.linalg.eigvalsh(w)
-    # eigvalsh resolves eigenvalues only to ~N eps |W|: below that, W is
-    # numerically singular whatever the sign of the computed value.
-    ratio = float((evals[..., 0] / evals[..., -1]).min())
-    if ratio <= w.shape[-1] * np.finfo(float).eps:
+    if eig.dim == 2:
+        w, ratio = _metric_2(eig.left)
+    else:
+        w = eig.left @ _dagger(eig.left)
+        w = 0.5 * (w + _dagger(w))
+        evals = np.linalg.eigvalsh(w)
+        ratio = evals[..., 0] / evals[..., -1]
+    # eigvalsh resolves eigenvalues only to ~N eps |W|, and the closed form
+    # to about the same: below that, W is numerically singular whatever the
+    # sign of the computed value. The negated test also refuses NaN.
+    ratio = float(np.min(ratio))
+    if not ratio > w.shape[-1] * np.finfo(float).eps:
         raise NotPositiveDefinite(
             f"smallest/largest eigenvalue of W is {ratio:.3e}; eigensystem is broken"
         )
     return w
+
+
+def _metric_2(left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W = L L^dag of a stack of 2x2 left-vector matrices L, (..., 2, 2),
+    and the ratio lambda_min / lambda_max of each W, (...). Entrywise: W is
+    [[a, b], [b^*, d]] with a, d the squared norms of L's rows and b their
+    inner product, so lambda_max = (a + d + sqrt((a - d)^2 + 4|b|^2)) / 2
+    and lambda_min = (a d - |b|^2) / lambda_max. The ratio is formed from
+    a, d and |b| over lambda_max, which no W within the float range
+    overflows; a W beyond it gives NaN, for the caller to refuse."""
+    row0, row1 = left[..., 0, :], left[..., 1, :]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a, d = np.vecdot(row0, row0).real, np.vecdot(row1, row1).real
+        b = np.vecdot(row1, row0)  # sum_n L_0n L_1n^*, vecdot conjugating its first
+        size = np.abs(b)
+        top = 0.5 * (a + d + np.hypot(a - d, 2.0 * size))
+        ratio = (a / top) * (d / top) - (size / top) ** 2
+    w = np.empty(left.shape, dtype=b.dtype)
+    w[..., 0, 0] = a
+    w[..., 1, 1] = d
+    w[..., 0, 1] = b
+    w[..., 1, 0] = b.conj()
+    return w, ratio
 
 
 def gauge_transform(eig: BiorthoEigensystem, f) -> BiorthoEigensystem:

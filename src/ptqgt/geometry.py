@@ -261,8 +261,15 @@ def _gauged_coefficients(eig: BiorthoEigensystem, dh) -> np.ndarray:
     """``_coefficients`` with the diagonal that biortho_eig's gauge sets,
     so that d_mu Psi = Psi C_mu in full; ``eig`` may be a stack (..., N)
     and ``dh`` is (..., d, N, N). Unit-norm Psi_n and real <Phi_n|d Psi_n>
-    give C_nn = -Re sum_{m != n} (Psi^dag Psi)_nm C_mn."""
+    give C_nn = -Re sum_{m != n} (Psi^dag Psi)_nm C_mn. For N = 2 that sum
+    has one term, and the one overlap <Psi_0|Psi_1> stands in for the Gram
+    matrix: C_00 = -Re(<Psi_0|Psi_1> C_10), C_11 = -Re(<Psi_1|Psi_0> C_01)."""
     c = _coefficients(eig, dh)
+    if eig.dim == 2:
+        g01 = np.vecdot(eig.right[..., :, 0], eig.right[..., :, 1])[..., None]
+        c[..., 0, 0] = -(g01 * c[..., 1, 0]).real
+        c[..., 1, 1] = -(g01.conj() * c[..., 0, 1]).real
+        return c
     gram = np.swapaxes(eig.right.conj(), -1, -2) @ eig.right
     diag = np.arange(eig.dim)
     # The sum may include m = n: _coefficients leaves C_nn zero.
@@ -274,7 +281,16 @@ def _o_b(eig: BiorthoEigensystem, c) -> np.ndarray:
     """O_B = 1/2 Psi (C + C^dag) Phi^dag = -1/2 W^{-1} dW for the gauged
     response ``c`` (..., N, N) of ``_gauged_coefficients``, which
     broadcasts against ``eig``: as d Psi = Psi C and W^{-1} = Psi Psi^dag,
-    this is the generator O_B, and K of ``dynamics`` along dH/dt."""
+    this is the generator O_B, and K of ``dynamics`` along dH/dt. For
+    N = 2 the products are formed entrywise, one column or row at a time:
+    numpy's stacked complex 2x2 matmul costs several times that."""
+    if eig.dim == 2:
+        m = 0.5 * (c + np.swapaxes(c.conj(), -1, -2))
+        psi, phi = eig.right, eig.left.conj()
+        # (Psi M)[i, l] = sum_k Psi[i, k] M[k, l], then
+        # (Psi M Phi^dag)[i, j] = sum_l (Psi M)[i, l] Phi[j, l]^*
+        pm = psi[..., :, :1] * m[..., :1, :] + psi[..., :, 1:] * m[..., 1:, :]
+        return pm[..., :, :1] * phi[..., None, :, 0] + pm[..., :, 1:] * phi[..., None, :, 1]
     phi_dag = np.swapaxes(eig.left.conj(), -1, -2)
     return 0.5 * eig.right @ (c + np.swapaxes(c.conj(), -1, -2)) @ phi_dag
 

@@ -387,6 +387,22 @@ def test_build_w_rejects_broken_eigensystem():
         build_W(bad)
 
 
+def test_build_w_rejects_broken_two_level_eigensystem():
+    # the same blow-up on a 2x2 eigensystem, whose W and check are entrywise
+    eig = biortho_eig(pt_two_level_family()(np.array([0.1, 0.8])))
+    build_W(eig)
+    bad = gauge_transform(eig, np.array([1.0, 1e9]))
+    with pytest.raises(NotPositiveDefinite):
+        build_W(bad)
+    # one broken element refuses a stack
+    stack = biortho_eig(pt_two_level_family()(np.array([[0.1, 0.8], [0.0, 0.9], [0.2, 1.0]])))
+    build_W(stack)
+    left = stack.left.copy()
+    left[1] = bad.left
+    with pytest.raises(NotPositiveDefinite):
+        build_W(dataclasses.replace(stack, left=left))
+
+
 def test_gauge_transform_roundtrip():
     rng = np.random.default_rng(11)
     eig = biortho_eig(random_matrix(rng, 4))

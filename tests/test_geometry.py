@@ -10,6 +10,7 @@ from ptqgt import (
     HamiltonianFamily,
     LoopSpec,
     NonFinite,
+    NotPositiveDefinite,
     OpenLoop,
     PathSpec,
     PtqgtError,
@@ -121,6 +122,17 @@ def test_qgt_refuses_stencil_across_exceptional_point():
     assert biortho_eig(fam(lam)).unbroken
     with pytest.raises(Degenerate):
         qgt(fam, lam, n=0)
+
+
+def test_qgt_refuses_a_numerically_singular_stencil_metric():
+    # H = [[i, 1], [l1 + i l2, i]] has its EP at l = 0. At l = (2e-16, 2e-16)
+    # the stencil's W has lambda_min / lambda_max ~ 2.8e-16, below the cut
+    # 2 eps = 4.4e-16: the eigensystem is refused, not differenced.
+    fam = HamiltonianFamily(dim_hilbert=2, dim_param=2,
+                            evaluate=lambda lam: np.array([[1j, 1.0],
+                                                           [lam[0] + 1j * lam[1], 1j]]))
+    with pytest.raises(NotPositiveDefinite):
+        qgt(fam, np.array([2e-16, 2e-16]), n=0)
 
 
 @pytest.mark.parametrize("name, lam", [("pt_two_level", [0.1, 0.8]),

@@ -8,7 +8,8 @@ _spec = importlib.util.spec_from_file_location("stages", _PATH)
 stages = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(stages)
 
-SHAPES = ("stencil-5", "stencil-7", "loop-64", "flux-512", "intensity-65", "chunk-455")
+SHAPES = ("stencil-5", "stencil-7", "loop-64", "flux-512", "intensity-65", "chunk-455",
+          "transport-512")
 
 
 def test_one_round_times_every_stage_of_every_shape(capsys):

@@ -2,7 +2,7 @@
 
     python3 tools/stages.py [--rounds 9] [--calls 200]
 
-Six shapes, each a stack that one request or one block solves:
+Seven shapes, each a stack that one request or one block solves:
 
 - ``stencil-5``: the 2d+1 stencil of ``qgt`` on the bundled
   ``pt_two_level`` model (d = 2), 5 complex 2x2 matrices;
@@ -13,7 +13,10 @@ Six shapes, each a stack that one request or one block solves:
   ``pt_two_level`` family at resolution 64, 512;
 - ``intensity-65``: one ``metric_intensity`` point (ANISO, ``n_quad`` 65),
   65 real 4x4 blocks;
-- ``chunk-455``: a seven-point scan chunk of the same, 455 real 4x4 blocks.
+- ``chunk-455``: a seven-point scan chunk of the same, 455 real 4x4 blocks;
+- ``transport-512``: one 256-step ``evolve`` chunk of a pt_loop transport
+  (the analytic ``pt_two_level`` family on a circle of radius 0.05, 6000
+  steps over 100 time units), 512 complex 2x2 nodes.
 
 At each shape the stages are, where they apply:
 
@@ -23,8 +26,11 @@ At each shape the stages are, where they apply:
   less ``eig``, and for the 4x4 shapes it holds the ``numpy.linalg.inv``
   of the dual basis;
 - ``kernel``: ``_fd_qgt`` on the stencils' level-0 projector and its
-  derivatives, as ``qgt`` calls it, and ``_sos_qgt`` on the flux block
-  and on the intensity blocks;
+  derivatives, as ``qgt`` calls it, ``_sos_qgt`` on the flux block and
+  on the intensity blocks, and on the transport chunk ``build_W``,
+  ``_gauged_coefficients`` and ``_o_b`` as ``evolve`` calls them: W, its
+  positivity check, the gauged response and K, all formed entrywise for
+  N = 2, so that the chunk's one LAPACK call is its eigensolve;
 - ``closure``: ``LoopSpec.closed`` on the loop;
 - ``request``: one whole request of the point_query kind that solves the
   shape: ``qgt`` at n = 0 on each stencil, ``berry_phase_loop`` on the
@@ -55,8 +61,8 @@ if __name__ == "__main__":  # before numpy loads its BLAS; the tests import this
 
 import numpy as np  # noqa: E402
 
-from ptqgt import families, geometry, xy_chain  # noqa: E402
-from ptqgt.biortho import biortho_eig, default_step  # noqa: E402
+from ptqgt import dynamics, families, geometry, xy_chain  # noqa: E402
+from ptqgt.biortho import biortho_eig, build_W, default_step  # noqa: E402
 from ptqgt.verify import ANISO  # noqa: E402
 
 STAGES = ("family", "eig", "biortho", "outside", "kernel", "closure", "request")
@@ -129,6 +135,37 @@ def _blocks(hs, etas) -> dict:
     return stages
 
 
+def _transport_chunk() -> dict:
+    """The first chunk of ``evolve`` on a pt_loop circle: its half-steps
+    and step ends, and H at the nodes their dH/dt stencils span."""
+    family = families.pt_two_level_family()
+    steps, tau, radius = 6000, 100.0, 0.05
+    chunk = 256  # the steps of one stack of 512 nodes
+    nodes = np.arange(2 * steps + 1) * (0.5 * tau / steps)
+    k = np.arange(1, 2 * chunk + 1).reshape(chunk, 2)
+    first, rows = dynamics._stencil(k, 2 * steps)
+    lo, m = first.min(), rows.shape[-1]
+    angle = 2.0 * np.pi * nodes[lo:first.max() + m] / tau
+    points = np.array([0.15, 0.9]) + radius * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    h_all = family(points)
+    window = h_all[(first - lo)[..., None] + np.arange(m)]
+    h_dot = np.einsum("...j,...jab->...ab", rows, window) / (0.5 * tau / steps)
+    h = h_all[k - lo]
+    eig = biortho_eig(h)
+
+    def kernel():
+        build_W(eig)
+        c = geometry._gauged_coefficients(eig, h_dot[..., None, :, :])[..., 0, :, :]
+        return geometry._o_b(eig, c)
+
+    return {
+        "family": lambda: family(points),
+        "eig": lambda: np.linalg.eig(h),
+        "biortho": lambda: biortho_eig(h),
+        "kernel": kernel,
+    }
+
+
 def shapes() -> dict:
     """Every shape's stages, each a call of no arguments."""
     return {
@@ -138,6 +175,7 @@ def shapes() -> dict:
         "flux-512": _flux_block(),
         "intensity-65": _blocks([0.5], [0.3]),
         "chunk-455": _blocks(np.linspace(0.2, 1.4, 7), np.full(7, 0.3)),
+        "transport-512": _transport_chunk(),
     }
 
 
