@@ -30,7 +30,6 @@ from .errors import (
     ZeroScale,
 )
 from .families import (
-    bundled_model_path,
     load_bundled_model,
     pt_two_level_family,
     spin_half_family,

@@ -196,10 +196,6 @@ class BiorthoEigensystem:
     def dim(self) -> int:
         return self.energies.shape[-1]
 
-    def overlap_matrix(self) -> np.ndarray:
-        """<Phi_m|Psi_n>; identity for a valid eigensystem."""
-        return _dagger(self.left) @ self.right
-
     def __getitem__(self, i) -> "BiorthoEigensystem":
         unbroken = self.unbroken[i]
         return BiorthoEigensystem(
@@ -359,52 +355,50 @@ def build_W(eig: BiorthoEigensystem) -> np.ndarray:
     checked positive definite.
 
     With this W the right vectors are orthonormal in the W inner product:
-    <Psi_m|W|Psi_n> = delta_mn. Stacked eigensystems give stacked W. For
-    N = 2, W and the closed-form spectrum of its check are formed entry by
-    entry, with no matmul or LAPACK call; other N take one stacked matmul
-    and one ``numpy.linalg.eigvalsh``. Raises NotPositiveDefinite when the
-    smallest ratio of W's extreme eigenvalues over the stack is not above
-    N eps.
+    <Psi_m|W|Psi_n> = delta_mn. Stacked eigensystems give stacked W.
+    Entrywise at every N; the ratio is closed-form at N = 2: W = L L^dag
+    is one ``np.vecdot`` over pairs of rows of L, made exactly Hermitian,
+    and at other N the ratio of W's extreme eigenvalues comes from one
+    stacked ``numpy.linalg.eigvalsh``. Raises NotPositiveDefinite when the
+    smallest ratio over the stack is not above N eps, or when W overflows.
     """
-    if eig.dim == 2:
-        w, ratio = _metric_2(eig.left)
-    else:
-        w = eig.left @ _dagger(eig.left)
-        w = 0.5 * (w + _dagger(w))
+    left, n = eig.left, eig.dim
+    # W beyond the float range gives Inf or NaN, for the check to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        # W_ij = sum_n L_in L_jn^*, np.vecdot conjugating its first argument
+        w = np.vecdot(left[..., None, :, :], left[..., :, None, :])
+    upper, diag = np.triu_indices(n, 1), np.arange(n)
+    w[..., upper[1], upper[0]] = w[..., upper[0], upper[1]].conj()
+    w[..., diag, diag] = w[..., diag, diag].real
+    if n == 2:
+        ratio = _ratio_2(w)
+    elif np.isfinite(w).all():
         evals = np.linalg.eigvalsh(w)
         ratio = evals[..., 0] / evals[..., -1]
+    else:  # eigvalsh does not converge on Inf or NaN
+        ratio = np.nan
     # eigvalsh resolves eigenvalues only to ~N eps |W|, and the closed form
     # to about the same: below that, W is numerically singular whatever the
     # sign of the computed value. The negated test also refuses NaN.
     ratio = float(np.min(ratio))
-    if not ratio > w.shape[-1] * np.finfo(float).eps:
+    if not ratio > n * np.finfo(float).eps:
         raise NotPositiveDefinite(
             f"smallest/largest eigenvalue of W is {ratio:.3e}; eigensystem is broken"
         )
     return w
 
 
-def _metric_2(left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """W = L L^dag of a stack of 2x2 left-vector matrices L, (..., 2, 2),
-    and the ratio lambda_min / lambda_max of each W, (...). Entrywise: W is
-    [[a, b], [b^*, d]] with a, d the squared norms of L's rows and b their
-    inner product, so lambda_max = (a + d + sqrt((a - d)^2 + 4|b|^2)) / 2
-    and lambda_min = (a d - |b|^2) / lambda_max. The ratio is formed from
-    a, d and |b| over lambda_max, which no W within the float range
-    overflows; a W beyond it gives NaN, for the caller to refuse."""
-    row0, row1 = left[..., 0, :], left[..., 1, :]
+def _ratio_2(w: np.ndarray) -> np.ndarray:
+    """lambda_min / lambda_max of each Hermitian 2x2 W = [[a, b], [b^*, d]]
+    of a stack (..., 2, 2), as (...): lambda_max = (a + d + sqrt((a - d)^2
+    + 4|b|^2)) / 2 and lambda_min = (a d - |b|^2) / lambda_max. The ratio
+    is formed from a, d and |b| over lambda_max, which no W within the
+    float range overflows; a W beyond it gives NaN, for the caller to
+    refuse."""
+    a, d, size = w[..., 0, 0].real, w[..., 1, 1].real, np.abs(w[..., 0, 1])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a, d = np.vecdot(row0, row0).real, np.vecdot(row1, row1).real
-        b = np.vecdot(row1, row0)  # sum_n L_0n L_1n^*, vecdot conjugating its first
-        size = np.abs(b)
         top = 0.5 * (a + d + np.hypot(a - d, 2.0 * size))
-        ratio = (a / top) * (d / top) - (size / top) ** 2
-    w = np.empty(left.shape, dtype=b.dtype)
-    w[..., 0, 0] = a
-    w[..., 1, 1] = d
-    w[..., 0, 1] = b
-    w[..., 1, 0] = b.conj()
-    return w, ratio
+        return (a / top) * (d / top) - (size / top) ** 2
 
 
 def gauge_transform(eig: BiorthoEigensystem, f) -> BiorthoEigensystem:

@@ -12,7 +12,6 @@ from .modelfile import parse_model
 __all__ = [
     "spin_half_family",
     "pt_two_level_family",
-    "bundled_model_path",
     "load_bundled_model",
 ]
 
@@ -64,12 +63,7 @@ def pt_two_level_family() -> HamiltonianFamily:
                              derivative=derivative, batched=True)
 
 
-def bundled_model_path(name: str):
-    """Filesystem path of a bundled .model file ('spin_half', 'pt_two_level')."""
-    ref = resources.files("ptqgt") / "models" / f"{name}.model"
-    return ref
-
-
 def load_bundled_model(name: str) -> HamiltonianFamily:
-    text = bundled_model_path(name).read_text(encoding="utf-8")
+    """The family of a bundled .model file ('spin_half', 'pt_two_level')."""
+    text = (resources.files("ptqgt") / "models" / f"{name}.model").read_text(encoding="utf-8")
     return parse_model(text)

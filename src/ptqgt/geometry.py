@@ -16,6 +16,8 @@ finite-difference route.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -261,38 +263,42 @@ def _gauged_coefficients(eig: BiorthoEigensystem, dh) -> np.ndarray:
     """``_coefficients`` with the diagonal that biortho_eig's gauge sets,
     so that d_mu Psi = Psi C_mu in full; ``eig`` may be a stack (..., N)
     and ``dh`` is (..., d, N, N). Unit-norm Psi_n and real <Phi_n|d Psi_n>
-    give C_nn = -Re sum_{m != n} (Psi^dag Psi)_nm C_mn. For N = 2 that sum
-    has one term, and the one overlap <Psi_0|Psi_1> stands in for the Gram
-    matrix: C_00 = -Re(<Psi_0|Psi_1> C_10), C_11 = -Re(<Psi_1|Psi_0> C_01)."""
+    give C_nn = -Re sum_{m != n} <Psi_n|Psi_m> C_mn, entrywise at every N:
+    one overlap <Psi_m|Psi_n> per pair of levels m < n, which enters C_mm
+    and, conjugated, C_nn. At N = 1 the sum is empty and C stays zero."""
     c = _coefficients(eig, dh)
-    if eig.dim == 2:
-        g01 = np.vecdot(eig.right[..., :, 0], eig.right[..., :, 1])[..., None]
-        c[..., 0, 0] = -(g01 * c[..., 1, 0]).real
-        c[..., 1, 1] = -(g01.conj() * c[..., 0, 1]).real
-        return c
-    gram = np.swapaxes(eig.right.conj(), -1, -2) @ eig.right
-    diag = np.arange(eig.dim)
-    # The sum may include m = n: _coefficients leaves C_nn zero.
-    c[..., diag, diag] = -(gram[..., None, :, :] * np.swapaxes(c, -1, -2)).sum(-1).real
+    psi = eig.right
+    terms = [[] for _ in range(eig.dim)]
+    for m, n in itertools.combinations(range(eig.dim), 2):
+        overlap = np.vecdot(psi[..., :, m], psi[..., :, n])[..., None]
+        terms[m].append((overlap * c[..., n, m]).real)
+        terms[n].append((overlap.conj() * c[..., m, n]).real)
+    for n, real_parts in enumerate(terms):
+        if real_parts:
+            c[..., n, n] = -functools.reduce(operator.add, real_parts)
     return c
+
+
+def _psi_m_phi_dag(eig: BiorthoEigensystem, m) -> np.ndarray:
+    """Psi M Phi^dag for ``m`` (..., N, N), which broadcasts against
+    ``eig``, summed column by column and row by row with broadcast
+    products: numpy's stacked complex matmul on matrices this small costs
+    several times that."""
+    psi, phi = eig.right, eig.left.conj()
+    cols = range(eig.dim)
+    # (Psi M)[i, j] = sum_k Psi[i, k] M[k, j], then
+    # (Psi M Phi^dag)[i, j] = sum_k (Psi M)[i, k] Phi[j, k]^*
+    pm = functools.reduce(operator.add, (psi[..., :, k, None] * m[..., k, None, :] for k in cols))
+    return functools.reduce(operator.add, (pm[..., :, k, None] * phi[..., None, :, k] for k in cols))
 
 
 def _o_b(eig: BiorthoEigensystem, c) -> np.ndarray:
     """O_B = 1/2 Psi (C + C^dag) Phi^dag = -1/2 W^{-1} dW for the gauged
     response ``c`` (..., N, N) of ``_gauged_coefficients``, which
     broadcasts against ``eig``: as d Psi = Psi C and W^{-1} = Psi Psi^dag,
-    this is the generator O_B, and K of ``dynamics`` along dH/dt. For
-    N = 2 the products are formed entrywise, one column or row at a time:
-    numpy's stacked complex 2x2 matmul costs several times that."""
-    if eig.dim == 2:
-        m = 0.5 * (c + np.swapaxes(c.conj(), -1, -2))
-        psi, phi = eig.right, eig.left.conj()
-        # (Psi M)[i, l] = sum_k Psi[i, k] M[k, l], then
-        # (Psi M Phi^dag)[i, j] = sum_l (Psi M)[i, l] Phi[j, l]^*
-        pm = psi[..., :, :1] * m[..., :1, :] + psi[..., :, 1:] * m[..., 1:, :]
-        return pm[..., :, :1] * phi[..., None, :, 0] + pm[..., :, 1:] * phi[..., None, :, 1]
-    phi_dag = np.swapaxes(eig.left.conj(), -1, -2)
-    return 0.5 * eig.right @ (c + np.swapaxes(c.conj(), -1, -2)) @ phi_dag
+    this is the generator O_B, and K of ``dynamics`` along dH/dt;
+    entrywise at every N, by ``_psi_m_phi_dag``."""
+    return _psi_m_phi_dag(eig, 0.5 * (c + np.swapaxes(c.conj(), -1, -2)))
 
 
 def _sos_qgt(eig: BiorthoEigensystem, dh, levels) -> np.ndarray:
@@ -432,7 +438,7 @@ def _generators(family: HamiltonianFamily, lam) -> tuple[BiorthoEigensystem, Ope
     _check_gap(eig, range(eig.dim))
     dh = np.stack([family.deriv(lam, mu) for mu in range(family.dim_param)])
     c = _gauged_coefficients(eig, dh)
-    o_full = 1j * (eig.right @ c @ eig.left.conj().T)
+    o_full = 1j * _psi_m_phi_dag(eig, c)
     o_b = _o_b(eig, c)
     return eig, OperatorPair(o_full=o_full, o_a=o_full - 1j * o_b, o_b=o_b)
 
@@ -444,8 +450,9 @@ def o_operators(family: HamiltonianFamily, lam) -> OperatorPair:
     inner-product drift; O_A,mu = O_mu - i O_B,mu. Both parts are
     Hermitian in the W inner product. Each field is a (d, N, N) stack,
     from one eigensolve: as d_mu Psi = Psi C_mu and W^{-1} = Psi Psi^dag,
-    O_mu = i Psi C_mu Phi^dag and O_B,mu = 1/2 Psi (C_mu + C_mu^dag) Phi^dag.
-    Raises Degenerate when any two levels meet.
+    O_mu = i Psi C_mu Phi^dag and O_B,mu = 1/2 Psi (C_mu + C_mu^dag) Phi^dag,
+    both entrywise at every N, as is the gauge diagonal of C_mu. Raises
+    Degenerate when any two levels meet.
     """
     return _generators(family, lam)[1]
 

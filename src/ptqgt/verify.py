@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, xy_chain
-from .biortho import HamiltonianFamily, biortho_eig, build_W
+from .biortho import HamiltonianFamily, biortho_eig, build_W, gauge_transform
 from .dynamics import PathSpec, adiabatic_phase
 from .families import pt_two_level_family, spin_half_family
 from .geometry import LoopSpec, berry_phase_loop, curvature_flux
@@ -150,8 +150,8 @@ def check_gauge_invariance(seed=42) -> CheckResult:
         f0 = rng.normal(size=n_dim) + 1j * rng.normal(size=n_dim)
         f0 += 2.0 * np.sign(f0.real)  # keep away from zero
         c = rng.normal(size=(2, n_dim)) + 1j * rng.normal(size=(2, n_dim))
-        psi_t = eig.right * f0
-        phi_t = eig.left / f0.conj()
+        gauged = gauge_transform(eig, f0)
+        psi_t, phi_t = gauged.right, gauged.left
         dpsi_t = dpsi * f0 + eig.right * (f0 * c)[:, None, :]
         dphi_t = dphi / f0.conj() - eig.left * (c.conj() / f0.conj())[:, None, :]
         q0 = _eigenvector_qgt(eig.right, eig.left, dpsi, dphi)

@@ -38,6 +38,11 @@ def random_matrix(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
+def overlap(eig):
+    """<Phi_m|Psi_n> of an eigensystem or a stack; the identity when valid."""
+    return eig.left.conj().swapaxes(-1, -2) @ eig.right
+
+
 def test_diagonal_hermitian():
     eig = biortho_eig(np.diag([1.0, 2.0, 3.0]).astype(complex))
     assert np.allclose(eig.energies, [1, 2, 3])
@@ -149,7 +154,7 @@ def test_residuals_and_biorthonormality_random():
             r2 = h.conj().T @ eig.left[:, j] - eig.energies[j].conj() * eig.left[:, j]
             assert np.linalg.norm(r1) <= 1e-10 * scale
             assert np.linalg.norm(r2) <= 1e-10 * scale
-        assert np.max(np.abs(eig.overlap_matrix() - np.eye(n))) < 1e-10
+        assert np.max(np.abs(overlap(eig) - np.eye(n))) < 1e-10
         # completeness
         assert np.linalg.norm(eig.right @ eig.left.conj().T - np.eye(n)) < 1e-9
         # unit norm + leading-component phase convention
@@ -219,14 +224,14 @@ def test_real_stack_is_decomposed_in_real_arithmetic():
     ref = biortho_eig(h.astype(complex))
     scale = np.abs(ref.energies).max(axis=-1, keepdims=True)
     assert np.all(np.abs(real.energies - ref.energies) <= 1e-14 * scale)
-    assert np.max(np.abs(real.overlap_matrix() - np.eye(4))) <= 1e-12
+    assert np.max(np.abs(overlap(real) - np.eye(4))) <= 1e-12
 
 
 def test_real_matrix_with_complex_spectrum():
     eig = biortho_eig(np.array([[0.0, -1.0], [1.0, 0.0]]))
     assert eig.energies.dtype == complex
     assert eig.energies.tolist() == [-1j, 1j]  # sorted by (Re E, Im E)
-    assert np.max(np.abs(eig.overlap_matrix() - np.eye(2))) <= 1e-15
+    assert np.max(np.abs(overlap(eig) - np.eye(2))) <= 1e-15
     assert not eig.unbroken
 
 
@@ -284,7 +289,7 @@ def test_complex_pair_in_a_real_stack_ordered_by_imaginary_part():
     assert eig.energies[0].tolist() == [-3.0, 0.0, 0.5, 1.0]
     assert np.allclose(eig.energies[1], [-1.0, -1j, 1j, 2.0], rtol=0.0, atol=1e-15)
     assert eig.energies[1, 1].imag < 0 < eig.energies[1, 2].imag
-    assert np.max(np.abs(eig.overlap_matrix() - np.eye(4))) <= 1e-15
+    assert np.max(np.abs(overlap(eig) - np.eye(4))) <= 1e-15
 
 
 def test_integer_matrix_accepted():
@@ -297,7 +302,7 @@ def test_integer_matrix_accepted():
 def test_degenerate_but_diagonalizable_ok():
     # identity has a fully degenerate spectrum yet a complete eigenbasis
     eig = biortho_eig(np.eye(3, dtype=complex))
-    assert np.max(np.abs(eig.overlap_matrix() - np.eye(3))) < 1e-12
+    assert np.max(np.abs(overlap(eig) - np.eye(3))) < 1e-12
 
 
 EPS = np.finfo(float).eps
@@ -328,8 +333,8 @@ def test_two_level_dual_basis_is_biorthonormal_and_matches_inv(kind):
     if kind in ("unbroken", "broken"):
         assert np.all(eig.unbroken == (kind == "unbroken"))
         assert kappa.max() > 1e2  # near the EP the basis is far from orthogonal
-    overlap = np.abs(eig.overlap_matrix() - np.eye(2)).max(axis=(-2, -1))
-    assert np.all(overlap <= 16 * EPS * kappa)
+    defect = np.abs(overlap(eig) - np.eye(2)).max(axis=(-2, -1))
+    assert np.all(defect <= 16 * EPS * kappa)
     inv = np.linalg.inv(eig.right)
     dual = np.abs(eig.left - np.swapaxes(inv.conj(), -1, -2)).max(axis=(-2, -1))
     assert np.all(dual <= 16 * EPS * kappa * np.linalg.norm(inv, 2, axis=(-2, -1)))
@@ -403,12 +408,25 @@ def test_build_w_rejects_broken_two_level_eigensystem():
         build_W(dataclasses.replace(stack, left=left))
 
 
+@pytest.mark.parametrize("h", [dk_matrix(ANISO, FieldPoint(h=0.5, eta=0.3), 0.7),
+                               pt_two_level_family()(np.array([0.1, 0.8]))])
+def test_build_w_refuses_a_w_that_overflows(h):
+    # a left vector of entries ~1e160 squares beyond the float range
+    eig = biortho_eig(h)
+    scale = np.ones(eig.dim)
+    scale[-1] = 1e-160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPositiveDefinite):
+            build_W(gauge_transform(eig, scale))
+
+
 def test_gauge_transform_roundtrip():
     rng = np.random.default_rng(11)
     eig = biortho_eig(random_matrix(rng, 4))
     f = rng.normal(size=4) + 1j * rng.normal(size=4)
     out = gauge_transform(eig, f)
-    assert np.max(np.abs(out.overlap_matrix() - np.eye(4))) < 1e-12
+    assert np.max(np.abs(overlap(out) - np.eye(4))) < 1e-12
     back = gauge_transform(out, 1.0 / f)
     assert np.max(np.abs(back.right - eig.right)) < 1e-12
     assert np.max(np.abs(back.left - eig.left)) < 1e-12

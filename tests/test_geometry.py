@@ -1004,6 +1004,19 @@ def test_o_operators_constant_family_zero():
     assert np.max(np.abs(ops.o_b)) < 1e-8
 
 
+def test_one_level_family_has_zero_generators_and_unit_metric():
+    # N = 1: no pair of levels, so the response C, the generators and the
+    # variance metric are exactly zero, and W = |Phi_0|^2 = 1
+    fam = HamiltonianFamily(dim_hilbert=1, dim_param=2,
+                            evaluate=lambda lam: np.array([[lam[0] + 1j * lam[1]]]))
+    lam = np.array([0.4, -0.3])
+    ops = o_operators(fam, lam)
+    for field in (ops.o_full, ops.o_a, ops.o_b):
+        np.testing.assert_array_equal(field, np.zeros((2, 1, 1)))
+    np.testing.assert_array_equal(variance_metric(fam, lam), np.zeros((2, 2)))
+    np.testing.assert_array_equal(build_W(biortho_eig(fam(lam))), [[1.0]])
+
+
 def test_variance_metric_matches_qgt():
     fam = dk_family(ANISO, 0.8)
     lam = np.array([0.4, 0.2])

@@ -1,19 +1,22 @@
-"""Property tests of the two-level metric W, its positivity ratio, the gauge
-diagonal of the eigenvector response and O_B, each against its matmul or
-LAPACK form.
+"""Property tests of the metric W, its positivity ratio, the gauge diagonal
+of the eigenvector response and O_B, each against its matmul or LAPACK
+form. All three are entrywise at every N; the ratio is closed-form at
+N = 2, and only there has a second form to be checked against.
 
-The inputs are random pseudo-Hermitian stacks H = S D S^-1 with D real,
-a level gap of at least a quarter of the spectral scale, and S of
-condition number at most 10, in stacks of 1, 5 and 512 (the last shaped
-(256, 2), as a transport chunk is). Every bound was fixed from the
-rounding of the two forms compared before the tests were first run; eps
-is the float64 machine epsilon.
+The inputs are random pseudo-Hermitian stacks H = S D S^-1 of N = 2, 3
+and 4 levels, with D real, neighbouring levels at least a quarter of the
+spectral scale apart, and S of condition number at most 10, in stacks of
+1, 5 and 512 (the last shaped (256, 2), as a transport chunk is). Every
+bound was fixed from the rounding of the two forms compared before the
+tests were first run, at N = 2 and again, scaled with N, at N = 3 and 4;
+eps is the float64 machine epsilon.
 """
 
 import dataclasses
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,40 +36,43 @@ with warnings.catch_warnings():
 
 EPS = np.finfo(float).eps
 BATCHES = {1: (1,), 5: (5,), 512: (256, 2)}
+LEVELS = (2, 3, 4)
 
 
 @dataclasses.dataclass(frozen=True)
 class Stack:
-    h: np.ndarray  # (..., 2, 2)
-    dh: np.ndarray  # (..., d, 2, 2), d = 2
+    h: np.ndarray  # (..., N, N)
+    dh: np.ndarray  # (..., d, N, N), d = 2
     eig: biortho.BiorthoEigensystem
 
 
-def _unitaries(rng, count):
-    z = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+def _unitaries(rng, count, n):
+    z = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (phases / np.abs(phases))[:, None, :]  # Haar-distributed
 
 
 @st.composite
-def stacks(draw):
+def stacks(draw, n):
     size = draw(st.sampled_from(sorted(BATCHES)))
     seed = draw(st.integers(0, 2**32 - 1))
     cond = draw(st.floats(1.0, 10.0))
     scale = draw(st.floats(1e-3, 1e3))
     rng = np.random.default_rng(seed)
     centre = rng.uniform(-1.0, 1.0, size) * scale
-    half_gap = rng.uniform(0.125, 1.0, size) * scale
-    energies = np.stack([centre - half_gap, centre + half_gap], axis=-1)
-    u, v = _unitaries(rng, size), _unitaries(rng, size)
-    sigma = np.array([1.0, 1.0 / cond])
-    s = (u * sigma) @ v  # singular values 1 and 1/cond
+    # neighbouring gaps of 0.25 to 2 times the scale, centred on ``centre``
+    steps = np.cumsum(rng.uniform(0.25, 2.0, (size, n - 1)), axis=-1)
+    offsets = np.concatenate([np.zeros((size, 1)), steps], axis=-1)
+    energies = centre[:, None] + (offsets - 0.5 * steps[:, -1:]) * scale
+    u, v = _unitaries(rng, size, n), _unitaries(rng, size, n)
+    sigma = np.geomspace(1.0, 1.0 / cond, n)  # singular values 1 to 1/cond
+    s = (u * sigma) @ v
     s_inv = np.swapaxes(v.conj(), -1, -2) @ (np.swapaxes(u.conj(), -1, -2) / sigma[:, None])
     h = (s * energies[:, None, :]) @ s_inv
-    dh = rng.normal(size=(size, 2, 2, 2)) + 1j * rng.normal(size=(size, 2, 2, 2))
+    dh = rng.normal(size=(size, 2, n, n)) + 1j * rng.normal(size=(size, 2, n, n))
     batch = BATCHES[size]
-    h, dh = h.reshape(batch + (2, 2)), dh.reshape(batch + (2, 2, 2))
+    h, dh = h.reshape(batch + (n, n)), dh.reshape(batch + (2, n, n))
     return Stack(h=h, dh=dh, eig=biortho_eig(h))
 
 
@@ -81,49 +87,54 @@ def _max(a, axes):
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
+@pytest.mark.parametrize("n", LEVELS)
 @PROPERTY
-@given(stacks())
-def test_two_level_w_is_l_l_dagger_and_intertwines_h(stack):
+@given(data=st.data())
+def test_w_is_l_l_dagger_and_intertwines_h(n, data):
+    stack = data.draw(stacks(n))
     w = build_W(stack.eig)
     left = stack.eig.left
     reference = left @ _dagger(left)
-    # each entry is a sum of two products, formed in either order
-    scale = np.maximum(w[..., 0, 0].real, w[..., 1, 1].real)
-    assert (_max(w - reference, (-2, -1)) <= 8 * EPS * scale).all()
-    assert (w[..., 0, 1] == w[..., 1, 0].conj()).all()
+    # each entry is a sum of N products, formed in either order
+    scale = np.diagonal(w, axis1=-2, axis2=-1).real.max(axis=-1)[..., None, None]
+    assert (np.abs(w - reference) <= 4 * n * EPS * scale).all()
+    np.testing.assert_array_equal(w, _dagger(w))
     # W H = H^dag W up to the eigenvectors' rounding, at most eps kappa(S)^2 |H|
-    # with kappa(S) <= 10 and the gap at least a quarter of the scale
+    # with kappa(S) <= 10 and neighbouring levels a quarter of the scale apart
     resid = _max(w @ stack.h - _dagger(stack.h) @ w, (-2, -1))
-    assert (resid <= 1e-11 * _max(w, (-2, -1)) * _max(stack.h, (-2, -1))).all()
+    assert (resid <= 5e-12 * n * _max(w, (-2, -1)) * _max(stack.h, (-2, -1))).all()
 
 
 @PROPERTY
-@given(stacks())
+@given(stacks(2))
 def test_two_level_positivity_ratio_matches_eigvalsh(stack):
-    w, ratio = biortho._metric_2(stack.eig.left)
-    np.testing.assert_array_equal(build_W(stack.eig), w)
+    w = build_W(stack.eig)
+    ratio = biortho._ratio_2(w)
     evals = np.linalg.eigvalsh(w)
     # both resolve the eigenvalues of W to a few eps |W|
     assert (np.abs(ratio - evals[..., 0] / evals[..., -1]) <= 8 * EPS).all()
 
 
+@pytest.mark.parametrize("n", LEVELS)
 @PROPERTY
-@given(stacks())
-def test_two_level_gauge_diagonal_and_o_b_match_their_matmul_forms(stack):
+@given(data=st.data())
+def test_gauge_diagonal_and_o_b_match_their_matmul_forms(n, data):
+    stack = data.draw(stacks(n))
     eig, dh = stack.eig, stack.dh
     if eig.energies.shape[:-1] == (1,):
-        # a single eigensystem against (d, 2, 2), as the generators take it
+        # a single eigensystem against (d, N, N), as the generators take it
         eig, dh = eig[0], dh[0]
     c = geometry._gauged_coefficients(eig, dh)
     bare = geometry._coefficients(eig, dh)
-    off = ~np.eye(2, dtype=bool)
+    off = ~np.eye(n, dtype=bool)
     np.testing.assert_array_equal(c[..., off], bare[..., off])
     gram = _dagger(eig.right) @ eig.right
     diag = -(gram[..., None, :, :] * np.swapaxes(bare, -1, -2)).sum(-1).real
-    # one product of |<Psi_0|Psi_1>| <= 1 with C_mn, the overlap formed in
-    # either order
+    # N - 1 products of |<Psi_m|Psi_n>| <= 1 with C_mn, each overlap formed
+    # to N eps in either order
     top = _max(bare, (-3, -2, -1))[..., None, None]
-    assert (np.abs(np.diagonal(c, axis1=-2, axis2=-1) - diag) <= 8 * EPS * top).all()
+    bound = 4 * n * (n - 1) * EPS * top
+    assert (np.abs(np.diagonal(c, axis1=-2, axis2=-1) - diag) <= bound).all()
 
     # O_B of the first direction, as evolve takes it; a single eigensystem
     # takes all d directions at once
@@ -131,7 +142,7 @@ def test_two_level_gauge_diagonal_and_o_b_match_their_matmul_forms(stack):
     o_b = geometry._o_b(eig, c_mu)
     m = 0.5 * (c_mu + _dagger(c_mu))
     reference = eig.right @ m @ _dagger(eig.left)
-    # each entry sums four triple products; bound each by the largest factors
-    bound = 32 * EPS * (_max(eig.right, (-2, -1)) * _max(m, (-2, -1))
-                        * _max(eig.left, (-2, -1)))
+    # each entry sums N^2 triple products; bound each by the largest factors
+    bound = 8 * n * n * EPS * (_max(eig.right, (-2, -1)) * _max(m, (-2, -1))
+                               * _max(eig.left, (-2, -1)))
     assert (_max(o_b - reference, (-2, -1)) <= bound).all()

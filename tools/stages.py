@@ -2,7 +2,7 @@
 
     python3 tools/stages.py [--rounds 9] [--calls 200]
 
-Seven shapes, each a stack that one request or one block solves:
+Eight shapes, each a stack that one request or one block solves:
 
 - ``stencil-5``: the 2d+1 stencil of ``qgt`` on the bundled
   ``pt_two_level`` model (d = 2), 5 complex 2x2 matrices;
@@ -16,7 +16,10 @@ Seven shapes, each a stack that one request or one block solves:
 - ``chunk-455``: a seven-point scan chunk of the same, 455 real 4x4 blocks;
 - ``transport-512``: one 256-step ``evolve`` chunk of a pt_loop transport
   (the analytic ``pt_two_level`` family on a circle of radius 0.05, 6000
-  steps over 100 time units), 512 complex 2x2 nodes.
+  steps over 100 time units), 512 complex 2x2 nodes;
+- ``generators-4``: one ``o_operators`` call on ``dk_family(ANISO, 0.7)``
+  at (0.5, 0.3), one complex 4x4 matrix: the one route at N >= 3 through
+  the gauge diagonal and ``Psi M Phi^dag``.
 
 At each shape the stages are, where they apply:
 
@@ -27,10 +30,13 @@ At each shape the stages are, where they apply:
   of the dual basis;
 - ``kernel``: ``_fd_qgt`` on the stencils' level-0 projector and its
   derivatives, as ``qgt`` calls it, ``_sos_qgt`` on the flux block and
-  on the intensity blocks, and on the transport chunk ``build_W``,
-  ``_gauged_coefficients`` and ``_o_b`` as ``evolve`` calls them: W, its
-  positivity check, the gauged response and K, all formed entrywise for
-  N = 2, so that the chunk's one LAPACK call is its eigensolve;
+  on the intensity blocks, on the transport chunk ``build_W``,
+  ``_gauged_coefficients`` and ``_o_b`` as ``evolve`` calls them (W, its
+  positivity check, the gauged response and K), and on the generators
+  ``_gauged_coefficients``, ``_o_b`` and O_mu = i Psi C Phi^dag as
+  ``o_operators`` calls them. W, the gauge diagonal and Psi M Phi^dag are
+  entrywise at every N; the ratio is closed-form at N = 2, so that the
+  transport chunk's one LAPACK call is its eigensolve;
 - ``closure``: ``LoopSpec.closed`` on the loop;
 - ``request``: one whole request of the point_query kind that solves the
   shape: ``qgt`` at n = 0 on each stencil, ``berry_phase_loop`` on the
@@ -166,6 +172,27 @@ def _transport_chunk() -> dict:
     }
 
 
+def _generators() -> dict:
+    """The eigensystem and response of one ``o_operators`` call on a D_k
+    block, and the generators formed from them."""
+    family = xy_chain.dk_family(ANISO, 0.7)
+    lam = np.array([0.5, 0.3])
+    h = family(lam)
+    eig = biortho_eig(h)
+    dh = np.stack([family.deriv(lam, mu) for mu in range(2)])
+
+    def kernel():
+        c = geometry._gauged_coefficients(eig, dh)
+        return geometry._o_b(eig, c), 1j * geometry._psi_m_phi_dag(eig, c)
+
+    return {
+        "family": lambda: family(lam),
+        "eig": lambda: np.linalg.eig(h),
+        "biortho": lambda: biortho_eig(h),
+        "kernel": kernel,
+    }
+
+
 def shapes() -> dict:
     """Every shape's stages, each a call of no arguments."""
     return {
@@ -176,6 +203,7 @@ def shapes() -> dict:
         "intensity-65": _blocks([0.5], [0.3]),
         "chunk-455": _blocks(np.linspace(0.2, 1.4, 7), np.full(7, 0.3)),
         "transport-512": _transport_chunk(),
+        "generators-4": _generators(),
     }
 
 
