@@ -356,27 +356,31 @@ def build_W(eig: BiorthoEigensystem) -> np.ndarray:
 
     With this W the right vectors are orthonormal in the W inner product:
     <Psi_m|W|Psi_n> = delta_mn. Stacked eigensystems give stacked W.
-    Entrywise at every N; the ratio is closed-form at N = 2: W = L L^dag
-    is one ``np.vecdot`` over pairs of rows of L, made exactly Hermitian,
-    and at other N the ratio of W's extreme eigenvalues comes from one
-    stacked ``numpy.linalg.eigvalsh``. Raises NotPositiveDefinite when the
+    Entrywise at every N; the ratio is closed-form at N = 2: each entry of
+    W = L L^dag on and above the diagonal is one ``np.vecdot`` of a pair
+    of rows of L, mirrored below, and at other N the ratio of W's extreme
+    eigenvalues comes from one stacked ``numpy.linalg.eigvalsh``. Raises NotPositiveDefinite when the
     smallest ratio over the stack is not above N eps, or when W overflows.
     """
     left, n = eig.left, eig.dim
+    w = np.empty(left.shape, dtype=left.dtype)
     # W beyond the float range gives Inf or NaN, for the check to refuse
-    with np.errstate(over="ignore", invalid="ignore"):
-        # W_ij = sum_n L_in L_jn^*, np.vecdot conjugating its first argument
-        w = np.vecdot(left[..., None, :, :], left[..., :, None, :])
-    upper, diag = np.triu_indices(n, 1), np.arange(n)
-    w[..., upper[1], upper[0]] = w[..., upper[0], upper[1]].conj()
-    w[..., diag, diag] = w[..., diag, diag].real
-    if n == 2:
-        ratio = _ratio_2(w)
-    elif np.isfinite(w).all():
-        evals = np.linalg.eigvalsh(w)
-        ratio = evals[..., 0] / evals[..., -1]
-    else:  # eigvalsh does not converge on Inf or NaN
-        ratio = np.nan
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(n):
+            for j in range(i, n):
+                # W_ij = sum_n L_in L_jn^*, np.vecdot conjugating its first argument
+                entry = np.vecdot(left[..., j, :], left[..., i, :])
+                if i == j:
+                    w[..., i, i] = entry.real
+                else:
+                    w[..., i, j], w[..., j, i] = entry, entry.conj()
+        if n == 2:
+            ratio = _ratio_2(w)
+        elif np.isfinite(w).all():
+            evals = np.linalg.eigvalsh(w)
+            ratio = evals[..., 0] / evals[..., -1]
+        else:  # eigvalsh does not converge on Inf or NaN
+            ratio = np.nan
     # eigvalsh resolves eigenvalues only to ~N eps |W|, and the closed form
     # to about the same: below that, W is numerically singular whatever the
     # sign of the computed value. The negated test also refuses NaN.
@@ -394,11 +398,10 @@ def _ratio_2(w: np.ndarray) -> np.ndarray:
     + 4|b|^2)) / 2 and lambda_min = (a d - |b|^2) / lambda_max. The ratio
     is formed from a, d and |b| over lambda_max, which no W within the
     float range overflows; a W beyond it gives NaN, for the caller to
-    refuse."""
+    refuse. The caller holds the floating-point errors."""
     a, d, size = w[..., 0, 0].real, w[..., 1, 1].real, np.abs(w[..., 0, 1])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        top = 0.5 * (a + d + np.hypot(a - d, 2.0 * size))
-        return (a / top) * (d / top) - (size / top) ** 2
+    top = 0.5 * (a + d + np.hypot(a - d, 2.0 * size))
+    return (a / top) * (d / top) - (size / top) ** 2
 
 
 def gauge_transform(eig: BiorthoEigensystem, f) -> BiorthoEigensystem:
