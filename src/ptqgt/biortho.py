@@ -88,7 +88,8 @@ class HamiltonianFamily:
         ``evaluate(lam) -> (N, N) complex ndarray`` for a length-d point.
     derivative : callable, optional
         ``derivative(lam, mu) -> (N, N) complex ndarray`` giving the
-        analytic partial derivative along direction ``mu``. When absent,
+        exact partial derivative along direction ``mu``; every model file
+        has one. When absent, as for ``verify._hermitian_block_family``,
         ``deriv`` takes central differences of ``evaluate`` at
         ``default_step`` of each point.
     batched : bool
@@ -118,7 +119,7 @@ class HamiltonianFamily:
 
     def deriv(self, lam, mu: int) -> np.ndarray:
         """Partial derivative along ``mu`` at a point or a stack: the
-        analytic ``derivative`` when given, else the central difference
+        exact ``derivative`` when given, else the central difference
         of ``evaluate`` over +/- ``default_step`` of each point. The
         difference raises NonFinite, before ``evaluate`` is called, when a
         point it takes is not finite: a NaN or Inf coordinate, or a step

@@ -22,7 +22,7 @@ from . import geometry, verify, xy_chain
 from .biortho import biortho_eig
 from .dynamics import PathSpec, adiabatic_phase, evolve
 from .errors import DefectiveMatrix, Degenerate, GaplessPoint, ParseError, PtqgtError
-from .families import load_bundled_model
+from .families import BUNDLED_MODELS, load_bundled_model
 from .geometry import LoopSpec, berry_phase_loop, classify_interval
 from .modelfile import load_model
 from .scan import ScanConfig, run_scan, write_csv
@@ -55,8 +55,8 @@ def _params_from(args) -> XYParams:
 
 
 def _load_family(name_or_path: str):
-    """'spin_half' / 'pt_two_level' name, or a path to a .model file."""
-    if name_or_path in ("spin_half", "pt_two_level"):
+    """A bundled model's name, or a path to a .model file."""
+    if name_or_path in BUNDLED_MODELS:
         return load_bundled_model(name_or_path)
     return load_model(name_or_path)
 

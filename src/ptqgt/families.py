@@ -1,10 +1,9 @@
-"""Built-in Hamiltonian families used by the demos and the verify suite."""
+"""Built-in Hamiltonian families used by the demos and the verify suite,
+each written once, as a ``.model`` file bundled in ``ptqgt/models``."""
 
 from __future__ import annotations
 
 from importlib import resources
-
-import numpy as np
 
 from .biortho import HamiltonianFamily
 from .modelfile import parse_model
@@ -15,55 +14,27 @@ __all__ = [
     "load_bundled_model",
 ]
 
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-_PT_DERIVS = (np.array([[0, 1], [-1, 0]], dtype=complex), _SX)  # d/da, d/ds
-_PT_TILT = 0.3  # the 0.3i*sz of pt_two_level.model
+BUNDLED_MODELS = ("spin_half", "pt_two_level")  # the names of the bundled .model files
 
 
 def spin_half_family() -> HamiltonianFamily:
-    """H(lam) = lam1*sx + lam2*sy + lam3*sz with analytic derivatives."""
-    paulis = (_SX, _SY, _SZ)
-
-    def evaluate(lam):
-        lam = lam[:, :, None, None]
-        return lam[:, 0] * _SX + lam[:, 1] * _SY + lam[:, 2] * _SZ
-
-    def derivative(lam, mu):
-        return np.broadcast_to(paulis[mu], (len(lam), 2, 2))
-
-    return HamiltonianFamily(dim_hilbert=2, dim_param=3, evaluate=evaluate,
-                             derivative=derivative, batched=True)
+    """H(lam) = lam1*sx + lam2*sy + lam3*sz, the bundled ``spin_half.model``."""
+    return load_bundled_model("spin_half")
 
 
 def pt_two_level_family() -> HamiltonianFamily:
-    """Pseudo-Hermitian two-level model H = s*sx + i*a*sy + 0.3i*sz.
+    """Pseudo-Hermitian two-level model H = s*sx + i*a*sy + 0.3i*sz, the
+    bundled ``pt_two_level.model``.
 
     Parameters are lam = (a, s); the spectrum +-sqrt(s^2 - a^2 - 0.09) is
     real for s^2 > a^2 + 0.09, with exceptional points on that circle. The
     constant anti-Hermitian tilt 0.3i*sz makes the biorthogonal Berry
-    curvature in the (a, s) plane nonzero. It is the family of the bundled
-    ``pt_two_level.model``.
+    curvature in the (a, s) plane nonzero.
     """
-
-    def evaluate(lam):
-        a, s = lam[:, 0], lam[:, 1]
-        out = np.empty((len(lam), 2, 2), dtype=complex)
-        out[:, 0, 0] = 1j * _PT_TILT
-        out[:, 0, 1] = s + a
-        out[:, 1, 0] = s - a
-        out[:, 1, 1] = -1j * _PT_TILT
-        return out
-
-    def derivative(lam, mu):
-        return np.broadcast_to(_PT_DERIVS[mu], (len(lam), 2, 2))
-
-    return HamiltonianFamily(dim_hilbert=2, dim_param=2, evaluate=evaluate,
-                             derivative=derivative, batched=True)
+    return load_bundled_model("pt_two_level")
 
 
 def load_bundled_model(name: str) -> HamiltonianFamily:
-    """The family of a bundled .model file ('spin_half', 'pt_two_level')."""
+    """The family of a bundled .model file, one of ``BUNDLED_MODELS``."""
     text = (resources.files("ptqgt") / "models" / f"{name}.model").read_text(encoding="utf-8")
     return parse_model(text)

@@ -25,6 +25,12 @@ literal. Parsing is a hand-written recursive descent with line/column
 positions in error messages. Each entry compiles to a closure over numpy
 ufuncs that evaluates a whole stack of points at once, so model-file
 families are batched.
+
+Each entry also compiles, by forward mode, to a closure of its exact
+partial derivative along one parameter l_(mu+1): the sum, product and
+quotient rules, and the chain rule through sin, cos and exp. These are
+the family's ``derivative``; one that overflows or divides by zero
+raises NonFinite, as a value does.
 """
 
 from __future__ import annotations
@@ -40,7 +46,24 @@ from .errors import NonFinite, ParseError
 
 __all__ = ["parse_model", "load_model"]
 
-_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+# each function with its derivative
+_FUNCS = {"sin": (np.sin, np.cos), "cos": (np.cos, lambda z: -np.sin(z)), "exp": (np.exp, np.exp)}
+_ZERO, _ONE = np.complex128(0.0), np.complex128(1.0)  # tangents of a constant and of l_j
+
+
+def _binary(op, a, b, da, db):
+    """The value and the tangent closure of ``a <op> b``, from the value
+    closures ``a``, ``b`` and the tangent closures ``da``, ``db``."""
+    if op == "+":
+        return (lambda lam: a(lam) + b(lam)), (lambda lam, mu: da(lam, mu) + db(lam, mu))
+    if op == "-":
+        return (lambda lam: a(lam) - b(lam)), (lambda lam, mu: da(lam, mu) - db(lam, mu))
+    if op == "*":
+        return (lambda lam: a(lam) * b(lam)), (
+            lambda lam, mu: da(lam, mu) * b(lam) + a(lam) * db(lam, mu))
+    quotient = lambda lam: a(lam) / b(lam)  # noqa: E731
+    return quotient, lambda lam, mu: (da(lam, mu) - quotient(lam) * db(lam, mu)) / b(lam)
+
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?i?)"
@@ -75,11 +98,12 @@ def _tokenize(source: str, line: int):
 
 
 class _Parser:
-    """Recursive-descent parser producing a closure lam -> complex.
+    """Recursive-descent parser producing two closures of an expression.
 
-    The closure takes complex parameters ``(..., d)`` and returns a value
-    of shape ``(...)``, or a numpy complex scalar when the expression holds
-    no parameter.
+    The value closure takes complex parameters ``(..., d)`` and returns a
+    value of shape ``(...)``, or a numpy complex scalar when the expression
+    holds no parameter. The tangent closure takes them and an axis ``mu``
+    and returns the partial derivative along l_(mu+1) in the same form.
     """
 
     def __init__(self, source: str, line: int, n_params: int):
@@ -103,42 +127,33 @@ class _Parser:
                              self.line, tok.col)
 
     def parse(self):
-        fn = self.expr()
+        fn, dfn = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"trailing input {tok.text!r}", self.line, tok.col)
-        return fn
+        return fn, dfn
 
     def expr(self):
-        fn = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            rhs = self.term()
-            lhs = fn
-            if op == "+":
-                fn = lambda lam, a=lhs, b=rhs: a(lam) + b(lam)
-            else:
-                fn = lambda lam, a=lhs, b=rhs: a(lam) - b(lam)
-        return fn
+        return self.operands(self.term, "+-")
 
     def term(self):
-        fn = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
+        return self.operands(self.unary, "*/")
+
+    def operands(self, operand, ops):
+        """``operand (op operand)*`` for op in ``ops``, left-associative."""
+        fn, dfn = operand()
+        while self.peek().kind == "op" and self.peek().text in ops:
             op = self.next().text
-            rhs = self.unary()
-            lhs = fn
-            if op == "*":
-                fn = lambda lam, a=lhs, b=rhs: a(lam) * b(lam)
-            else:
-                fn = lambda lam, a=lhs, b=rhs: a(lam) / b(lam)
-        return fn
+            rhs, d_rhs = operand()
+            fn, dfn = _binary(op, fn, rhs, dfn, d_rhs)
+        return fn, dfn
 
     def unary(self):
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.next()
-            inner = self.unary()
-            return lambda lam, f=inner: -f(lam)
+            inner, d_inner = self.unary()
+            return (lambda lam, f=inner: -f(lam)), (lambda lam, mu: -d_inner(lam, mu))
         return self.atom()
 
     def atom(self):
@@ -150,16 +165,18 @@ class _Parser:
                 value = complex(float(tok.text), 0.0)
             # numpy scalars, so that arithmetic on constants alone also
             # raises floating-point faults
-            return lambda lam, v=np.complex128(value): v
+            return _constant(np.complex128(value))
         if tok.kind == "name":
             name = tok.text
             if name == "i":
-                return lambda lam, v=np.complex128(1j): v
+                return _constant(np.complex128(1j))
             if name in _FUNCS:
                 self.expect_op("(")
-                inner = self.expr()
+                inner, d_inner = self.expr()
                 self.expect_op(")")
-                return lambda lam, f=_FUNCS[name], g=inner: f(g(lam))
+                f, df = _FUNCS[name]
+                return (lambda lam, f=f, g=inner: f(g(lam))), (  # the chain rule
+                    lambda lam, mu: d_inner(lam, mu) * df(inner(lam)))
             m = re.fullmatch(r"l(\d+)", name)
             if m:
                 idx = int(m.group(1))
@@ -168,7 +185,8 @@ class _Parser:
                         f"parameter {name} out of range (params = {self.n_params})",
                         self.line, tok.col,
                     )
-                return lambda lam, j=idx - 1: lam[..., j]
+                return (lambda lam, j=idx - 1: lam[..., j]), (
+                    lambda lam, mu, j=idx - 1: _ONE if mu == j else _ZERO)
             raise ParseError(f"unknown identifier {name!r}", self.line, tok.col)
         if tok.kind == "op" and tok.text == "(":
             inner = self.expr()
@@ -179,15 +197,8 @@ class _Parser:
         )
 
 
-def _checked(fn, lam):
-    """``fn`` at the parameters ``lam`` taken as complex. A zero divisor, an
-    overflow or an invalid operation raises NonFinite, not a RuntimeWarning
-    with an inf or NaN result."""
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return fn(np.asarray(lam, dtype=complex))
-    except FloatingPointError as exc:
-        raise NonFinite(f"model expression is not finite: {exc}") from exc
+def _constant(v):
+    return (lambda lam, v=v: v), (lambda lam, mu: _ZERO)
 
 
 _ENTRY_RE = re.compile(r"H\[(\d+)\s*,\s*(\d+)\]\s*=\s*(.+)")
@@ -196,19 +207,20 @@ _ENTRY_RE = re.compile(r"H\[(\d+)\s*,\s*(\d+)\]\s*=\s*(.+)")
 def parse_model(text: str) -> HamiltonianFamily:
     """Parse a full model description into a HamiltonianFamily. Raises
     ParseError at the offending line, also for a ``dim`` or ``params``
-    below 1 and for a second ``dim`` or ``params`` statement."""
+    below 1, for a second ``dim`` or ``params`` statement and for a second
+    entry at the same index."""
     sizes = {"dim": None, "params": None}
-    entries = {}
+    entries, tangents = {}, {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        name = next((key for key in sizes if line.startswith(key)), None)
-        if name is not None:
+        name, *rest = line.split()
+        if name in sizes:
             try:
-                value = int(line.split()[1])
-            except (IndexError, ValueError):
+                (value,) = map(int, rest)
+            except ValueError:  # no value, more than one, or not an integer
                 raise ParseError(f"malformed {name!r} statement", lineno, 1)
             if sizes[name] is not None:
                 raise ParseError(f"second {name!r} statement", lineno, 1)
@@ -226,21 +238,32 @@ def parse_model(text: str) -> HamiltonianFamily:
         if not (1 <= row <= dim and 1 <= col <= dim):
             raise ParseError(f"index [{row},{col}] outside a {dim}x{dim} matrix",
                              lineno, 1)
-        entries[(row - 1, col - 1)] = _Parser(m.group(3), lineno, n_params).parse()
+        if (row - 1, col - 1) in entries:
+            raise ParseError(f"second entry H[{row},{col}]", lineno, 1)
+        entries[(row - 1, col - 1)], tangents[(row - 1, col - 1)] = _Parser(
+            m.group(3), lineno, n_params).parse()
 
     dim, n_params = sizes["dim"], sizes["params"]
     if dim is None or n_params is None:
         raise ParseError("model must declare 'dim' and 'params'")
 
-    def matrices(lam):
-        """H at each point of the complex stack ``lam`` (P, d), as (P, N, N)."""
+    def matrices(closures, lam, *mu):
+        """H, or with an axis ``mu`` dH/dl_(mu+1), at each point of the stack
+        ``lam`` (P, d) taken as complex, as (P, N, N). A zero divisor, an
+        overflow or an invalid operation raises NonFinite, not a warning."""
+        lam = np.asarray(lam, dtype=complex)
         out = np.zeros(lam.shape[:-1] + (dim, dim), dtype=complex)
-        for (r, c), fn in entries.items():
-            out[..., r, c] = fn(lam)  # a constant entry broadcasts
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                for (r, c), fn in closures.items():
+                    out[..., r, c] = fn(lam, *mu)  # a constant entry broadcasts
+        except FloatingPointError as exc:
+            raise NonFinite(f"model expression is not finite: {exc}") from exc
         return out
 
-    return HamiltonianFamily(dim_hilbert=dim, dim_param=n_params,
-                             evaluate=functools.partial(_checked, matrices), batched=True)
+    return HamiltonianFamily(dim_hilbert=dim, dim_param=n_params, batched=True,
+                             evaluate=functools.partial(matrices, entries),
+                             derivative=functools.partial(matrices, tangents))
 
 
 def load_model(path) -> HamiltonianFamily:

@@ -1,6 +1,7 @@
 import dataclasses
 import warnings
 
+import closed_forms
 import numpy as np
 import pytest
 
@@ -25,6 +26,7 @@ from ptqgt import (
     evolve,
     gauge_transform,
     metric_intensity,
+    parse_model,
     qgt,
     scan,
 )
@@ -473,9 +475,10 @@ def _no_derivative(fam):
 
 
 @pytest.mark.parametrize("make", [
-    spin_half_family,                                  # analytic derivative
+    spin_half_family,                                  # .model file, linear entries
     lambda: _no_derivative(pt_two_level_family()),     # central-difference fallback
-    lambda: load_bundled_model("pt_two_level"),        # .model file, no derivative
+    lambda: parse_model(closed_forms.QWZ_MODEL),       # .model file, sin and cos
+    lambda: closed_forms.family(closed_forms.pt_two_level, 2),  # per-point derivative
 ])
 def test_family_stack_matches_per_point(make):
     fam = make()
@@ -520,15 +523,16 @@ def test_family_deriv_refuses_a_non_finite_difference_point(point):
     # float range), is refused before evaluate sees it, with no warning
     model = load_bundled_model("pt_two_level")
     seen = []
-    fam = dataclasses.replace(model, evaluate=lambda lam: seen.append(lam) or model.evaluate(lam))
+    fam = dataclasses.replace(model, derivative=None,
+                              evaluate=lambda lam: seen.append(lam) or model.evaluate(lam))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for mu in range(2):
             with pytest.raises(NonFinite, match="difference point of deriv"):
                 fam.deriv(point, mu)
     assert seen == []
-    # an analytic derivative is not differenced, so it is not refused
-    assert np.array_equal(pt_two_level_family().deriv(point, 1), np.array([[0, 1], [1, 0]]))
+    # the model's own derivative is not differenced, so it is not refused
+    assert np.array_equal(model.deriv(point, 1), np.array([[0, 1], [1, 0]]))
 
 
 @pytest.mark.parametrize("dims", [(2.0, 1), (2, 1.0), (True, 1), (2, True), (np.bool_(True), 1)])
@@ -551,40 +555,20 @@ def test_family_rejects_points_of_wrong_length(shape):
 
 def test_one_point_results_are_fresh_arrays():
     # a point is a stack of one: writing into its result cannot reach a
-    # matrix the family keeps (spin_half's derivatives are its Paulis)
+    # matrix the family keeps (the closed form's derivatives are its Paulis)
     shared = np.eye(2, dtype=complex)
     const = HamiltonianFamily(dim_hilbert=2, dim_param=1, evaluate=lambda lam: shared)
     h = const([0.3])
     h[...] = 7.0
     assert np.array_equal(const([0.3]), np.eye(2))
-    fam = spin_half_family()
-    dh = fam.deriv([0.0, 0.0, 1.0], 0)
-    dh[...] = 7.0
-    assert np.array_equal(fam.deriv([0.0, 0.0, 1.0], 0), [[0, 1], [1, 0]])
+    for fam in (spin_half_family(), closed_forms.family(closed_forms.spin_half, 3)):
+        dh = fam.deriv([0.0, 0.0, 1.0], 0)
+        dh[...] = 7.0
+        assert np.array_equal(fam.deriv([0.0, 0.0, 1.0], 0), [[0, 1], [1, 0]])
 
 
 # The bundled families as they were written per point, before they became
 # batched: the batched forms must give the same bits.
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def _spin_half_reference(lam, mu=None):
-    if mu is not None:
-        return (_SX, _SY, _SZ)[mu]
-    return lam[0] * _SX + lam[1] * _SY + lam[2] * _SZ
-
-
-def _pt_two_level_reference(lam, mu=None, b=0.3):
-    if mu == 0:
-        return np.array([[0, 1], [-1, 0]], dtype=complex)
-    if mu == 1:
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    a, s = lam
-    return np.array([[1j * b, s + a], [s - a, -1j * b]], dtype=complex)
-
-
 def _dk_reference(lam, mu=None, k=0.7):
     if mu == 0:
         return np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
@@ -595,8 +579,8 @@ def _dk_reference(lam, mu=None, k=0.7):
 
 
 @pytest.mark.parametrize("fam, reference", [
-    (spin_half_family(), _spin_half_reference),
-    (pt_two_level_family(), _pt_two_level_reference),
+    (spin_half_family(), closed_forms.spin_half),
+    (pt_two_level_family(), closed_forms.pt_two_level),
     (dk_family(ANISO, 0.7), _dk_reference),
 ])
 def test_batched_families_match_per_point_reference(fam, reference):

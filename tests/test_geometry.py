@@ -1,6 +1,7 @@
 import dataclasses
 import tracemalloc
 
+import closed_forms
 import numpy as np
 import pytest
 
@@ -28,6 +29,7 @@ from ptqgt import (
     gauge_transform,
     geometry,
     o_operators,
+    parse_model,
     qgt,
     variance_metric,
 )
@@ -138,7 +140,7 @@ def test_qgt_refuses_a_numerically_singular_stencil_metric():
 @pytest.mark.parametrize("name, lam", [("pt_two_level", [0.1, 0.8]),
                                        ("spin_half", [0.3, -0.2, 0.7])])
 def test_qgt_evaluates_only_its_stencil(monkeypatch, name, lam):
-    model = load_bundled_model(name)  # .model families have no analytic derivative
+    model = load_bundled_model(name)
     assert model.batched
     calls = []
 
@@ -766,7 +768,7 @@ def test_curvature_flux_steps_each_block_as_one_stack(monkeypatch):
         return default_step(lam)
 
     monkeypatch.setattr(biortho, "default_step", counted)
-    fam = load_bundled_model("pt_two_level")  # no analytic derivative
+    fam = dataclasses.replace(load_bundled_model("pt_two_level"), derivative=None)
     curvature_flux(fam, [0.05, 0.8], [0.15, 0.9], resolution=6)
     assert calls == [(36, 2)] * 2  # one deriv call per axis on the whole block
 
@@ -797,12 +799,25 @@ def test_curvature_flux_in_blocks_matches_a_per_row_reference(resolution):
 
 
 def test_curvature_flux_of_the_model_file_matches_the_analytic_family():
-    # the .model family is differenced at each grid point; H is linear in
-    # lam, so only round-off separates it from the analytic derivative
+    # the closed form, called one point at a time, gives H and dH equal in
+    # value to the model file's, so only the round-off of the flux sum may
+    # separate the two (bound fixed before measuring)
     lo, hi = [0.05, 0.8], [0.15, 0.9]
-    ref = curvature_flux(pt_two_level_family(), lo, hi, resolution=32)
+    ref = curvature_flux(closed_forms.family(closed_forms.pt_two_level, 2), lo, hi,
+                         resolution=32)
     flux = curvature_flux(load_bundled_model("pt_two_level"), lo, hi, resolution=32)
-    assert abs(flux - ref) <= 1e-10 * abs(ref)
+    assert abs(flux - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("resolution", [64, 128])
+def test_curvature_flux_of_the_qwz_model_is_its_chern_number(resolution):
+    # the non-Hermitian QWZ model at m = 1 has Chern number -1 in the loop
+    # phase sign, so the flux over the Brillouin zone is +2 pi. A central
+    # difference dH left it 4e-9 short; the model file's exact dH leaves
+    # the round-off of the sum (bound fixed before measuring)
+    qwz = parse_model(closed_forms.QWZ_MODEL)
+    flux = curvature_flux(qwz, [-np.pi, -np.pi], [np.pi, np.pi], resolution=resolution)
+    assert abs(flux - 2 * np.pi) <= 1e-12
 
 
 def test_curvature_flux_peak_memory_stays_bounded():

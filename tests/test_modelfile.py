@@ -1,14 +1,12 @@
 import dataclasses
+import warnings
 
+import closed_forms
 import numpy as np
 import pytest
 
 from ptqgt import NonFinite, ParseError, parse_model
-from ptqgt.families import (
-    load_bundled_model,
-    pt_two_level_family,
-    spin_half_family,
-)
+from ptqgt.families import load_bundled_model
 
 
 def one_entry_model(source, n_params=1):
@@ -109,6 +107,8 @@ def test_parse_model_errors():
         parse_model("dim 2\nparams 1\nH[1,1] := l1\n")
     with pytest.raises(ParseError, match="malformed 'dim'"):
         parse_model("dim two\nparams 1\n")
+    with pytest.raises(ParseError, match="line 2, col 1: malformed 'params'"):
+        parse_model("dim 1\nparams\n")
     # sizes below 1, and a second size statement after an entry was
     # checked against the first, used to pass the parser
     for text, match in (("dim 0\nparams 1\n", "line 1, col 1: 'dim' must be at least 1"),
@@ -120,22 +120,83 @@ def test_parse_model_errors():
             parse_model(text)
 
 
+_CLOSED_FORMS = {"spin_half": closed_forms.spin_half, "pt_two_level": closed_forms.pt_two_level}
+
+
+def _matches_closed_form(name, seed):
+    # H and dH of the bundled models are sums of one parameter and a
+    # constant, formed in the same order as the closed form: equal values
+    fam = load_bundled_model(name)
+    reference = _CLOSED_FORMS[name]
+    lams = np.random.default_rng(seed).normal(size=(5, fam.dim_param))
+    assert np.array_equal(fam(lams), [reference(lam) for lam in lams])
+    for mu in range(fam.dim_param):
+        assert np.array_equal(fam.deriv(lams, mu), [reference(lam, mu) for lam in lams])
+        for lam in lams:
+            assert np.array_equal(fam.deriv(lam, mu), reference(lam, mu))
+
+
+def test_parse_model_refuses_a_size_word_with_a_suffix():
+    # 'dims 2' was read as 'dim 2', by its prefix
+    with pytest.raises(ParseError, match="line 1, col 1: unrecognized statement 'dims 2'"):
+        parse_model("dims 2\nparams 1\n")
+
+
+def test_parse_model_refuses_a_size_with_trailing_tokens():
+    # 'dim 2 7' was read as 'dim 2', its trailing token ignored
+    with pytest.raises(ParseError, match="line 2, col 1: malformed 'dim'"):
+        parse_model("params 1\ndim 2 7\n")
+
+
+def test_parse_model_refuses_a_second_entry_at_one_index():
+    # the second H[1,1] silently replaced the first
+    with pytest.raises(ParseError, match=r"line 4, col 1: second entry H\[1,1\]"):
+        parse_model("dim 2\nparams 1\nH[1,1] = l1\nH[1,1] = 5\n")
+    with pytest.raises(ParseError, match=r"line 5, col 1: second entry H\[2,1\]"):
+        parse_model("dim 2\nparams 1\nH[2,1] = l1\nH[1,2] = l1\nH[2, 1] = 1\n")
+
+
 def test_bundled_spin_half_matches_analytic():
-    fam = load_bundled_model("spin_half")
-    ref = spin_half_family()
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        lam = rng.normal(size=3)
-        assert np.max(np.abs(fam(lam) - ref(lam))) < 1e-14
+    _matches_closed_form("spin_half", 0)
 
 
 def test_bundled_pt_two_level_matches_analytic():
-    fam = load_bundled_model("pt_two_level")
-    ref = pt_two_level_family()
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        lam = rng.normal(size=2)
-        assert np.max(np.abs(fam(lam) - ref(lam))) < 1e-14
+    _matches_closed_form("pt_two_level", 1)
+
+
+def test_qwz_model_derivative_matches_its_closed_form():
+    qwz = parse_model(closed_forms.QWZ_MODEL)
+    lams = np.random.default_rng(3).uniform(-np.pi, np.pi, size=(6, 2))
+    for mu in range(2):
+        expected = [closed_forms.qwz_derivative(lam, mu) for lam in lams]
+        assert np.array_equal(qwz.deriv(lams, mu), expected)
+
+
+def test_derivative_rules():
+    lam = np.array([0.3, -1.2])
+    fam = one_entry_model("l1*l2 - l2/l1 + 2*l1 + 3i - -l2", n_params=2)
+    assert fam.deriv(lam, 0)[0, 0] == lam[1] + lam[1] / lam[0] ** 2 + 2
+    assert abs(fam.deriv(lam, 1)[0, 0] - (lam[0] - 1 / lam[0] + 1)) < 1e-15
+    fam = one_entry_model("sin(2*l1) + cos(l1) + exp(i*l1)")
+    expected = 2 * np.cos(0.6) - np.sin(0.3) + 1j * np.exp(0.3j)
+    assert abs(fam.deriv([0.3], 0)[0, 0] - expected) < 1e-15
+    # an entry that does not hold the parameter has a zero derivative
+    fam = parse_model("dim 2\nparams 2\nH[1,1] = exp(l2)\nH[2,2] = 5 - i\n")
+    assert np.count_nonzero(fam.deriv(lam, 0)) == 0
+    assert np.array_equal(fam.deriv(lam, 1), [[np.exp(-1.2 + 0j), 0], [0, 0]])
+
+
+def test_a_non_finite_derivative_raises_in_deriv_only():
+    # l1/l2 at l2 = 1e-200 is 1e200, and so is its derivative along l1;
+    # along l2 it is -1e400, an overflow
+    fam = one_entry_model("l1/l2", n_params=2)
+    lam = [1.0, 1e-200]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fam(lam)[0, 0] == 1e200
+        assert fam.deriv(lam, 0)[0, 0] == 1e200
+        with pytest.raises(NonFinite, match="not finite"):
+            fam.deriv(lam, 1)
 
 
 # The bundled models' entries as the per-point parser evaluated them, one

@@ -1,7 +1,9 @@
 """Property tests of the metric W, its positivity ratio, the gauge diagonal
 of the eigenvector response and O_B, each against its matmul or LAPACK
-form. All three are entrywise at every N; the ratio is closed-form at
-N = 2, and only there has a second form to be checked against.
+form, and of the model files' forward-mode derivatives against sympy. W,
+the gauge diagonal and O_B are entrywise at every N; the ratio is
+closed-form at N = 2, and only there has a second form to be checked
+against.
 
 The inputs are random pseudo-Hermitian stacks H = S D S^-1 of N = 2, 3
 and 4 levels, with D real, neighbouring levels at least a quarter of the
@@ -12,15 +14,17 @@ tests were first run, at N = 2 and again, scaled with N, at N = 3 and 4;
 eps is the float64 machine epsilon.
 """
 
+import cmath
 import dataclasses
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ptqgt import biortho, biortho_eig, build_W, geometry
+from ptqgt import biortho, biortho_eig, build_W, geometry, parse_model
 
 # On a failure, hypothesis's pytest plugin imports its patch writer, which
 # imports libcst where that is installed, and some libcst/mypy_extensions
@@ -146,3 +150,98 @@ def test_gauge_diagonal_and_o_b_match_their_matmul_forms(n, data):
     bound = 8 * n * n * EPS * (_max(eig.right, (-2, -1)) * _max(m, (-2, -1))
                                * _max(eig.left, (-2, -1)))
     assert (_max(o_b - reference, (-2, -1)) <= bound).all()
+
+
+# Random entries of the model-file grammar, as trees: ("num", text),
+# ("param", j), (op, a, b) for op in + - * /, and ("neg" | "sin" | "cos" |
+# "exp", a). Each renders to model-file text, and to a sympy expression in
+# exact rationals.
+_NUMBERS = ("2", "0.5", "1.25", "1e-1", "3i", "0.5i", "i")
+_UNARY = {"neg": (lambda z: -z, lambda z: -1.0, lambda e: -e),
+          "sin": (cmath.sin, cmath.cos, sympy.sin),
+          "cos": (cmath.cos, lambda z: -cmath.sin(z), sympy.cos),
+          "exp": (cmath.exp, cmath.exp, sympy.exp)}
+_SYMBOLS = sympy.symbols("l1 l2")
+
+expressions = st.recursive(
+    st.one_of(st.sampled_from(_NUMBERS).map(lambda text: ("num", text)),
+              st.sampled_from((0, 1)).map(lambda j: ("param", j))),
+    lambda inner: st.one_of(st.tuples(st.sampled_from("+-*/"), inner, inner),
+                            st.tuples(st.sampled_from(sorted(_UNARY)), inner)),
+    max_leaves=8,
+)
+
+
+def _text(node):
+    kind = node[0]
+    if kind == "num":
+        return node[1]
+    if kind == "param":
+        return f"l{node[1] + 1}"
+    if kind == "neg":
+        return "-" + _text(node[1])
+    if kind in _UNARY:
+        return f"{kind}({_text(node[1])})"
+    return f"({_text(node[1])} {kind} {_text(node[2])})"
+
+
+def _sympy(node):
+    kind = node[0]
+    if kind == "num":
+        text = node[1]
+        return sympy.I * sympy.Rational(text[:-1] or 1) if text.endswith("i") else \
+            sympy.Rational(text)
+    if kind == "param":
+        return _SYMBOLS[node[1]]
+    if kind in _UNARY:
+        return _UNARY[kind][2](_sympy(node[1]))
+    a, b = _sympy(node[1]), _sympy(node[2])
+    return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[kind]
+
+
+def _walk(node, lam, mu, sizes, divisors):
+    """Value and derivative of the tree in complex floats, with each value
+    and derivative recorded in ``sizes`` and each divisor in ``divisors``:
+    the draws the bound below holds for are chosen from these."""
+    kind = node[0]
+    if kind == "num":
+        value, slope = complex(_sympy(node)), 0.0
+    elif kind == "param":
+        value, slope = lam[node[1]], float(node[1] == mu)
+    elif kind in _UNARY:
+        f, df, _ = _UNARY[kind]
+        x, dx = _walk(node[1], lam, mu, sizes, divisors)
+        value, slope = f(x), df(x) * dx
+    else:
+        (x, dx), (y, dy) = (_walk(node[1], lam, mu, sizes, divisors),
+                            _walk(node[2], lam, mu, sizes, divisors))
+        if kind == "/":
+            divisors.append(abs(y))
+            value = x / y
+            slope = (dx - value * dy) / y
+        else:
+            value = {"+": x + y, "-": x - y, "*": x * y}[kind]
+            slope = {"+": dx + dy, "-": dx - dy, "*": dx * y + x * dy}[kind]
+    sizes += [abs(value), abs(slope)]
+    return value, slope
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(expressions, st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), st.sampled_from((0, 1)))
+def test_model_derivative_matches_sympy(expression, lam, mu):
+    # Draws where no value or derivative exceeds 100 in magnitude and no
+    # divisor is below 0.1. There the at most 15 operations of an entry,
+    # each rounding to eps of magnitudes up to 100 and carried through
+    # factors up to 100, leave at most about 15 eps 1e4 = 3.3e-11, so the
+    # bound, fixed before the test was first run, is 1e-10 (1 + |ref|).
+    sizes, divisors = [], []
+    try:
+        _walk(expression, lam, mu, sizes, divisors)
+    except (OverflowError, ZeroDivisionError):
+        assume(False)
+    assume(max(sizes) <= 100.0 and min(divisors, default=1.0) >= 0.1)
+    model = parse_model(f"dim 1\nparams 2\nH[1,1] = {_text(expression)}\n")
+    ours = model.deriv(np.array(lam), mu)[0, 0]
+    point = {s: sympy.Rational(x) for s, x in zip(_SYMBOLS, lam)}
+    ref = complex(sympy.diff(_sympy(expression), _SYMBOLS[mu]).evalf(30, subs=point))
+    assert abs(ours - ref) <= 1e-10 * (1.0 + abs(ref))

@@ -24,7 +24,10 @@ def test_one_round_times_every_stage_of_every_shape(capsys):
         timed = {stage: cell for stage, cell in zip(stages.STAGES, cells) if cell}
         assert {"family", "eig", "biortho", "outside"} <= set(timed), shape
         assert all(float(timed[stage]) > 0 for stage in timed if stage != "outside")
-    # a request of each point_query kind, the closure test on the loop
+    # the two deriv calls of a flux block, a request of each point_query
+    # kind, the closure test on the loop
+    deriv = stages.STAGES.index("deriv")
+    assert [shape for shape, cells in rows.items() if cells[deriv]] == ["flux-512"]
     assert [shape for shape, cells in rows.items() if cells[-1]] == [
         "stencil-5", "stencil-7", "loop-64", "intensity-65"]
     assert [shape for shape, cells in rows.items() if cells[-2]] == ["loop-64"]

@@ -9,13 +9,13 @@ Eight shapes, each a stack that one request or one block solves:
 - ``stencil-7``: the same on the bundled ``spin_half`` model (d = 3), 7;
 - ``loop-64``: a 64-vertex Berry loop on the bundled ``pt_two_level``
   model, 64;
-- ``flux-512``: one ``curvature_flux`` block of the analytic
-  ``pt_two_level`` family at resolution 64, 512;
+- ``flux-512``: one ``curvature_flux`` block of the bundled
+  ``pt_two_level`` model at resolution 64, 512;
 - ``intensity-65``: one ``metric_intensity`` point (ANISO, ``n_quad`` 65),
   65 real 4x4 blocks;
 - ``chunk-455``: a seven-point scan chunk of the same, 455 real 4x4 blocks;
 - ``transport-512``: one 256-step ``evolve`` chunk of a pt_loop transport
-  (the analytic ``pt_two_level`` family on a circle of radius 0.05, 6000
+  (the bundled ``pt_two_level`` model on a circle of radius 0.05, 6000
   steps over 100 time units), 512 complex 2x2 nodes;
 - ``generators-4``: one ``o_operators`` call on ``dk_family(ANISO, 0.7)``
   at (0.5, 0.3), one complex 4x4 matrix: the one route at N >= 3 through
@@ -24,6 +24,8 @@ Eight shapes, each a stack that one request or one block solves:
 At each shape the stages are, where they apply:
 
 - ``family``: evaluating the stack of matrices;
+- ``deriv``: on the flux block, the two ``family.deriv`` calls, one per
+  axis, that ``curvature_flux`` makes on it;
 - ``eig``: ``numpy.linalg.eig`` on it alone, the LAPACK floor;
 - ``biortho``: ``biortho_eig`` on it, whole; ``outside`` is ``biortho``
   less ``eig``, and for the 4x4 shapes it holds the ``numpy.linalg.inv``
@@ -71,7 +73,7 @@ from ptqgt import dynamics, families, geometry, xy_chain  # noqa: E402
 from ptqgt.biortho import biortho_eig, build_W, default_step  # noqa: E402
 from ptqgt.verify import ANISO  # noqa: E402
 
-STAGES = ("family", "eig", "biortho", "outside", "kernel", "closure", "request")
+STAGES = ("family", "deriv", "eig", "biortho", "outside", "kernel", "closure", "request")
 
 
 def _stencil(name: str, lam) -> dict:
@@ -118,6 +120,7 @@ def _flux_block() -> dict:
     levels = np.arange(2) == 0
     return {
         "family": lambda: family(points),
+        "deriv": lambda: [family.deriv(points, mu) for mu in (0, 1)],
         "eig": lambda: np.linalg.eig(h),
         "biortho": lambda: biortho_eig(h),
         "kernel": lambda: geometry._sos_qgt(eig, dh, levels),
