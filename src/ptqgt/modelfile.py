@@ -55,13 +55,15 @@ def _binary(op, a, b, da, db):
     """The value and the tangent closure of ``a <op> b``, from the value
     closures ``a``, ``b`` and the tangent closures ``da``, ``db``."""
     if op == "+":
-        return (lambda lam: a(lam) + b(lam)), (lambda lam, mu: da(lam, mu) + db(lam, mu))
+        return (lambda lam, a=a, b=b: a(lam) + b(lam)), (
+            lambda lam, mu: da(lam, mu) + db(lam, mu))
     if op == "-":
-        return (lambda lam: a(lam) - b(lam)), (lambda lam, mu: da(lam, mu) - db(lam, mu))
+        return (lambda lam, a=a, b=b: a(lam) - b(lam)), (
+            lambda lam, mu: da(lam, mu) - db(lam, mu))
     if op == "*":
-        return (lambda lam: a(lam) * b(lam)), (
+        return (lambda lam, a=a, b=b: a(lam) * b(lam)), (
             lambda lam, mu: da(lam, mu) * b(lam) + a(lam) * db(lam, mu))
-    quotient = lambda lam: a(lam) / b(lam)  # noqa: E731
+    quotient = lambda lam, a=a, b=b: a(lam) / b(lam)  # noqa: E731
     return quotient, lambda lam, mu: (da(lam, mu) - quotient(lam) * db(lam, mu)) / b(lam)
 
 
@@ -256,7 +258,8 @@ def parse_model(text: str) -> HamiltonianFamily:
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 for (r, c), fn in closures.items():
-                    out[..., r, c] = fn(lam, *mu)  # a constant entry broadcasts
+                    # a constant entry broadcasts; a value closure takes lam alone
+                    out[..., r, c] = fn(lam, *mu) if mu else fn(lam)
         except FloatingPointError as exc:
             raise NonFinite(f"model expression is not finite: {exc}") from exc
         return out
