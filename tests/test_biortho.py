@@ -567,8 +567,9 @@ def test_one_point_results_are_fresh_arrays():
         assert np.array_equal(fam.deriv([0.0, 0.0, 1.0], 0), [[0, 1], [1, 0]])
 
 
-# The bundled families as they were written per point, before they became
-# batched: the batched forms must give the same bits.
+# The families as they were written per point, before they became batched
+# (the two-level ones in closed_forms): the batched forms must give the
+# same values.
 def _dk_reference(lam, mu=None, k=0.7):
     if mu == 0:
         return np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
