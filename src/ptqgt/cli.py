@@ -20,7 +20,7 @@ import numpy as np
 
 from . import geometry, verify, xy_chain
 from .biortho import biortho_eig
-from .dynamics import PathSpec, adiabatic_phase, evolve
+from .dynamics import PathSpec, adiabatic_phase
 from .errors import DefectiveMatrix, Degenerate, GaplessPoint, ParseError, PtqgtError
 from .families import BUNDLED_MODELS, load_bundled_model
 from .geometry import LoopSpec, berry_phase_loop, classify_interval
@@ -41,17 +41,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _add_params_flags(p):
-    p.add_argument("--J", type=_positive_float, default=1.0)
-    p.add_argument("--Js", type=_positive_float, default=0.5)
-    p.add_argument("--Gamma", type=_positive_float, default=1.0 / 3.0)
-    p.add_argument("--Gammas", type=_positive_float, default=1.0 / 6.0)
-
-
-def _params_from(args) -> XYParams:
-    return XYParams(J=args.J, Js=args.Js, Gamma=args.Gamma, Gammas=args.Gammas)
 
 
 def _load_family(name_or_path: str):
@@ -128,37 +117,28 @@ def _model_at(args, point: np.ndarray, min_params: int = 1):
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(ScanConfig)} | {"out_path"}
 
 
-def _scan_config(args) -> tuple[ScanConfig, str]:
-    """The scan's config and the CSV path, from ``--config`` or the flags."""
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("the config must be a JSON object")
-        unknown = sorted(set(raw) - _CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}")
-        out = raw.pop("out_path", args.out)
-        # n_quad and workers, when given, go to ScanConfig as they are,
-        # so its defaults and its integer checks are the only ones.
-        raw = dict(raw, params=XYParams(**raw.get("params", {})),
-                   h_range=tuple(raw["h_range"]), eta_range=tuple(raw["eta_range"]))
-        config = ScanConfig(**raw)
-    else:
-        out = args.out
-        config = ScanConfig(
-            params=_params_from(args),
-            h_range=(args.h_min, args.h_max, args.h_count),
-            eta_range=(args.eta_min, args.eta_max, args.eta_count),
-            n_quad=args.n_quad,
-            workers=args.workers,
-        )
-    return config, out or "scan.csv"
+def _scan_config(path: str) -> tuple[ScanConfig, str]:
+    """The scan's config and the CSV path, from the JSON file ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("the config must be a JSON object")
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
+    out = raw.pop("out_path", "scan.csv")
+    if not isinstance(out, str) or not out:  # open() takes True or an int as a file descriptor
+        raise ValueError(f"out_path must be a non-empty string, got {out!r}")
+    # n_quad and workers, when given, go to ScanConfig as they are,
+    # so its defaults and its integer checks are the only ones.
+    raw = dict(raw, params=XYParams(**raw.get("params", {})),
+               h_range=tuple(raw["h_range"]), eta_range=tuple(raw["eta_range"]))
+    return ScanConfig(**raw), out
 
 
 def cmd_scan(args) -> int:
     try:
-        config, out = _scan_config(args)
+        config, out = _scan_config(args.config)
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise _UsageError(f"config error: {exc}") from exc
     result = run_scan(config)
@@ -175,7 +155,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_critical(args) -> int:
-    params = _params_from(args)
+    params = XYParams(J=args.J, Js=args.Js, Gamma=args.Gamma, Gammas=args.Gammas)
     crit = xy_chain.critical_set(params)
     payload = {
         "case": params.case,
@@ -308,21 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scan", help="metric-intensity phase-diagram scan")
-    p.add_argument("--config", help="JSON config file (overrides flags)")
-    _add_params_flags(p)
-    p.add_argument("--h-min", type=float, default=0.0)
-    p.add_argument("--h-max", type=float, default=3.0)
-    p.add_argument("--h-count", type=int, default=41)
-    p.add_argument("--eta-min", type=float, default=-0.95)
-    p.add_argument("--eta-max", type=float, default=0.95)
-    p.add_argument("--eta-count", type=int, default=41)
-    p.add_argument("--n-quad", type=int, default=65)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default="scan.csv")
+    p.add_argument("--config", required=True, help="JSON config file")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("critical", help="analytic critical fields")
-    _add_params_flags(p)
+    p.add_argument("--J", type=_positive_float, default=1.0)
+    p.add_argument("--Js", type=_positive_float, default=0.5)
+    p.add_argument("--Gamma", type=_positive_float, default=1.0 / 3.0)
+    p.add_argument("--Gammas", type=_positive_float, default=1.0 / 6.0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_critical)
 

@@ -3,6 +3,7 @@ each written once, as a ``.model`` file bundled in ``ptqgt/models``."""
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 
 from .biortho import HamiltonianFamily
@@ -34,7 +35,10 @@ def pt_two_level_family() -> HamiltonianFamily:
     return load_bundled_model("pt_two_level")
 
 
+@functools.cache
 def load_bundled_model(name: str) -> HamiltonianFamily:
-    """The family of a bundled .model file, one of ``BUNDLED_MODELS``."""
+    """The family of a bundled .model file, one of ``BUNDLED_MODELS``,
+    parsed once per process: a family is immutable, so every caller can
+    share it."""
     text = (resources.files("ptqgt") / "models" / f"{name}.model").read_text(encoding="utf-8")
     return parse_model(text)

@@ -322,12 +322,15 @@ def berry_phase_loop(family: HamiltonianFamily, loop: LoopSpec) -> float:
     gamma = -arg prod_i <Phi_n(lam_i)|Psi_n(lam_{i+1})>, cyclic over the
     vertex sequence. Exactly invariant under per-vertex gauge changes;
     converges to the line integral of the connection as the vertex
-    spacing shrinks. Principal value in (-pi, pi].
+    spacing shrinks. Principal value in (-pi, pi]. Raises Degenerate when
+    the vertices do not all lie in one PT phase.
     """
     if not loop.closed:
         raise OpenLoop("first and last loop vertices differ")
     n = loop.level
     eigs = biortho_eig(family(loop.vertices[:-1]))
+    if np.any(eigs.unbroken != eigs.unbroken[0]):
+        raise Degenerate("loop crosses a PT-breaking (exceptional) line")
     _check_gap(eigs, [n])
     right = eigs.right[:, :, n]
     links = np.einsum("ij,ij->i", eigs.left[:, :, n].conj(),

@@ -340,9 +340,9 @@ def _intensity_perturbative(p: XYParams, h, eta, n_quad: int) -> np.ndarray:
 
     g = geometry._sos_qgt(eig, _DERIVS_U, eig.energies.real < 0).real
     # factor 2: the intensity integrand is twice the per-mode metric in
-    # the 1/2-prefactor convention. One reduction per point keeps each
-    # point's sum in the order of the one-point call.
-    return np.stack([np.einsum("i,iab->ab", 2.0 * wts, gi) for gi in g]) / (4.0 * np.pi)
+    # the 1/2-prefactor convention. A one-point call is this reduction at
+    # P = 1, and a scanned value equals it to the bit.
+    return np.einsum("i,piab->pab", 2.0 * wts, g) / (4.0 * np.pi)
 
 
 def _intensity_fd(p: XYParams, f: FieldPoint, n_quad: int) -> np.ndarray:

@@ -201,7 +201,6 @@ def test_evolve_rejects_non_positive_steps(capsys, steps):
     ["critical", "--J", "inf"],
     ["critical", "--Gamma", "0"],
     ["critical", "--Gammas", "-0.5"],
-    ["scan", "--Js", "nan", "--h-count", "2", "--eta-count", "2"],
 ])
 def test_out_of_range_arguments_exit_1(capsys, argv):
     try:
@@ -212,18 +211,34 @@ def test_out_of_range_arguments_exit_1(capsys, argv):
     assert capsys.readouterr().err
 
 
-def test_scan_command_with_flags(tmp_path, capsys):
-    out_csv = tmp_path / "mini.csv"
-    code, out, _ = run(
-        ["scan", "--h-min", "0.2", "--h-max", "0.8", "--h-count", "3",
-         "--eta-min", "-0.4", "--eta-max", "0.4", "--eta-count", "3",
-         "--n-quad", "24", "--out", str(out_csv)],
-        capsys,
-    )
+# every flag that once restated a config key
+_FORMER_SCAN_FLAGS = [("--J", "1"), ("--Js", "nan"), ("--Gamma", "0.25"), ("--Gammas", "0.5"),
+                      ("--h-min", "0.2"), ("--h-max", "0.8"), ("--h-count", "3"),
+                      ("--eta-min", "-0.4"), ("--eta-max", "0.4"), ("--eta-count", "3"),
+                      ("--n-quad", "24"), ("--workers", "2"), ("--out", "x.csv")]
+
+
+def test_scan_takes_its_settings_from_the_config_alone(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "scan.json"
+    cfg = {"params": {"J": 1.0, "Js": 0.5, "Gamma": 1.0 / 3.0, "Gammas": 1.0 / 6.0},
+           "h_range": [0.2, 0.8, 3], "eta_range": [-0.4, 0.4, 3], "n_quad": 24}
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    for flag, value in _FORMER_SCAN_FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--config", str(cfg_path), flag, value])
+        assert exc.value.code == EXIT_USAGE
+        assert "usage:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["scan"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--config" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+    # without out_path, the CSV goes to scan.csv
+    code, out, _ = run(["scan", "--config", str(cfg_path)], capsys)
     assert code == EXIT_OK
-    assert out_csv.exists()
-    assert (tmp_path / "mini.csv.gp").exists()
-    assert "9 ok" in out
+    assert "wrote scan.csv (9 ok, 0 degenerate, 0 broken)" in out
+    assert (tmp_path / "scan.csv").exists() and (tmp_path / "scan.csv.gp").exists()
 
 
 def test_scan_command_with_config(tmp_path, capsys):
@@ -238,7 +253,8 @@ def test_scan_command_with_config(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     code, out, _ = run(["scan", "--config", str(cfg_path)], capsys)
     assert code == EXIT_OK
-    assert (tmp_path / "cfg.csv").exists()
+    assert "(4 ok, 0 degenerate, 0 broken)" in out
+    assert (tmp_path / "cfg.csv").exists() and (tmp_path / "cfg.csv.gp").exists()
 
 
 def test_scan_bad_config_exits_1(tmp_path, capsys):
@@ -265,17 +281,22 @@ def test_scan_bad_config_exits_1(tmp_path, capsys):
     {"workers": True},  # not taken as 1
     {"workers": 0},
     {"workers": -4},  # not run serially
+    {"out_path": True},  # not file descriptor 1, stdout
+    {"out_path": 3},
+    {"out_path": None},
+    {"out_path": ""},
 ])
-def test_scan_invalid_config_values_exit_1(tmp_path, capsys, change):
+def test_scan_invalid_config_values_exit_1(tmp_path, capfd, change):
     cfg = {"params": {"J": 1.0, "Js": 0.5, "Gamma": 0.25, "Gammas": 0.5},
            "h_range": [0.2, 0.8, 3], "eta_range": [-0.4, 0.4, 3], "n_quad": 24,
            "out_path": str(tmp_path / "out.csv")} | change
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    code, _, err = run(["scan", "--config", str(cfg_path)], capsys)
+    code, out, err = run(["scan", "--config", str(cfg_path)], capfd)
     assert code == EXIT_USAGE
     assert "config error" in err
-    assert not (tmp_path / "out.csv").exists()
+    assert list(tmp_path.iterdir()) == [cfg_path]
+    assert "h,eta" not in out
 
 
 def test_verify_subset_runs(capsys):

@@ -662,6 +662,20 @@ def test_berry_phase_of_a_real_loop_around_a_degeneracy_is_plus_pi(n_verts):
         assert berry_phase_loop(fam, LoopSpec(vertices=verts, level=level)) == np.pi
 
 
+def test_berry_phase_refuses_a_loop_in_both_pt_phases():
+    # the circle crosses the EP circle s^2 = a^2 + 0.09, as the flux grid
+    # of the same region does
+    fam = pt_two_level_family()
+    az = np.linspace(0.0, 2.0 * np.pi, 257)
+    verts = np.stack([0.1 * np.cos(az), 0.3 + 0.1 * np.sin(az)], axis=1)
+    verts[-1] = verts[0]
+    assert len(set(biortho_eig(fam(verts)).unbroken)) == 2
+    with pytest.raises(Degenerate, match="PT-breaking"):
+        berry_phase_loop(fam, LoopSpec(vertices=verts, level=0))
+    with pytest.raises(Degenerate, match="PT-breaking"):
+        curvature_flux(fam, [-0.1, 0.2], [0.1, 0.4])
+
+
 # ---------------------------------------------------------------- stokes
 
 

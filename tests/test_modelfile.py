@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ptqgt import NonFinite, ParseError, parse_model
-from ptqgt.families import load_bundled_model
+from ptqgt.families import load_bundled_model, pt_two_level_family, spin_half_family
 
 
 def one_entry_model(source, n_params=1):
@@ -207,6 +207,11 @@ def _per_point_reference(name, lam):
     if name == "spin_half":
         return [[l[2], l[0] - 1j * l[1]], [l[0] + 1j * l[1], -l[2]]]
     return [[0.3j, l[1] + l[0]], [l[1] - l[0], -0.3j]]
+
+
+def test_bundled_families_are_parsed_once_per_process():
+    assert spin_half_family() is spin_half_family()
+    assert pt_two_level_family() is load_bundled_model("pt_two_level")
 
 
 @pytest.mark.parametrize("name", ["spin_half", "pt_two_level"])

@@ -84,6 +84,31 @@ def test_dependencies_follow_the_imports():
     assert third_party == declared
 
 
+def _unused_imports(path):
+    """Names ``path`` imports (``__future__`` aside) that it neither uses
+    nor lists in its ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - used - exported)
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in pathlib.Path(ptqgt.__file__).parent.glob("*.py") if p.name != "__init__.py"))
+def test_every_import_is_used_or_exported(name):
+    assert _unused_imports(pathlib.Path(ptqgt.__file__).parent / name) == []
+
+
 def test_python_m_ptqgt_runs_the_cli():
     out = _run_python("-m", "ptqgt", "verify", "--suite", "fast")  # exits 0 on success
     assert "PASS" in out and "FAIL" not in out
